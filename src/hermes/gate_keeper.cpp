@@ -61,43 +61,31 @@ double TokenBucket::available(Time now) const {
 }
 
 GateKeeper::GateKeeper(const HermesConfig& config, double token_rate,
-                       double token_burst, obs::Registry* registry)
-    : config_(&config), bucket_(token_rate, token_burst) {
-  if (!registry) {
-    owned_obs_ = std::make_unique<obs::Registry>();
-    registry = owned_obs_.get();
-  }
-  obs_ = registry;
-  guaranteed_ = obs_->counter("gate.guaranteed");
-  unmatched_ = obs_->counter("gate.unmatched");
-  over_rate_ = obs_->counter("gate.over_rate");
-  lowest_priority_ = obs_->counter("gate.lowest_priority");
-  shadow_full_ = obs_->counter("gate.shadow_full");
-  tokens_ = obs_->gauge("gate.tokens");
-  batch_admitted_ = obs_->histogram("gate.batch_admitted");
-}
+                       double token_burst)
+    : config_(&config), bucket_(token_rate, token_burst) {}
 
-const GateKeeperStats& GateKeeper::stats() const {
-  stats_view_.guaranteed = guaranteed_.value();
-  stats_view_.unmatched = unmatched_.value();
-  stats_view_.over_rate = over_rate_.value();
-  stats_view_.lowest_priority = lowest_priority_.value();
-  stats_view_.shadow_full = shadow_full_.value();
-  return stats_view_;
+void GateKeeper::note_route(Time now, Route route) {
+  switch (route) {
+    case Route::kGuaranteed: ++stats_.guaranteed; break;
+    case Route::kMainUnmatched: ++stats_.unmatched; break;
+    case Route::kMainOverRate: ++stats_.over_rate; break;
+    case Route::kMainLowestPrio: ++stats_.lowest_priority; break;
+    case Route::kMainShadowFull: ++stats_.shadow_full; break;
+  }
+  obs::trace_event(
+      obs::admission_event(now, static_cast<std::uint8_t>(route)));
 }
 
 Route GateKeeper::route_insert(Time now, const net::Rule& rule,
                                const RouteContext& ctx) {
   Route route;
   if (config_->predicate && !config_->predicate(rule)) {
-    unmatched_.inc();
     route = Route::kMainUnmatched;
   } else if (config_->lowest_priority_optimization && !ctx.main_full &&
              (ctx.main_empty || rule.priority <= ctx.main_min_priority)) {
     // Section 4.2: a rule at or below the bottom of the main table appends
     // without shifting — inserting it into the shadow table would only
     // waste guaranteed capacity and maximize partitioning.
-    lowest_priority_.inc();
     route = Route::kMainLowestPrio;
   } else if (ctx.pieces_needed > ctx.shadow_free) {
     // Shadow-capacity check BEFORE the token bucket: a shadow-full
@@ -105,19 +93,13 @@ Route GateKeeper::route_insert(Time now, const net::Rule& rule,
     // budget — tokens pay only for shadow capacity actually consumed.
     // (Consuming first would silently under-admit subsequent guaranteed
     // inserts and skew the Equation 2 admitted-rate accounting.)
-    shadow_full_.inc();
     route = Route::kMainShadowFull;
   } else if (!bucket_.try_take(now)) {
-    over_rate_.inc();
     route = Route::kMainOverRate;
   } else {
-    guaranteed_.inc();
     route = Route::kGuaranteed;
   }
-  tokens_.set(
-      static_cast<std::int64_t>(std::floor(bucket_.available(now))));
-  obs::trace_event(
-      obs::admission_event(now, static_cast<std::uint8_t>(route)));
+  note_route(now, route);
   return route;
 }
 
@@ -169,19 +151,7 @@ std::vector<Route> GateKeeper::route_insert_batch(
   int debited = bucket_.try_take_n(now, taken);
   assert(debited == taken);
   (void)debited;
-  for (Route route : routes) {
-    switch (route) {
-      case Route::kGuaranteed: guaranteed_.inc(); break;
-      case Route::kMainUnmatched: unmatched_.inc(); break;
-      case Route::kMainOverRate: over_rate_.inc(); break;
-      case Route::kMainLowestPrio: lowest_priority_.inc(); break;
-      case Route::kMainShadowFull: shadow_full_.inc(); break;
-    }
-    obs::trace_event(
-        obs::admission_event(now, static_cast<std::uint8_t>(route)));
-  }
-  tokens_.set(
-      static_cast<std::int64_t>(std::floor(bucket_.available(now))));
+  for (Route route : routes) note_route(now, route);
   batch_admitted_.record(static_cast<std::uint64_t>(taken));
   return routes;
 }

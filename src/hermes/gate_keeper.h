@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -70,10 +69,8 @@ struct RouteContext {
   bool main_full = false;
 };
 
-/// Per-reason admission totals. Since the obs refactor this is a VIEW
-/// assembled from the backing metric registry on each stats() call, not
-/// independent storage — the registry (gate.* counters) is the source of
-/// truth, and this struct keeps the historical accessor shape.
+/// Per-reason admission totals: the Gate Keeper's own counters, updated
+/// in place by each routing decision (stats() returns a reference).
 struct GateKeeperStats {
   std::uint64_t guaranteed = 0;
   std::uint64_t unmatched = 0;
@@ -84,10 +81,8 @@ struct GateKeeperStats {
 
 class GateKeeper {
  public:
-  /// Counts admissions into `registry` (gate.* counters). When null, the
-  /// Gate Keeper owns a private registry so standalone use still counts.
   GateKeeper(const HermesConfig& config, double token_rate,
-             double token_burst, obs::Registry* registry = nullptr);
+             double token_burst);
 
   /// Routing decision for an insertion arriving at `now`.
   Route route_insert(Time now, const net::Rule& rule,
@@ -106,31 +101,27 @@ class GateKeeper {
   /// route_insert per rule with `shadow_free` updated between calls.
   /// Under token shortage the split is deterministic: the FIRST `budget`
   /// eligible rules (batch order) stay guaranteed, the rest route
-  /// kMainOverRate. Per-reason counters, the tokens gauge, and per-rule
-  /// admission trace events match the per-op path.
+  /// kMainOverRate. Per-reason counters and per-rule admission trace
+  /// events match the per-op path.
   std::vector<Route> route_insert_batch(Time now,
                                         std::span<const net::Rule> rules,
                                         const RouteContext& ctx);
 
-  /// Thin view over the registry counters (rebuilt per call; take a copy
-  /// if you need a frozen reading).
-  const GateKeeperStats& stats() const;
+  /// Live totals (take a copy if you need a frozen reading).
+  const GateKeeperStats& stats() const { return stats_; }
   const TokenBucket& bucket() const { return bucket_; }
-  const obs::Registry& registry() const { return *obs_; }
 
  private:
+  /// Counts one routing decision under its reason and traces it.
+  void note_route(Time now, Route route);
+
   const HermesConfig* config_;
   TokenBucket bucket_;
-  std::unique_ptr<obs::Registry> owned_obs_;  // set iff none was injected
-  obs::Registry* obs_;
-  obs::Counter guaranteed_;
-  obs::Counter unmatched_;
-  obs::Counter over_rate_;
-  obs::Counter lowest_priority_;
-  obs::Counter shadow_full_;
-  obs::Gauge tokens_;  // floor of the bucket level after each decision
-  obs::Histogram batch_admitted_;  // guaranteed rules per batch decision
-  mutable GateKeeperStats stats_view_;
+  GateKeeperStats stats_;
+  // Guaranteed rules per batch decision, aggregated across Gate Keepers in
+  // the process-attached registry (a detached no-op when none is).
+  obs::Histogram batch_admitted_ =
+      obs::attached_histogram("gate.batch_admitted");
 };
 
 }  // namespace hermes::core

@@ -37,39 +37,7 @@ HermesAgent::HermesAgent(const tcam::SwitchModel& model,
   double burst =
       config_.token_burst > 0 ? config_.token_burst : static_cast<double>(shadow);
   admitted_rate_ = rate;
-  obs_ = std::make_unique<obs::Registry>();
-  m_.inserts = obs_->counter("agent.inserts");
-  m_.deletes = obs_->counter("agent.deletes");
-  m_.modifies = obs_->counter("agent.modifies");
-  m_.failed_ops = obs_->counter("agent.failed_ops");
-  m_.guaranteed_inserts = obs_->counter("agent.guaranteed_inserts");
-  m_.main_inserts = obs_->counter("agent.main_inserts");
-  m_.redundant_inserts = obs_->counter("agent.redundant_inserts");
-  m_.partition_pieces = obs_->counter("agent.partition_pieces");
-  m_.repartitions = obs_->counter("agent.repartitions");
-  m_.unpartitions = obs_->counter("agent.unpartitions");
-  m_.migrations = obs_->counter("agent.migrations");
-  m_.rules_migrated = obs_->counter("agent.rules_migrated");
-  m_.pieces_migrated = obs_->counter("agent.pieces_migrated");
-  m_.pieces_saved_by_merge = obs_->counter("agent.pieces_saved_by_merge");
-  m_.migration_piece_failures =
-      obs_->counter("agent.migration_piece_failures");
-  m_.migration_rollbacks = obs_->counter("agent.migration_rollbacks");
-  m_.violations = obs_->counter("agent.violations");
-  m_.worst_guaranteed_latency_ns =
-      obs_->gauge("agent.worst_guaranteed_latency_ns");
-  m_.retries = obs_->counter("agent.retries");
-  m_.migration_requeues = obs_->counter("agent.migration_requeues");
-  m_.reconcile_runs = obs_->counter("reconcile.runs");
-  m_.reconcile_rules_reinstalled =
-      obs_->counter("reconcile.rules_reinstalled");
-  m_.reconcile_pieces_reinstalled =
-      obs_->counter("reconcile.pieces_reinstalled");
-  m_.reconcile_rules_lost = obs_->counter("reconcile.rules_lost");
-  m_.spills = obs_->counter("agent.spills");
-  m_.spill_drains = obs_->counter("agent.spill_drains");
-  gate_keeper_ =
-      std::make_unique<GateKeeper>(config_, rate, burst, obs_.get());
+  gate_keeper_ = std::make_unique<GateKeeper>(config_, rate, burst);
 
   auto predictor = make_predictor(config_.predictor);
   auto corrector = make_corrector(config_.corrector, config_.corrector_param);
@@ -118,40 +86,6 @@ int HermesAgent::main_occupancy() const {
   return asic_.slice(kMain).occupancy();
 }
 
-const AgentStats& HermesAgent::stats() const {
-  stats_view_.inserts = m_.inserts.value();
-  stats_view_.deletes = m_.deletes.value();
-  stats_view_.modifies = m_.modifies.value();
-  stats_view_.failed_ops = m_.failed_ops.value();
-  stats_view_.guaranteed_inserts = m_.guaranteed_inserts.value();
-  stats_view_.main_inserts = m_.main_inserts.value();
-  stats_view_.redundant_inserts = m_.redundant_inserts.value();
-  stats_view_.partition_pieces = m_.partition_pieces.value();
-  stats_view_.repartitions = m_.repartitions.value();
-  stats_view_.unpartitions = m_.unpartitions.value();
-  stats_view_.migrations = m_.migrations.value();
-  stats_view_.rules_migrated = m_.rules_migrated.value();
-  stats_view_.pieces_migrated = m_.pieces_migrated.value();
-  stats_view_.pieces_saved_by_merge = m_.pieces_saved_by_merge.value();
-  stats_view_.migration_piece_failures =
-      m_.migration_piece_failures.value();
-  stats_view_.migration_rollbacks = m_.migration_rollbacks.value();
-  stats_view_.violations = m_.violations.value();
-  stats_view_.worst_guaranteed_latency =
-      static_cast<Duration>(m_.worst_guaranteed_latency_ns.value());
-  stats_view_.retries = m_.retries.value();
-  stats_view_.migration_requeues = m_.migration_requeues.value();
-  stats_view_.reconcile_runs = m_.reconcile_runs.value();
-  stats_view_.reconcile_rules_reinstalled =
-      m_.reconcile_rules_reinstalled.value();
-  stats_view_.reconcile_pieces_reinstalled =
-      m_.reconcile_pieces_reinstalled.value();
-  stats_view_.reconcile_rules_lost = m_.reconcile_rules_lost.value();
-  stats_view_.spills = m_.spills.value();
-  stats_view_.spill_drains = m_.spill_drains.value();
-  return stats_view_;
-}
-
 double HermesAgent::tcam_overhead() const {
   return static_cast<double>(shadow_capacity()) /
          static_cast<double>(asic_.total_capacity());
@@ -164,14 +98,15 @@ int HermesAgent::main_min_priority() const {
 }
 
 void HermesAgent::note_guaranteed_latency(Duration latency) {
-  m_.worst_guaranteed_latency_ns.set_max(static_cast<std::int64_t>(latency));
-  if (latency > config_.guarantee) m_.violations.inc();
+  stats_.worst_guaranteed_latency =
+      std::max(stats_.worst_guaranteed_latency, latency);
+  if (latency > config_.guarantee) ++stats_.violations;
 }
 
 // --- Fault recovery -----------------------------------------------------------
 
 void HermesAgent::note_retry(Time at, int slice, int attempt) {
-  m_.retries.inc();
+  ++stats_.retries;
   obs_retries_.inc();
   ++retries_this_epoch_;
   obs::trace_event(obs::retry_event(at, slice, attempt));
@@ -265,7 +200,7 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
     const net::Rule& rule = batch.mod(i).rule;
     assert(rule.id < kPieceIdBase && "logical rule ids must be < 2^32");
     rules.push_back(rule);
-    m_.inserts.inc();
+    ++stats_.inserts;
   }
 
   const tcam::TcamTable& shadow = asic_.slice(kShadow);
@@ -305,7 +240,7 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
         partition_new_rule(rule, main_index_, config_.merge_partitions);
     if (partition.redundant) {
       // Figure 5 (a): handled entirely in agent software.
-      m_.redundant_inserts.inc();
+      ++stats_.redundant_inserts;
       std::vector<net::RuleId> blockers;
       for (net::RuleId pid : partition.cut_against)
         if (auto lid = store_.logical_of(pid)) blockers.push_back(*lid);
@@ -317,7 +252,7 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
     }
     if (static_cast<int>(partition.pieces.size()) > shadow_free) {
       // Shadow cannot absorb the pieces: guarantee missed, fall back.
-      m_.violations.inc();
+      ++stats_.violations;
       fallback.push_back(pos);
       fallback_violation.push_back(false);
       continue;
@@ -373,8 +308,8 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
         backoff = std::min(backoff * 2, config_.insert_retry_backoff_cap);
       }
     }
-    m_.worst_guaranteed_latency_ns.set_max(
-        static_cast<std::int64_t>(done - now));
+    stats_.worst_guaranteed_latency =
+        std::max(stats_.worst_guaranteed_latency, done - now);
     for (const Planned& p : planned) {
       const net::Rule& rule = rules[p.run_pos];
       const std::size_t end = p.first_piece + p.pieces.size();
@@ -389,8 +324,8 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
         store_.add(LogicalRule{rule, Placement::kShadow,
                                std::move(piece_ids), p.partitioned,
                                std::move(blockers)});
-        m_.guaranteed_inserts.inc();
-        m_.partition_pieces.inc(p.pieces.size());
+        ++stats_.guaranteed_inserts;
+        stats_.partition_pieces += p.pieces.size();
         arrivals_this_epoch_ += static_cast<double>(p.pieces.size());
         if (p.partitioned) {
           obs::trace_event(obs::partition_expand_event(
@@ -412,7 +347,7 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
         for (std::size_t j = p.first_piece; j < std::min(end, landed); ++j)
           landed_ids.push_back(all_pieces[j].id);
         asic_.submit_batch_delete(now, kShadow, landed_ids);
-        m_.violations.inc();
+        ++stats_.violations;
         fallback.push_back(p.run_pos);
         fallback_violation.push_back(false);
       }
@@ -436,7 +371,7 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
 Time HermesAgent::insert(Time now, const net::Rule& rule) {
   assert(rule.id < kPieceIdBase && "logical rule ids must be < 2^32");
   if (store_.contains(rule.id)) return modify(now, rule);
-  m_.inserts.inc();
+  ++stats_.inserts;
 
   const tcam::TcamTable& shadow = asic_.slice(kShadow);
   const tcam::TcamTable& main = asic_.slice(kMain);
@@ -458,7 +393,7 @@ Time HermesAgent::insert(Time now, const net::Rule& rule) {
   if (partition.redundant) {
     // Figure 5 (a): the rule could never match; record it (with its
     // blockers) so a later blocker deletion can materialize it.
-    m_.redundant_inserts.inc();
+    ++stats_.redundant_inserts;
     std::vector<net::RuleId> blockers;
     for (net::RuleId pid : partition.cut_against)
       if (auto lid = store_.logical_of(pid)) blockers.push_back(*lid);
@@ -469,7 +404,7 @@ Time HermesAgent::insert(Time now, const net::Rule& rule) {
   }
   if (static_cast<int>(partition.pieces.size()) > ctx.shadow_free) {
     // Shadow cannot absorb the pieces: guarantee missed, fall back.
-    m_.violations.inc();
+    ++stats_.violations;
     return insert_to_main(now, rule, /*count_violation=*/false);
   }
   return insert_guaranteed(now, rule, std::move(partition));
@@ -517,9 +452,9 @@ Time HermesAgent::insert_guaranteed(Time now, const net::Rule& rule,
     completion =
         std::max(completion,
                  asic_.submit_batch_delete(completion, kShadow, piece_ids));
-    m_.violations.inc();
+    ++stats_.violations;
     if (config_.reject_on_retry_exhaustion) {
-      m_.failed_ops.inc();
+      ++stats_.failed_ops;
       record_rit(completion - now, op_latency);
       return completion;
     }
@@ -533,8 +468,8 @@ Time HermesAgent::insert_guaranteed(Time now, const net::Rule& rule,
   store_.add(LogicalRule{rule, Placement::kShadow, std::move(piece_ids),
                          partitioned, std::move(blockers)});
 
-  m_.guaranteed_inserts.inc();
-  m_.partition_pieces.inc(pieces.size());
+  ++stats_.guaranteed_inserts;
+  stats_.partition_pieces += pieces.size();
   arrivals_this_epoch_ += static_cast<double>(pieces.size());
   if (partitioned) {
     obs::trace_event(obs::partition_expand_event(
@@ -548,7 +483,8 @@ Time HermesAgent::insert_guaranteed(Time now, const net::Rule& rule,
   // counted separately at the routing layer).
   Duration latency = completion - now;
   note_guaranteed_latency(worst_piece);
-  m_.worst_guaranteed_latency_ns.set_max(static_cast<std::int64_t>(latency));
+  stats_.worst_guaranteed_latency =
+      std::max(stats_.worst_guaranteed_latency, latency);
   record_rit(latency, op_latency);
   return completion;
 }
@@ -564,12 +500,12 @@ Time HermesAgent::insert_to_main(Time now, const net::Rule& rule,
       // rejecting, and tick() drains it back as capacity frees.
       return spill_rule(completion, rule, arrival >= 0 ? arrival : now);
     }
-    m_.failed_ops.inc();
+    ++stats_.failed_ops;
     return completion;
   }
   store_.add(LogicalRule{rule, Placement::kMain, {rule.id}, false, {}});
-  m_.main_inserts.inc();
-  if (count_violation) m_.violations.inc();
+  ++stats_.main_inserts;
+  if (count_violation) ++stats_.violations;
   record_rit(completion - (arrival >= 0 ? arrival : now), r.total_latency);
   // A rule landing in main can shadow-mask lower-priority shadow rules
   // (the mirror of Figure 4): cut them now.
@@ -578,10 +514,10 @@ Time HermesAgent::insert_to_main(Time now, const net::Rule& rule,
 }
 
 Time HermesAgent::erase(Time now, net::RuleId logical_id) {
-  m_.deletes.inc();
+  ++stats_.deletes;
   const LogicalRule* lr = store_.find(logical_id);
   if (!lr) {
-    m_.failed_ops.inc();
+    ++stats_.failed_ops;
     return now;
   }
   Time completion = now;
@@ -614,10 +550,10 @@ Time HermesAgent::erase(Time now, net::RuleId logical_id) {
 }
 
 Time HermesAgent::modify(Time now, const net::Rule& rule) {
-  m_.modifies.inc();
+  ++stats_.modifies;
   LogicalRule* lr = store_.find_mutable(rule.id);
   if (!lr) {
-    m_.failed_ops.inc();
+    ++stats_.failed_ops;
     return now;
   }
   if (rule.priority == lr->original.priority &&
@@ -695,7 +631,7 @@ Time HermesAgent::spill_rule(Time now, const net::Rule& rule, Time arrival) {
   SpillEntry entry{rule, spill_seq_++};
   spill_engine_.insert(rule, entry.seq);
   spill_rules_.emplace(rule.id, std::move(entry));
-  m_.spills.inc();
+  ++stats_.spills;
   obs_spills_.inc();
   obs_spill_resident_.set(static_cast<std::int64_t>(spill_rules_.size()));
   obs::trace_event(obs::cache_op_event(
@@ -737,8 +673,8 @@ void HermesAgent::drain_spill(Time now) {
     if (!r.last.ok) break;  // table refilled (or faults): try next tick
     spill_forget(rule.id);
     store_.rebind(rule.id, Placement::kMain, {rule.id}, false, {});
-    m_.main_inserts.inc();
-    m_.spill_drains.inc();
+    ++stats_.main_inserts;
+    ++stats_.spill_drains;
     obs_spill_drains_.inc();
     ++drained;
     // The drained rule can mask lower-priority shadow residents exactly
@@ -769,7 +705,7 @@ void HermesAgent::repartition_shadow_overlaps(Time now,
   }
   for (net::RuleId lid : logicals) {
     repartition_logical(now, lid);
-    m_.repartitions.inc();
+    ++stats_.repartitions;
   }
 }
 
@@ -831,7 +767,7 @@ void HermesAgent::repartition_logical(Time now, net::RuleId logical_id) {
     if (r.last.ok || asic_.fault_plan() == nullptr) {
       new_ids.push_back(piece.id);
     } else {
-      m_.failed_ops.inc();
+      ++stats_.failed_ops;
     }
   }
   for (net::RuleId pid : old_pieces) {

@@ -18,10 +18,12 @@
 // no internal locking, and handle/handle_batch/tick must never overlap.
 // Under the sharded controller core (sim::FleetController) each agent is
 // pinned to exactly one shard worker, which serializes every call; the
-// agent's attached obs counters are the only state it shares with other
+// process-attached obs handles are the only state it shares with other
 // threads, and those are thread-sharded by the registry. Audit note: all
 // mutable members (partitioner, gate keeper, store, predictor, pending
-// migration state) are touched only from the pinned thread.
+// migration state, AgentStats/GateKeeperStats, RIT samples) are written
+// only from the pinned thread. Other threads read stats() and
+// rit_samples() only after joining that thread, never while it runs.
 #pragma once
 
 #include <memory>
@@ -46,10 +48,8 @@
 
 namespace hermes::core {
 
-/// Per-agent operation totals. Since the obs refactor this is a VIEW
-/// assembled from the agent's metric registry on each stats() call, not
-/// independent storage — the registry (agent.* counters) is the source
-/// of truth, and this struct keeps the historical accessor shape.
+/// Per-agent operation totals: the agent's own counters, updated in place
+/// as operations run (stats() returns a reference to them).
 struct AgentStats {
   std::uint64_t inserts = 0;
   std::uint64_t deletes = 0;
@@ -160,11 +160,8 @@ class HermesAgent {
     return static_cast<int>(spill_rules_.size());
   }
 
-  /// Thin view over the registry counters (rebuilt per call; take a copy
-  /// if you need a frozen reading).
-  const AgentStats& stats() const;
-  /// The agent-private metric registry (also backs the Gate Keeper).
-  const obs::Registry& registry() const { return *obs_; }
+  /// Live totals (take a copy if you need a frozen reading).
+  const AgentStats& stats() const { return stats_; }
   const GateKeeper& gate_keeper() const { return *gate_keeper_; }
   const RuleStore& store() const { return store_; }
   tcam::Asic& asic() { return asic_; }
@@ -303,40 +300,6 @@ class HermesAgent {
   // unreachable through the public API (e.g. stale partition bookkeeping).
   friend struct AgentTestPeer;
 
-  /// Registry-backed replacements for the historical AgentStats fields.
-  /// Each agent counts into its own private registry (obs_) so stats stay
-  /// per-instance even when many agents coexist in one simulation; the
-  /// process-attached registry receives only aggregate histograms and the
-  /// trace events.
-  struct Metrics {
-    obs::Counter inserts;
-    obs::Counter deletes;
-    obs::Counter modifies;
-    obs::Counter failed_ops;
-    obs::Counter guaranteed_inserts;
-    obs::Counter main_inserts;
-    obs::Counter redundant_inserts;
-    obs::Counter partition_pieces;
-    obs::Counter repartitions;
-    obs::Counter unpartitions;
-    obs::Counter migrations;
-    obs::Counter rules_migrated;
-    obs::Counter pieces_migrated;
-    obs::Counter pieces_saved_by_merge;
-    obs::Counter migration_piece_failures;
-    obs::Counter migration_rollbacks;
-    obs::Counter violations;
-    obs::Gauge worst_guaranteed_latency_ns;
-    obs::Counter retries;
-    obs::Counter migration_requeues;
-    obs::Counter reconcile_runs;
-    obs::Counter reconcile_rules_reinstalled;
-    obs::Counter reconcile_pieces_reinstalled;
-    obs::Counter reconcile_rules_lost;
-    obs::Counter spills;
-    obs::Counter spill_drains;
-  };
-
   /// One rule parked in the software spill tier; `seq` preserves arrival
   /// order for the drain tie-break.
   struct SpillEntry {
@@ -346,7 +309,6 @@ class HermesAgent {
 
   HermesConfig config_;
   tcam::Asic asic_;
-  std::unique_ptr<obs::Registry> obs_;  // outlives gate_keeper_'s handles
   std::unique_ptr<GateKeeper> gate_keeper_;
   std::unique_ptr<GrowthEstimator> estimator_;
   std::shared_ptr<MigrationPolicy> policy_;
@@ -387,13 +349,12 @@ class HermesAgent {
   std::unordered_map<net::RuleId, SpillEntry> spill_rules_;
   tcam::LookupEngine spill_engine_;
   std::uint64_t spill_seq_ = 0;
-  Metrics m_;
-  mutable AgentStats stats_view_;
+  AgentStats stats_;
   std::vector<Duration> rit_samples_;
   std::vector<Duration> op_latency_samples_;
 
-  // Aggregate distributions, shared across agents via the process-attached
-  // registry (detached no-op handles when none is attached).
+  // Process-attached aggregates across all agents (detached no-op handles
+  // when none is attached); stats_ above holds this agent's own totals.
   obs::Histogram obs_rit_ = obs::attached_histogram("agent.rit_ns");
   obs::Histogram obs_op_latency_ =
       obs::attached_histogram("agent.op_latency_ns");
@@ -404,8 +365,6 @@ class HermesAgent {
   obs::Histogram obs_shadow_batch_pieces_ =
       obs::attached_histogram("agent.shadow_batch_pieces");
 
-  // Fault-recovery aggregates (dual-recorded: per-agent registry counters
-  // in m_ plus these process-attached totals, like the histograms above).
   obs::Counter obs_retries_ = obs::attached_counter("agent.retries");
   obs::Counter obs_requeues_ =
       obs::attached_counter("agent.migration_requeues");

@@ -56,10 +56,9 @@ void HermesAgent::close_epoch() {
           ? 0.0
           : static_cast<double>(epoch_rit_sum_) /
                 (1e3 * static_cast<double>(epoch_rit_count_));
-  std::uint64_t violations = m_.violations.value();
   last_epoch_feedback_.violations =
-      static_cast<double>(violations - epoch_violation_mark_);
-  epoch_violation_mark_ = violations;
+      static_cast<double>(stats_.violations - epoch_violation_mark_);
+  epoch_violation_mark_ = stats_.violations;
   epoch_rit_sum_ = 0;
   epoch_rit_count_ = 0;
   fault_rate_ewma_ =
@@ -143,7 +142,7 @@ Time HermesAgent::run_migration(Time now, int max_rules) {
   std::vector<net::RuleId> shadow_lids =
       store_.ids_with_placement(Placement::kShadow);
   if (shadow_lids.empty()) return now;
-  m_.migrations.inc();
+  ++stats_.migrations;
 
   // Migrate higher-priority rules first so that, if the main table runs
   // out of room mid-migration, the rules left behind in the shadow table
@@ -257,12 +256,12 @@ Time HermesAgent::run_migration(Time now, int max_rules) {
       migrated.push_back(span.plan_idx);
       continue;
     }
-    m_.migration_piece_failures.inc(failed);
+    stats_.migration_piece_failures += failed;
     for (std::size_t i = span.begin; i < span.end; ++i) {
       if (!piece_ok[i]) continue;
       main_index_.erase(batch[i].id, batch[i].match);
       rollback.push_back(batch[i].id);
-      m_.migration_rollbacks.inc();
+      ++stats_.migration_rollbacks;
     }
     skipped.push_back(span.plan_idx);
   }
@@ -297,8 +296,8 @@ Time HermesAgent::run_migration(Time now, int max_rules) {
     // overstate the merge savings.
     if (const LogicalRule* lr = store_.find(item.lid)) {
       if (lr->physical_ids.size() > item.pieces.size())
-        m_.pieces_saved_by_merge.inc(lr->physical_ids.size() -
-                                     item.pieces.size());
+        stats_.pieces_saved_by_merge +=
+            lr->physical_ids.size() - item.pieces.size();
     }
     std::vector<net::RuleId> new_ids;
     new_ids.reserve(item.pieces.size());
@@ -306,8 +305,8 @@ Time HermesAgent::run_migration(Time now, int max_rules) {
     bool partitioned = item.partitioned || item.pieces.empty();
     store_.rebind(item.lid, Placement::kMain, std::move(new_ids),
                   partitioned, std::move(item.blockers));
-    m_.rules_migrated.inc();
-    m_.pieces_migrated.inc(item.pieces.size());
+    ++stats_.rules_migrated;
+    stats_.pieces_migrated += item.pieces.size();
     pieces_this_run += item.pieces.size();
   }
 
@@ -316,7 +315,7 @@ Time HermesAgent::run_migration(Time now, int max_rules) {
   // the updated main table.
   for (std::size_t i : skipped) {
     repartition_logical(now, plan[i].lid);
-    m_.repartitions.inc();
+    ++stats_.repartitions;
   }
 
   Time done = std::max(main_done, shadow_done);
@@ -331,7 +330,7 @@ Time HermesAgent::run_migration(Time now, int max_rules) {
               : std::min(migration_retry_backoff_ * 2,
                          config_.insert_retry_backoff_cap);
       migration_retry_at_ = done + migration_retry_backoff_;
-      m_.migration_requeues.inc();
+      ++stats_.migration_requeues;
       obs_requeues_.inc();
     } else {
       migration_retry_at_ = -1;
@@ -362,7 +361,7 @@ void HermesAgent::maybe_reconcile(Time now) {
 }
 
 Time HermesAgent::reconcile(Time now) {
-  m_.reconcile_runs.inc();
+  ++stats_.reconcile_runs;
   obs_reconcile_runs_.inc();
   Time done = now;
   std::uint64_t rules_reinstalled = 0;
@@ -466,7 +465,7 @@ Time HermesAgent::reconcile(Time now) {
       // Retry exhaustion: the rule is gone from the data plane and the
       // agent stops pretending otherwise.
       store_.remove(lid);
-      m_.reconcile_rules_lost.inc();
+      ++stats_.reconcile_rules_lost;
       obs_reconcile_lost_.inc();
     }
   }
@@ -510,7 +509,7 @@ Time HermesAgent::reconcile(Time now) {
         ++pieces_reinstalled;
       } else {
         store_.remove(lid);
-        m_.reconcile_rules_lost.inc();
+        ++stats_.reconcile_rules_lost;
         obs_reconcile_lost_.inc();
       }
       continue;
@@ -555,16 +554,16 @@ Time HermesAgent::reconcile(Time now) {
            ++i)
         partial.push_back(shadow_batch[i].id);
       store_.remove(span.lid);
-      m_.reconcile_rules_lost.inc();
+      ++stats_.reconcile_rules_lost;
       obs_reconcile_lost_.inc();
     }
   }
   if (!partial.empty())
     done = std::max(done, asic_.submit_batch_delete(done, kShadow, partial));
 
-  m_.reconcile_rules_reinstalled.inc(rules_reinstalled);
+  stats_.reconcile_rules_reinstalled += rules_reinstalled;
   obs_reconcile_rules_.inc(rules_reinstalled);
-  m_.reconcile_pieces_reinstalled.inc(pieces_reinstalled);
+  stats_.reconcile_pieces_reinstalled += pieces_reinstalled;
   obs_reconcile_pieces_.inc(pieces_reinstalled);
   obs::trace_event(obs::reconcile_event(
       now, static_cast<int>(rules_reinstalled),
@@ -584,7 +583,7 @@ void HermesAgent::unpartition_dependents(Time now,
   });
   for (net::RuleId lid : deps) {
     repartition_logical(now, lid);
-    m_.unpartitions.inc();
+    ++stats_.unpartitions;
   }
 }
 

@@ -80,7 +80,7 @@ namespace {
 struct TlsShardCache {
   std::uint64_t generation = 0;
   // Tiny: one entry per live registry this thread records into
-  // (typically the attached registry plus one component-private one).
+  // (typically just the attached registry).
   // Stored untyped because Registry::Shard is private.
   std::vector<std::pair<const void*, void*>> entries;
 };

@@ -180,8 +180,12 @@ class TcamTable {
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
   /// Slot of `id` via the index: binary-search its priority, then scan
-  /// the equal-priority run. Returns kNoSlot when absent.
-  std::size_t locate(net::RuleId id) const;
+  /// the equal-priority run. Returns kNoSlot when absent. Cache-line
+  /// aligned: the run scan is the hottest loop behind find/modify/erase,
+  /// and at the default 16-byte function alignment one placement in four
+  /// splits it across a 64-byte boundary, slowing every locate by about
+  /// a third on a Xeon host whenever unrelated code changed size.
+  [[gnu::aligned(64)]] std::size_t locate(net::RuleId id) const;
 
   int capacity_;
   std::vector<net::Rule> entries_;  // compact, non-increasing priority

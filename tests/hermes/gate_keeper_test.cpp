@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+
 namespace hermes::core {
 namespace {
 
@@ -255,6 +257,8 @@ TEST(GateKeeperBatch, OneTokenEvaluationSplitsDeterministically) {
   HermesConfig config;
   // rate 0: only the burst of 2.5 tokens ever exists, so of 4 candidates
   // exactly floor(2.5) = 2 can be guaranteed.
+  obs::Registry attached;  // batch decisions are a process-attached metric
+  obs::attach(&attached);
   GateKeeper gk(config, /*rate=*/0.0, /*burst=*/2.5);
   RouteContext ctx = busy_context();
   std::vector<Rule> rules;
@@ -268,9 +272,10 @@ TEST(GateKeeperBatch, OneTokenEvaluationSplitsDeterministically) {
   EXPECT_EQ(routes[1], Route::kGuaranteed);
   EXPECT_EQ(routes[2], Route::kMainOverRate);
   EXPECT_EQ(routes[3], Route::kMainOverRate);
+  obs::attach(nullptr);
   EXPECT_EQ(gk.stats().guaranteed, 2u);
   EXPECT_EQ(gk.stats().over_rate, 2u);
-  EXPECT_EQ(gk.registry().histogram_summary("gate.batch_admitted").count,
+  EXPECT_EQ(attached.histogram_summary("gate.batch_admitted").count,
             1u);  // ONE batch decision, not four
 }
 
@@ -391,13 +396,15 @@ TEST(GateKeeperBatch, DifferentialVsPerOpAcrossMixedBatches) {
 
 TEST(GateKeeperBatch, EmptyBatchIsANoOp) {
   HermesConfig config;
+  obs::Registry attached;
+  obs::attach(&attached);
   GateKeeper gk(config, 0.0, 1.0);
   EXPECT_TRUE(gk.route_insert_batch(0, {}, busy_context()).empty());
+  obs::attach(nullptr);
   EXPECT_EQ(gk.stats().guaranteed, 0u);
   // No token was consumed and no batch decision was recorded.
   EXPECT_NEAR(gk.bucket().available(0), 1.0, 1e-9);
-  EXPECT_EQ(gk.registry().histogram_summary("gate.batch_admitted").count,
-            0u);
+  EXPECT_EQ(attached.histogram_summary("gate.batch_admitted").count, 0u);
 }
 
 TEST(Predicates, Helpers) {

@@ -314,6 +314,21 @@ TEST(HermesAgent, RitSamplesRecorded) {
   EXPECT_TRUE(agent.rit_samples().empty());
 }
 
+TEST(HermesAgent, StatsReferenceReadsLaterOperations) {
+  HermesAgent agent(tcam::pica8_p3290(), 2000, test_config());
+  const AgentStats& stats = agent.stats();
+  const GateKeeperStats& gate = agent.gate_keeper().stats();
+  agent.insert(0, make_rule(1, 5, "10.0.0.0/8"));   // main (lowest-prio)
+  agent.insert(0, make_rule(2, 9, "10.1.0.0/16"));  // guaranteed
+  // No stats() call after the inserts: the references taken up front are
+  // the counters themselves, not a snapshot.
+  EXPECT_EQ(stats.inserts, 2u);
+  EXPECT_EQ(stats.main_inserts, 1u);
+  EXPECT_EQ(stats.guaranteed_inserts, 1u);
+  EXPECT_EQ(gate.lowest_priority, 1u);
+  EXPECT_EQ(gate.guaranteed, 1u);
+}
+
 TEST(HermesAgent, Equation2RateIsPositiveAndFinite) {
   HermesAgent agent(tcam::pica8_p3290(), 2000, test_config());
   double rate = HermesAgent::derive_admitted_rate(

@@ -152,6 +152,18 @@ class WriteBaselineTest(unittest.TestCase):
         self.assertEqual(written, cand)
         self.assertIn("hermes_speedup", proc.stdout)
 
+    def test_drops_obs_metrics_export(self):
+        # Comparison reads only schema_version/benchmark/derived/results;
+        # the bulky obs export stays out of committed baselines.
+        cand = dict(doc(derived={"hermes_speedup": 4.0},
+                        results=[{"case": "a", "ns": 10.0}]),
+                    metrics={"counters": {"tcam.inserts": 7}})
+        proc, written = self.run_write(cand)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertNotIn("metrics", written)
+        del cand["metrics"]
+        self.assertEqual(written, cand)
+
     def test_overwrites_same_benchmark(self):
         old = doc(derived={"hermes_speedup": 2.0})
         new = doc(derived={"hermes_speedup": 4.0})

@@ -19,13 +19,6 @@ doc_lint = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(doc_lint)
 
 
-CI_YML = """
-jobs:
-  bench-smoke:
-    steps:
-      - run: python3 tools/bench_compare.py bench/baselines/BENCH_x.json out.json
-"""
-
 BASELINE = '{"derived": {"metric_a": 1.0}}'
 
 MATRIX_CPP = """
@@ -61,7 +54,6 @@ def make_tree(root):
     write(root, "docs/METRICS.md", "| `tcam_shift` | | |\n"
                                    "| `policy_decision` | | |")
     write(root, "docs/SCENARIOS.md", "### alpha_storm\n### beta_shift\n")
-    write(root, ".github/workflows/ci.yml", CI_YML)
     write(root, "bench/baselines/BENCH_x.json", BASELINE)
     write(root, "bench/bench_matrix.cpp", MATRIX_CPP)
     write(root, "src/obs/metrics.cpp", METRICS_CPP)
@@ -102,9 +94,23 @@ class DocLintTest(unittest.TestCase):
             lambda root: write(root, "EXPERIMENTS.md", "nothing here"))
         self.assertTrue(any("metric_a" in e for e in errors))
 
-    def test_missing_baseline_file(self):
+    def test_committed_baseline_is_gated(self):
+        # The gated set is bench/baselines/ itself: a newly committed
+        # baseline's metrics must be explained, with no CI edit.
+        errors = self.lint_tree(
+            lambda root: write(root, "bench/baselines/BENCH_y.json",
+                               '{"derived": {"metric_b": 2.0}}'))
+        self.assertTrue(
+            any("metric_b" in e and "BENCH_y.json" in e for e in errors))
+
+    def test_no_baselines_fails(self):
         errors = self.lint_tree(
             lambda root: os.remove(root / "bench/baselines/BENCH_x.json"))
+        self.assertTrue(any("bench/baselines" in e for e in errors))
+
+    def test_unreadable_baseline_fails(self):
+        errors = self.lint_tree(
+            lambda root: write(root, "bench/baselines/BENCH_x.json", "{}"))
         self.assertTrue(any("BENCH_x.json" in e for e in errors))
 
     def test_undocumented_scenario_fails(self):

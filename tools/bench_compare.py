@@ -33,8 +33,11 @@ of comparing: CANDIDATE is schema-checked (schema_version 1, a benchmark
 name, every derived metric numeric — a NaN serialized as null would make
 the committed baseline silently ungateable), and when BASELINE already
 exists its benchmark name must match (refuses to clobber one bench's
-baseline with another's output). This is how bench/baselines/*.json are
-refreshed after an intentional performance change.
+baseline with another's output). The written baseline drops the
+candidate's top-level `metrics` object (the obs registry export): the
+comparison never reads it, and it would be nearly all of the committed
+file. This is how bench/baselines/*.json are refreshed after an
+intentional performance change.
 
 Exit codes: 0 ok, 1 regression (or missing gated metric), 2 usage/load
 error.
@@ -154,7 +157,8 @@ class Comparison:
 
 
 def write_baseline(baseline_path, candidate_path):
-    """Regenerate a committed baseline from a fresh run, schema-checked."""
+    """Regenerate a committed baseline from a fresh run, schema-checked,
+    without the obs `metrics` export."""
     cand = load(candidate_path)
     name = cand.get("benchmark")
     if not isinstance(name, str) or not name:
@@ -173,6 +177,7 @@ def write_baseline(baseline_path, candidate_path):
             usage_error(f"refusing to overwrite {baseline_path} "
                         f"(benchmark {base.get('benchmark')!r}) with "
                         f"{candidate_path} (benchmark {name!r})")
+    cand.pop("metrics", None)
     with open(baseline_path, "w", encoding="utf-8") as fh:
         json.dump(cand, fh, indent=2)
         fh.write("\n")

@@ -11,10 +11,10 @@ Checks (all of them; exit 1 if any reference is broken):
   2. Every repo-rooted path in backticks (src/..., tests/..., tools/...,
      bench/..., docs/..., examples/...) in those documents exists --
      trailing "/" means a directory, otherwise a file.
-  3. Every derived-metric name from a BENCH_*.json baseline that CI gates
-     (the `bench_compare.py bench/baselines/...` invocations in
-     .github/workflows/ci.yml) appears literally in EXPERIMENTS.md, so
-     the gated numbers stay explained.
+  3. Every derived-metric name from a gated baseline (each committed
+     bench/baselines/BENCH_*.json; tools/bench_gate.py gates exactly
+     those) appears literally in EXPERIMENTS.md, so the gated numbers
+     stay explained.
   4. Every scenario name in bench/bench_matrix.cpp's kScenarioNames
      catalog appears in docs/SCENARIOS.md -- adding a scenario to the
      matrix without documenting it is a lint failure.
@@ -54,9 +54,6 @@ PATH_TOKEN = re.compile(
     r"`((?:src|tests|tools|bench|docs|examples)/[A-Za-z0-9_.\-/]*)`"
 )
 
-# CI-gated baselines: the files bench_compare.py is pointed at.
-GATED_BASELINE = re.compile(r"bench_compare\.py\s+(bench/baselines/\S+\.json)")
-
 # The scenario catalog literal in bench/bench_matrix.cpp.
 SCENARIO_BLOCK = re.compile(r"kScenarioNames\[\][^;]*;")
 QUOTED_NAME = re.compile(r'"([a-z0-9_]+)"')
@@ -94,30 +91,24 @@ def lint(root: Path) -> list[str]:
             elif not target.exists():
                 errors.append(f"{name}: path `{tok}` does not exist")
 
-    ci = root / ".github" / "workflows" / "ci.yml"
+    # 3. Gated metrics: every committed baseline is a gate.
     experiments = texts.get("EXPERIMENTS.md", "")
-    if not ci.is_file():
-        errors.append(".github/workflows/ci.yml: missing")
-    else:
-        gated = sorted(set(GATED_BASELINE.findall(ci.read_text(encoding="utf-8"))))
-        if not gated:
-            errors.append("ci.yml: no bench_compare.py gates found")
-        for rel in gated:
-            baseline = root / rel
-            if not baseline.is_file():
-                errors.append(f"ci.yml: gated baseline {rel} does not exist")
-                continue
-            try:
-                derived = json.loads(baseline.read_text(encoding="utf-8"))["derived"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                errors.append(f"{rel}: unreadable derived metrics ({exc})")
-                continue
-            for key in sorted(derived):
-                if key not in experiments:
-                    errors.append(
-                        f"EXPERIMENTS.md: gated metric `{key}` ({rel}) "
-                        "is never mentioned"
-                    )
+    gated = sorted((root / "bench" / "baselines").glob("BENCH_*.json"))
+    if not gated:
+        errors.append("bench/baselines: no BENCH_*.json baselines to gate")
+    for baseline in gated:
+        rel = baseline.relative_to(root)
+        try:
+            derived = json.loads(baseline.read_text(encoding="utf-8"))["derived"]
+        except (json.JSONDecodeError, KeyError) as exc:
+            errors.append(f"{rel}: unreadable derived metrics ({exc})")
+            continue
+        for key in sorted(derived):
+            if key not in experiments:
+                errors.append(
+                    f"EXPERIMENTS.md: gated metric `{key}` ({rel}) "
+                    "is never mentioned"
+                )
 
     # 4. Scenario catalog: every matrix scenario is documented.
     matrix = root / "bench" / "bench_matrix.cpp"
