@@ -12,9 +12,9 @@
 //     checked against the monolithic software table, so a nonzero count
 //     is a correctness bug and the bench exits 1).
 //
-//   * backend — admission behavior at overflow: HermesAgent with the
-//     software-spill tier vs plain HermesAgent (rejects at capacity) vs
-//     ShadowSwitchBackend, all offered the same oversubscribed rule set.
+//   * backend — admission behavior at overflow: HermesAgent (rejects at
+//     main-table capacity) vs ShadowSwitchBackend (its software tier
+//     takes the overflow), both offered the same oversubscribed rule set.
 //     Reported: accepted fraction and data-plane reachability.
 //
 // Derived metrics (CI-gated, machine-independent — all are ratios of
@@ -26,8 +26,6 @@
 //     the cache never hits).
 //   * dependency_violation_free_rate — 1.0 iff every run of every policy
 //     kept cache.dependency_violations at zero.
-//   * spill_admission_rate — fraction of oversubscribed offers the
-//     spill-mode agent accepted (the whole point of the spill tier: 1.0).
 //
 // Usage: bench_cache [--smoke] [output.json]
 //   (--smoke shrinks flows/sizes/probes to CI scale; default output
@@ -154,18 +152,12 @@ PolicyRun run_policy(const workloads::ZipfConfig& wc,
   return run;
 }
 
-struct BackendRun {
-  std::string backend;
-  double accepted = 0.0;
-  double reachable = 0.0;
-};
-
 /// Offer `offered` disjoint flow rules to a backend with `capacity` TCAM
 /// entries and report what fraction got accepted and what fraction still
 /// answers on the data plane.
 template <typename InsertFn, typename LookupFn>
-BackendRun run_backend(const char* name, int offered, InsertFn&& insert,
-                       LookupFn&& lookup) {
+void run_backend(const char* name, int offered, InsertFn&& insert,
+                 LookupFn&& lookup) {
   int accepted = 0, reachable = 0;
   Time now = 0;
   for (int i = 1; i <= offered; ++i) {
@@ -183,21 +175,18 @@ BackendRun run_backend(const char* name, int offered, InsertFn&& insert,
     if (hit.has_value() && hit->id == static_cast<net::RuleId>(i))
       ++reachable;
   }
-  BackendRun run;
-  run.backend = name;
-  run.accepted = static_cast<double>(accepted) / offered;
-  run.reachable = static_cast<double>(reachable) / offered;
+  const double accepted_fraction = static_cast<double>(accepted) / offered;
+  const double reachable_fraction = static_cast<double>(reachable) / offered;
   std::printf("  %-14s offered=%5d  accepted=%.3f  reachable=%.3f\n", name,
-              offered, run.accepted, run.reachable);
+              offered, accepted_fraction, reachable_fraction);
   if (report::Reporter* rep = report::current()) {
     rep->row()
         .label("phase", "backend")
         .label("backend", name)
         .value("offered", offered)
-        .value("accepted_fraction", run.accepted)
-        .value("reachable_fraction", run.reachable);
+        .value("accepted_fraction", accepted_fraction)
+        .value("reachable_fraction", reachable_fraction);
   }
-  return run;
 }
 
 }  // namespace
@@ -269,29 +258,15 @@ int main(int argc, char** argv) {
   hc.guarantee = hermes::from_millis(5);
   hc.token_rate = 1e9;
   hc.token_burst = 1e9;
-  hc.software_spill = true;
-  hermes::core::HermesAgent spill_agent(hermes::tcam::pica8_p3290(), capacity,
-                                        hc);
-  BackendRun spill = run_backend(
-      "hermes_spill", offered,
-      [&](hermes::Time now, const hermes::net::Rule& r) {
-        auto failed = spill_agent.stats().failed_ops;
-        spill_agent.insert(now, r);
-        return spill_agent.stats().failed_ops == failed;
-      },
-      [&](hermes::net::Ipv4Address addr) { return spill_agent.lookup(addr); });
-
-  hc.software_spill = false;
-  hermes::core::HermesAgent plain_agent(hermes::tcam::pica8_p3290(), capacity,
-                                        hc);
+  hermes::core::HermesAgent agent(hermes::tcam::pica8_p3290(), capacity, hc);
   run_backend(
       "hermes", offered,
       [&](hermes::Time now, const hermes::net::Rule& r) {
-        auto failed = plain_agent.stats().failed_ops;
-        plain_agent.insert(now, r);
-        return plain_agent.stats().failed_ops == failed;
+        auto failed = agent.stats().failed_ops;
+        agent.insert(now, r);
+        return agent.stats().failed_ops == failed;
       },
-      [&](hermes::net::Ipv4Address addr) { return plain_agent.lookup(addr); });
+      [&](hermes::net::Ipv4Address addr) { return agent.lookup(addr); });
 
   hermes::baselines::ShadowSwitchBackend shadow(hermes::tcam::pica8_p3290(),
                                                 capacity);
@@ -316,14 +291,12 @@ int main(int argc, char** argv) {
               fdrc_latency_at_top / std::max(software_ns, 1e-9));
   rep.derived("dependency_violation_free_rate",
               total_violations == 0 ? 1.0 : 0.0);
-  rep.derived("spill_admission_rate", spill.accepted);
   std::printf(
       "\nFDRC best hit-ratio improvement: %.3fx vs LRU, %.3fx vs LFU; "
-      "miss-path latency ratio %.3f; violations %llu; spill admission "
-      "%.3f\n",
+      "miss-path latency ratio %.3f; violations %llu\n",
       best_improvement_lru, best_improvement_lfu,
       fdrc_latency_at_top / std::max(software_ns, 1e-9),
-      static_cast<unsigned long long>(total_violations), spill.accepted);
+      static_cast<unsigned long long>(total_violations));
   rep.write(out);
 
   if (total_violations != 0) {

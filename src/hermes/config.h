@@ -48,9 +48,6 @@ struct HermesConfig {
   /// slack-inflated forecast a meaningful early-migration signal.
   Duration epoch = from_millis(25);
 
-  /// Expected partitions per rule, r_p in Equation 2.
-  double expected_partitions = 1.5;
-
   /// Section 4.2: route lowest-priority rules straight to the main table
   /// (they append without shifting and partition the worst).
   bool lowest_priority_optimization = true;
@@ -64,14 +61,11 @@ struct HermesConfig {
   double simple_threshold = -1.0;
 
   /// Migration-policy seam (migration_policy.h), the decision sibling of
-  /// the predictor seam. `policy` names a built-in ("Threshold" is the
-  /// only name hermes_core resolves — the legacy trigger parameterized
-  /// by simple_threshold / migration_watermark); `policy_instance`, when
-  /// set, overrides the name with an externally-built policy (how the
-  /// learned src/policy/ policies plug in, and how one policy is shared
-  /// across training episodes). Mirrors the RulePredicate precedent of
-  /// holding behavior in config.
-  std::string policy = "Threshold";
+  /// the predictor seam. When set, the agent consults this externally
+  /// built policy (how the learned src/policy/ policies plug in, and how
+  /// one policy is shared across training episodes); when null it uses
+  /// ThresholdMigrationPolicy(simple_threshold, migration_watermark).
+  /// Mirrors the RulePredicate precedent of holding behavior in config.
   std::shared_ptr<MigrationPolicy> policy_instance;
 
   // --- Ablation knobs (defaults = the full Hermes design) -----------------
@@ -88,33 +82,6 @@ struct HermesConfig {
   /// Run Algorithm 1's final Merge step (minimal piece cover); false =
   /// install the raw cut set.
   bool merge_partitions = true;
-
-  // --- Fault recovery (active only when the Asic has a fault plan) ---------
-
-  /// Max re-submissions of a failed write before giving up on the slice.
-  int insert_retry_limit = 3;
-
-  /// First retry waits this long after the failure completes; each
-  /// subsequent retry doubles the wait, capped below.
-  Duration insert_retry_backoff = from_micros(100);
-  Duration insert_retry_backoff_cap = from_millis(10);
-
-  /// After retry exhaustion on a guaranteed insert: true = reject the
-  /// rule outright; false (default) = fall through to the main table,
-  /// trading the latency guarantee for eventual installation.
-  bool reject_on_retry_exhaustion = false;
-
-  // --- Software spill tier (the rule-cache hierarchy's caching mode) -------
-
-  /// When the main table is full (or a main write's retries ran dry),
-  /// park the rule in an agent-software spill tier instead of rejecting
-  /// it: the data plane matches spilled rules on the slow path
-  /// (hardware wins priority ties, the ShadowSwitch seam semantic) and
-  /// tick() drains them back into the main table as capacity frees.
-  bool software_spill = false;
-
-  /// Control-plane cost of accepting a rule into the spill tier.
-  Duration spill_insert = from_micros(30);
 };
 
 }  // namespace hermes::core

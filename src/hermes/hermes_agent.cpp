@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
 #include <unordered_set>
 
 namespace hermes::core {
@@ -12,6 +13,10 @@ namespace {
 // Physical piece ids live in their own namespace so they can never
 // collide with controller-chosen logical ids (which we require < 2^32).
 constexpr net::RuleId kPieceIdBase = net::RuleId{1} << 32;
+
+// Expected partitions per rule, r_p in Equation 2, when the admitted
+// rate is derived rather than configured.
+constexpr double kExpectedPartitions = 1.5;
 
 }  // namespace
 
@@ -31,8 +36,7 @@ HermesAgent::HermesAgent(const tcam::SwitchModel& model,
   int shadow = asic_.slice(kShadow).capacity();
   double rate = config_.token_rate > 0
                     ? config_.token_rate
-                    : derive_admitted_rate(model, shadow,
-                                           config_.expected_partitions,
+                    : derive_admitted_rate(model, shadow, kExpectedPartitions,
                                            asic_.slice(kMain).capacity() / 2);
   double burst =
       config_.token_burst > 0 ? config_.token_burst : static_cast<double>(shadow);
@@ -40,13 +44,15 @@ HermesAgent::HermesAgent(const tcam::SwitchModel& model,
   gate_keeper_ = std::make_unique<GateKeeper>(config_, rate, burst);
 
   auto predictor = make_predictor(config_.predictor);
+  if (!predictor)
+    throw std::invalid_argument("unknown predictor: " + config_.predictor);
   auto corrector = make_corrector(config_.corrector, config_.corrector_param);
-  assert(predictor && corrector && "unknown predictor/corrector name");
+  if (!corrector)
+    throw std::invalid_argument("unknown corrector: " + config_.corrector);
   estimator_ = std::make_unique<GrowthEstimator>(std::move(predictor),
                                                  std::move(corrector));
 
   policy_ = make_migration_policy(config_);
-  assert(policy_ && "unknown migration policy name");
   initial_shadow_capacity_ = shadow;
   expand_step_ = std::max(1, shadow / 8);
 }
@@ -122,15 +128,14 @@ HermesAgent::RetriedInsert HermesAgent::submit_insert_with_retry(
   r.completion = submit(now, &r.last);
   r.total_latency = r.last.latency;
   if (r.last.ok || asic_.fault_plan() == nullptr) return r;
-  Duration backoff = config_.insert_retry_backoff;
-  for (int attempt = 1;
-       attempt <= config_.insert_retry_limit && !r.last.ok; ++attempt) {
+  Duration backoff = kInsertRetryBackoff;
+  for (int attempt = 1; attempt <= kInsertRetryLimit && !r.last.ok; ++attempt) {
     Time at = r.completion + backoff;
     note_retry(at, slice, attempt);
     r.completion = submit(at, &r.last);
     r.total_latency += r.last.latency;
     ++r.attempts;
-    backoff = std::min(backoff * 2, config_.insert_retry_backoff_cap);
+    backoff = std::min(backoff * 2, kInsertRetryBackoffCap);
   }
   return r;
 }
@@ -292,8 +297,8 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
       // An injected failure truncated the batch: resubmit the un-landed
       // suffix with capped exponential backoff. Prefix semantics hold
       // across attempts, so the per-rule landed check below still works.
-      Duration backoff = config_.insert_retry_backoff;
-      for (int attempt = 1; attempt <= config_.insert_retry_limit &&
+      Duration backoff = kInsertRetryBackoff;
+      for (int attempt = 1; attempt <= kInsertRetryLimit &&
                             landed < all_pieces.size();
            ++attempt) {
         Time at = done + backoff;
@@ -305,7 +310,7 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
         done = asic_.submit_batch_insert(at, kShadow, rest, &r2);
         note_guaranteed_latency(r2.latency);
         landed += static_cast<std::size_t>(r2.inserted);
-        backoff = std::min(backoff * 2, config_.insert_retry_backoff_cap);
+        backoff = std::min(backoff * 2, kInsertRetryBackoffCap);
       }
     }
     stats_.worst_guaranteed_latency =
@@ -444,7 +449,7 @@ Time HermesAgent::insert_guaranteed(Time now, const net::Rule& rule,
 
   if (exhausted) {
     // Retries ran dry on the shadow slice: undo the landed siblings and
-    // fall through per policy. The guarantee is missed either way.
+    // fall through to the main table. The guarantee is missed.
     for (net::RuleId pid : piece_ids) {
       if (const net::Rule* p = asic_.slice(kShadow).find_ptr(pid))
         shadow_index_.erase(pid, p->match);
@@ -453,11 +458,6 @@ Time HermesAgent::insert_guaranteed(Time now, const net::Rule& rule,
         std::max(completion,
                  asic_.submit_batch_delete(completion, kShadow, piece_ids));
     ++stats_.violations;
-    if (config_.reject_on_retry_exhaustion) {
-      ++stats_.failed_ops;
-      record_rit(completion - now, op_latency);
-      return completion;
-    }
     return insert_to_main(completion, rule, /*count_violation=*/false,
                           /*arrival=*/now);
   }
@@ -494,12 +494,6 @@ Time HermesAgent::insert_to_main(Time now, const net::Rule& rule,
   RetriedInsert r = submit_insert_with_retry(now, kMain, rule);
   Time completion = r.completion;
   if (!r.last.ok) {
-    if (config_.software_spill) {
-      // Caching mode: the main table is the TCAM tier of a rule-cache
-      // hierarchy — overflow parks in the software tier instead of
-      // rejecting, and tick() drains it back as capacity frees.
-      return spill_rule(completion, rule, arrival >= 0 ? arrival : now);
-    }
     ++stats_.failed_ops;
     return completion;
   }
@@ -536,9 +530,6 @@ Time HermesAgent::erase(Time now, net::RuleId logical_id) {
       net::FlowMod del{net::FlowModType::kDelete, net::Rule{pid, 0, {}, {}}};
       completion = asic_.submit(now, kMain, del);
     }
-  } else if (lr->placement == Placement::kSoftware) {
-    spill_forget(logical_id);
-    completion = now + config_.spill_insert;
   } else {
     for (net::RuleId pid : lr->physical_ids) {
       if (const net::Rule* rule = asic_.slice(kShadow).find_ptr(pid))
@@ -560,15 +551,6 @@ Time HermesAgent::modify(Time now, const net::Rule& rule) {
       rule.match == lr->original.match) {
     // Action-only change: constant-time in-place rewrite of every piece
     // (Section 2.1.1 / 4.1).
-    if (lr->placement == Placement::kSoftware) {
-      auto it = spill_rules_.find(rule.id);
-      if (it != spill_rules_.end()) {
-        spill_engine_.modify_action(it->second.rule, rule.action);
-        it->second.rule.action = rule.action;
-      }
-      lr->original.action = rule.action;
-      return now + config_.spill_insert;
-    }
     Time completion = now;
     int slice_idx = lr->placement == Placement::kShadow ? kShadow : kMain;
     OverlapIndex& index =
@@ -590,102 +572,6 @@ Time HermesAgent::modify(Time now, const net::Rule& rule) {
   Time deleted = erase(now, rule.id);
   Time inserted = insert(now, rule);
   return std::max(deleted, inserted);
-}
-
-std::optional<net::Rule> HermesAgent::lookup(net::Ipv4Address addr) {
-  if (const net::Rule* r = merge_spill_lookup(asic_.lookup_ptr(addr), addr))
-    return *r;
-  return std::nullopt;
-}
-
-const net::Rule* HermesAgent::lookup_ptr(net::Ipv4Address addr) {
-  return merge_spill_lookup(asic_.lookup_ptr(addr), addr);
-}
-
-std::optional<net::Rule> HermesAgent::lookup(Time now, net::Ipv4Address addr) {
-  if (const net::Rule* r =
-          merge_spill_lookup(asic_.lookup_ptr(now, addr), addr))
-    return *r;
-  return std::nullopt;
-}
-
-const net::Rule* HermesAgent::lookup_ptr(Time now, net::Ipv4Address addr) {
-  return merge_spill_lookup(asic_.lookup_ptr(now, addr), addr);
-}
-
-// --- Software spill tier ------------------------------------------------------
-
-const net::Rule* HermesAgent::merge_spill_lookup(const net::Rule* hw,
-                                                 net::Ipv4Address addr) {
-  if (spill_rules_.empty()) return hw;  // fast path: tier unused
-  const net::Rule* sw = spill_engine_.lookup(addr);
-  if (!sw) return hw;
-  if (!hw) return sw;
-  // Hardware wins priority ties: a drained copy must not change the
-  // data-plane answer the moment it lands in the TCAM.
-  return hw->priority >= sw->priority ? hw : sw;
-}
-
-Time HermesAgent::spill_rule(Time now, const net::Rule& rule, Time arrival) {
-  store_.add(LogicalRule{rule, Placement::kSoftware, {rule.id}, false, {}});
-  SpillEntry entry{rule, spill_seq_++};
-  spill_engine_.insert(rule, entry.seq);
-  spill_rules_.emplace(rule.id, std::move(entry));
-  ++stats_.spills;
-  obs_spills_.inc();
-  obs_spill_resident_.set(static_cast<std::int64_t>(spill_rules_.size()));
-  obs::trace_event(obs::cache_op_event(
-      now, obs::kCacheSpill, 1, static_cast<int>(spill_rules_.size())));
-  Time completion = now + config_.spill_insert;
-  record_rit(completion - arrival, 0);
-  return completion;
-}
-
-void HermesAgent::spill_forget(net::RuleId id) {
-  auto it = spill_rules_.find(id);
-  if (it == spill_rules_.end()) return;
-  spill_engine_.erase(it->second.rule);
-  spill_rules_.erase(it);
-  obs_spill_resident_.set(static_cast<std::int64_t>(spill_rules_.size()));
-}
-
-void HermesAgent::drain_spill(Time now) {
-  if (spill_rules_.empty()) return;
-  const tcam::TcamTable& main = asic_.slice(kMain);
-  int free = main.capacity() - main.occupancy();
-  if (free <= 0) return;
-  // Highest priority first (ties by spill arrival) so the drain order is
-  // deterministic and the most important rules reach the TCAM first.
-  std::vector<const SpillEntry*> order;
-  order.reserve(spill_rules_.size());
-  for (const auto& [id, entry] : spill_rules_) order.push_back(&entry);
-  std::sort(order.begin(), order.end(),
-            [](const SpillEntry* a, const SpillEntry* b) {
-              if (a->rule.priority != b->rule.priority)
-                return a->rule.priority > b->rule.priority;
-              return a->seq < b->seq;
-            });
-  if (static_cast<int>(order.size()) > free) order.resize(free);
-  int drained = 0;
-  for (const SpillEntry* entry : order) {
-    const net::Rule rule = entry->rule;
-    RetriedInsert r = submit_insert_with_retry(now, kMain, rule);
-    if (!r.last.ok) break;  // table refilled (or faults): try next tick
-    spill_forget(rule.id);
-    store_.rebind(rule.id, Placement::kMain, {rule.id}, false, {});
-    ++stats_.main_inserts;
-    ++stats_.spill_drains;
-    obs_spill_drains_.inc();
-    ++drained;
-    // The drained rule can mask lower-priority shadow residents exactly
-    // like any other main insert.
-    repartition_shadow_overlaps(now, rule);
-  }
-  if (drained > 0) {
-    obs::trace_event(obs::cache_op_event(
-        now, obs::kCacheSpillDrain, drained,
-        static_cast<int>(spill_rules_.size())));
-  }
 }
 
 // --- Correctness maintenance --------------------------------------------------
@@ -712,9 +598,6 @@ void HermesAgent::repartition_shadow_overlaps(Time now,
 void HermesAgent::repartition_logical(Time now, net::RuleId logical_id) {
   LogicalRule* lr = store_.find_mutable(logical_id);
   if (!lr) return;
-  // Spilled rules have no TCAM pieces to re-cut; the software tier
-  // matches their full original form.
-  if (lr->placement == Placement::kSoftware) return;
   const Placement placement = lr->placement;
   const net::Rule original = lr->original;
   const std::vector<net::RuleId> old_pieces = lr->physical_ids;

@@ -28,7 +28,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "hermes/config.h"
@@ -44,7 +43,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tcam/asic.h"
-#include "tcam/lookup_engine.h"
 
 namespace hermes::core {
 
@@ -85,10 +83,6 @@ struct AgentStats {
   std::uint64_t reconcile_rules_reinstalled = 0;
   std::uint64_t reconcile_pieces_reinstalled = 0;
   std::uint64_t reconcile_rules_lost = 0; ///< dropped after retry exhaustion
-
-  // Software spill tier (zero unless HermesConfig::software_spill).
-  std::uint64_t spills = 0;        ///< main-table overflows parked in software
-  std::uint64_t spill_drains = 0;  ///< spilled rules promoted back into main
 };
 
 class HermesAgent {
@@ -131,15 +125,20 @@ class HermesAgent {
 
   // --- Data plane ---------------------------------------------------------
   /// Timeless lookup: state as of the last channel activity. Copies.
-  std::optional<net::Rule> lookup(net::Ipv4Address addr);
+  std::optional<net::Rule> lookup(net::Ipv4Address addr) {
+    return asic_.lookup(addr);
+  }
   /// Zero-copy timeless lookup; the pointer is invalidated by any
   /// subsequent control-plane activity.
-  const net::Rule* lookup_ptr(net::Ipv4Address addr);
-  /// Time-threaded lookup: applies any scheduled reset that fired
-  /// at-or-before `now` before matching (the data plane observes a wipe
-  /// immediately).
-  std::optional<net::Rule> lookup(Time now, net::Ipv4Address addr);
-  const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr);
+  const net::Rule* lookup_ptr(net::Ipv4Address addr) {
+    return asic_.lookup_ptr(addr);
+  }
+  /// Time-threaded zero-copy lookup: applies any scheduled reset that
+  /// fired at-or-before `now` before matching (the data plane observes a
+  /// wipe immediately).
+  const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr) {
+    return asic_.lookup_ptr(now, addr);
+  }
 
   // --- Introspection --------------------------------------------------------
   Duration guarantee() const { return config_.guarantee; }
@@ -153,12 +152,6 @@ class HermesAgent {
 
   /// Max guaranteed insertion rate, Equation 2.
   double admitted_rate() const { return admitted_rate_; }
-
-  /// Rules currently parked in the software spill tier (slow data path);
-  /// 0 unless `HermesConfig::software_spill` is on.
-  int spill_resident() const {
-    return static_cast<int>(spill_rules_.size());
-  }
 
   /// Live totals (take a copy if you need a frozen reading).
   const AgentStats& stats() const { return stats_; }
@@ -196,6 +189,14 @@ class HermesAgent {
                                      double expected_partitions,
                                      int typical_main_occupancy);
 
+  // --- Write retry policy (active only when the Asic has a fault plan) -----
+  /// Max re-submissions of a failed write before giving up on the slice.
+  static constexpr int kInsertRetryLimit = 3;
+  /// The first retry waits this long after the failure completes; each
+  /// later retry doubles the wait, capped at kInsertRetryBackoffCap.
+  static constexpr Duration kInsertRetryBackoff = from_micros(100);
+  static constexpr Duration kInsertRetryBackoffCap = from_millis(10);
+
  private:
   // Slice indices within the carved ASIC.
   static constexpr int kShadow = 0;
@@ -213,19 +214,6 @@ class HermesAgent {
   /// after the original submission instant.
   Time insert_to_main(Time now, const net::Rule& rule, bool count_violation,
                       Time arrival = -1);
-
-  // --- Software spill tier (HermesConfig::software_spill) ------------------
-  /// Parks a rule the main table rejected in the agent-software tier.
-  Time spill_rule(Time now, const net::Rule& rule, Time arrival);
-  /// Removes a spilled rule's software state (store untouched).
-  void spill_forget(net::RuleId id);
-  /// Promotes spilled rules into the main table while capacity lasts,
-  /// highest priority first (ties by spill arrival order).
-  void drain_spill(Time now);
-  /// Merges the ASIC answer with the spill tier (hardware wins priority
-  /// ties); no-op pass-through while the spill tier is empty.
-  const net::Rule* merge_spill_lookup(const net::Rule* hw,
-                                      net::Ipv4Address addr);
 
   // --- Fault recovery (active only when the Asic has a fault plan) ---------
   /// One insert pushed through capped exponential backoff. Without a
@@ -300,13 +288,6 @@ class HermesAgent {
   // unreachable through the public API (e.g. stale partition bookkeeping).
   friend struct AgentTestPeer;
 
-  /// One rule parked in the software spill tier; `seq` preserves arrival
-  /// order for the drain tie-break.
-  struct SpillEntry {
-    net::Rule rule;
-    std::uint64_t seq = 0;
-  };
-
   HermesConfig config_;
   tcam::Asic asic_;
   std::unique_ptr<GateKeeper> gate_keeper_;
@@ -344,11 +325,6 @@ class HermesAgent {
   Duration migration_retry_backoff_ = 0;
   int seen_reset_epoch_ = 0;
 
-  // Software spill tier (empty unless HermesConfig::software_spill): rules
-  // the main table could not take, matched on the slow path until drained.
-  std::unordered_map<net::RuleId, SpillEntry> spill_rules_;
-  tcam::LookupEngine spill_engine_;
-  std::uint64_t spill_seq_ = 0;
   AgentStats stats_;
   std::vector<Duration> rit_samples_;
   std::vector<Duration> op_latency_samples_;
@@ -375,9 +351,6 @@ class HermesAgent {
       obs::attached_counter("reconcile.pieces_reinstalled");
   obs::Counter obs_reconcile_lost_ =
       obs::attached_counter("reconcile.rules_lost");
-  obs::Counter obs_spills_ = obs::attached_counter("cache.spills");
-  obs::Counter obs_spill_drains_ = obs::attached_counter("cache.spill_drains");
-  obs::Gauge obs_spill_resident_ = obs::attached_gauge("cache.spill_resident");
 
   // Migration-policy decisions (the seam's own accounting, one decision
   // per consulted epoch; see docs/METRICS.md "policy.*").

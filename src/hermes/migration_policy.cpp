@@ -46,11 +46,8 @@ MigrationAction ThresholdMigrationPolicy::decide(const PolicyState& state) {
 std::shared_ptr<MigrationPolicy> make_migration_policy(
     const HermesConfig& config) {
   if (config.policy_instance) return config.policy_instance;
-  if (config.policy == "Threshold") {
-    return std::make_shared<ThresholdMigrationPolicy>(
-        config.simple_threshold, config.migration_watermark);
-  }
-  return nullptr;
+  return std::make_shared<ThresholdMigrationPolicy>(
+      config.simple_threshold, config.migration_watermark);
 }
 
 }  // namespace hermes::core

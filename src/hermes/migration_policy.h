@@ -97,10 +97,10 @@ class ThresholdMigrationPolicy final : public MigrationPolicy {
   double migration_watermark_;
 };
 
-/// Factory mirroring make_predictor()/make_corrector(): resolves
-/// HermesConfig::policy ("Threshold" is the only name hermes_core
-/// knows; learned policies are injected via config.policy_instance).
-/// Returns nullptr for unknown names.
+/// The policy an agent built from `config` consults:
+/// config.policy_instance when set (how learned policies are injected),
+/// otherwise a ThresholdMigrationPolicy over config.simple_threshold and
+/// config.migration_watermark. Never null.
 std::shared_ptr<MigrationPolicy> make_migration_policy(
     const HermesConfig& config);
 

@@ -9,7 +9,6 @@ namespace hermes::core {
 
 void HermesAgent::tick(Time now) {
   maybe_reconcile(now);
-  if (config_.software_spill) drain_spill(now);
   if (migration_retry_at_ >= 0 && now >= migration_retry_at_) {
     // A partially-failed migration re-queued itself: run it again now,
     // before the regular epoch machinery.
@@ -326,9 +325,8 @@ Time HermesAgent::run_migration(Time now, int max_rules) {
       // skipped rules are still shadow-resident and will be re-planned.
       migration_retry_backoff_ =
           migration_retry_backoff_ <= 0
-              ? config_.insert_retry_backoff
-              : std::min(migration_retry_backoff_ * 2,
-                         config_.insert_retry_backoff_cap);
+              ? kInsertRetryBackoff
+              : std::min(migration_retry_backoff_ * 2, kInsertRetryBackoffCap);
       migration_retry_at_ = done + migration_retry_backoff_;
       ++stats_.migration_requeues;
       obs_requeues_.inc();
@@ -382,10 +380,9 @@ Time HermesAgent::reconcile(Time now) {
     tcam::Asic::BatchResult result;
     Time batch_done = asic_.submit_batch_insert(at, slice, rules, &result);
     std::size_t landed = static_cast<std::size_t>(result.inserted);
-    Duration backoff = config_.insert_retry_backoff;
+    Duration backoff = kInsertRetryBackoff;
     for (int attempt = 1;
-         attempt <= config_.insert_retry_limit && landed < rules.size();
-         ++attempt) {
+         attempt <= kInsertRetryLimit && landed < rules.size(); ++attempt) {
       Time t = batch_done + backoff;
       note_retry(t, slice, attempt);
       std::vector<net::Rule> rest(
@@ -393,7 +390,7 @@ Time HermesAgent::reconcile(Time now) {
       tcam::Asic::BatchResult r2;
       batch_done = asic_.submit_batch_insert(t, slice, rest, &r2);
       landed += static_cast<std::size_t>(r2.inserted);
-      backoff = std::min(backoff * 2, config_.insert_retry_backoff_cap);
+      backoff = std::min(backoff * 2, kInsertRetryBackoffCap);
     }
     *completion = batch_done;
     return landed;

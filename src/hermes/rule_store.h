@@ -21,10 +21,7 @@
 namespace hermes::core {
 
 /// Which physical table a logical rule's pieces currently live in.
-/// kSoftware is the agent's spill tier (HermesConfig::software_spill):
-/// the rule is held in agent software — no TCAM entry — until main-table
-/// capacity frees up.
-enum class Placement : std::uint8_t { kShadow, kMain, kSoftware };
+enum class Placement : std::uint8_t { kShadow, kMain };
 
 struct LogicalRule {
   net::Rule original;  ///< the rule as the controller issued it

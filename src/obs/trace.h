@@ -28,7 +28,7 @@ enum class EventKind : std::uint8_t {
   kRetry,            ///< a failed write was re-submitted after backoff
   kReconcile,        ///< post-reset RuleStore-vs-ASIC reconciliation pass
   kUpdatePhase,      ///< a network-wide update transaction changed phase
-  kCacheOp,          ///< rule-cache hierarchy promotion/demotion/spill
+  kCacheOp,          ///< rule-cache hierarchy promotion/demotion
   kPolicyDecision,   ///< migration policy chose an epoch action
 };
 
@@ -179,13 +179,10 @@ inline TraceEvent update_phase_event(TimeNs t, std::uint8_t phase,
 /// Values of cache_op_event's `op` (the `arg` field).
 inline constexpr std::uint8_t kCachePromote = 0;
 inline constexpr std::uint8_t kCacheDemote = 1;
-inline constexpr std::uint8_t kCacheSpill = 2;
-inline constexpr std::uint8_t kCacheSpillDrain = 3;
 
 /// One rule-cache hierarchy operation: a promotion round installed
-/// `rules` TCAM entries (b = rules pinned so far), a demotion cascade
-/// removed `rules` entries, or a main-table overflow spilled `rules`
-/// rules to the software tier.
+/// `rules` TCAM entries (b = rules pinned so far), or a demotion cascade
+/// removed `rules` entries.
 inline TraceEvent cache_op_event(TimeNs t, std::uint8_t op, int rules,
                                  int aux) {
   TraceEvent e;

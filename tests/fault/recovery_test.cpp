@@ -1,5 +1,5 @@
 // Recovery-path tests: HermesAgent retry/backoff on failed shadow
-// writes, fall-through (or reject) after exhaustion, Rule Manager
+// writes, fall-through to main after exhaustion, Rule Manager
 // migration requeue, post-reset reconciliation, and the baselines'
 // inline retries — all under deterministic FaultPlans.
 #include <gtest/gtest.h>
@@ -73,8 +73,7 @@ TEST(AgentRecovery, RetriesRecoverFlakyShadowWrites) {
 
 TEST(AgentRecovery, ExhaustionFallsThroughToMain) {
   fault::FaultPlan plan(slice_probs(1.0, 0.0));  // shadow never accepts
-  HermesConfig config = test_config();
-  HermesAgent agent(tcam::pica8_p3290(), 2000, config);
+  HermesAgent agent(tcam::pica8_p3290(), 2000, test_config());
   agent.asic().set_fault_plan(&plan);
 
   const std::uint64_t n = 5;
@@ -85,7 +84,7 @@ TEST(AgentRecovery, ExhaustionFallsThroughToMain) {
   // Each insert burned the full retry budget against the shadow, missed
   // its guarantee, and landed in main instead.
   EXPECT_EQ(agent.stats().retries,
-            n * static_cast<std::uint64_t>(config.insert_retry_limit));
+            n * static_cast<std::uint64_t>(HermesAgent::kInsertRetryLimit));
   EXPECT_EQ(agent.stats().violations, n);
   EXPECT_EQ(agent.stats().failed_ops, 0u);
   EXPECT_EQ(agent.shadow_occupancy(), 0);
@@ -95,22 +94,6 @@ TEST(AgentRecovery, ExhaustionFallsThroughToMain) {
     EXPECT_EQ(agent.store().find(1 + i)->placement, Placement::kMain);
   }
   EXPECT_EQ(port_at(agent, "10.1.2.3"), 3);
-}
-
-TEST(AgentRecovery, ExhaustionRejectsUnderRejectPolicy) {
-  fault::FaultPlan plan(slice_probs(1.0, 1.0));
-  HermesConfig config = test_config();
-  config.reject_on_retry_exhaustion = true;
-  HermesAgent agent(tcam::pica8_p3290(), 2000, config);
-  agent.asic().set_fault_plan(&plan);
-
-  agent.insert(0, make_rule(1, 10, "10.0.0.0/8", 1));
-
-  EXPECT_EQ(agent.stats().failed_ops, 1u);
-  EXPECT_EQ(agent.store().find(1), nullptr);
-  EXPECT_EQ(agent.shadow_occupancy(), 0);
-  EXPECT_EQ(agent.main_occupancy(), 0);
-  EXPECT_EQ(port_at(agent, "10.1.2.3"), -1);
 }
 
 TEST(AgentRecovery, MigrationRequeuesAndLaterSucceeds) {

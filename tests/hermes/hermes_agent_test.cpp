@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <stdexcept>
 
 #include "tcam/switch_model.h"
 
@@ -294,6 +295,48 @@ TEST(HermesAgent, ModifyMissingFails) {
   HermesAgent agent(tcam::pica8_p3290(), 2000, test_config());
   agent.modify(0, make_rule(42, 1, "10.0.0.0/8"));
   EXPECT_EQ(agent.stats().failed_ops, 1u);
+}
+
+TEST(HermesAgent, MainTableOverflowFailsTheOp) {
+  // Total 8, shadow 2 -> main 6. Twelve disjoint priority-1 /32s: with
+  // the lowest-priority optimization 6 append into main, 2 take the
+  // shadow path once main is full, and the last 4 find both slices full.
+  HermesConfig config = test_config();
+  config.shadow_capacity = 2;
+  HermesAgent agent(tcam::pica8_p3290(), 8, config);
+  auto addr_of = [](net::RuleId id) {
+    return net::Ipv4Address(0x0A000000u | static_cast<std::uint32_t>(id));
+  };
+  for (net::RuleId id = 1; id <= 12; ++id) {
+    agent.insert(from_millis(static_cast<Time>(id)),
+                 Rule{id, 1, Prefix(addr_of(id), 32),
+                      net::forward_to(static_cast<int>(id))});
+  }
+  EXPECT_EQ(agent.stats().failed_ops, 4u);
+  EXPECT_EQ(agent.store().size(), 8u);
+  for (net::RuleId id = 1; id <= 8; ++id) {
+    auto hit = agent.lookup(addr_of(id));
+    ASSERT_TRUE(hit.has_value()) << "rule " << id;
+    EXPECT_EQ(hit->id, id);
+  }
+  for (net::RuleId id = 9; id <= 12; ++id)
+    EXPECT_FALSE(agent.lookup(addr_of(id)).has_value()) << "rule " << id;
+}
+
+// An unknown name must fail construction in every build type: the
+// agent would otherwise run with a null estimator.
+TEST(HermesAgent, UnknownPredictorNameThrows) {
+  HermesConfig config = test_config();
+  config.predictor = "NoSuchPredictor";
+  EXPECT_THROW(HermesAgent(tcam::pica8_p3290(), 2000, config),
+               std::invalid_argument);
+}
+
+TEST(HermesAgent, UnknownCorrectorNameThrows) {
+  HermesConfig config = test_config();
+  config.corrector = "NoSuchCorrector";
+  EXPECT_THROW(HermesAgent(tcam::pica8_p3290(), 2000, config),
+               std::invalid_argument);
 }
 
 TEST(HermesAgent, DuplicateInsertActsAsModify) {

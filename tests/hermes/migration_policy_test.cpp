@@ -230,20 +230,16 @@ TEST(PolicyActions, HoldLeavesShadowAlone) {
   EXPECT_EQ(agent.stats().migrations, 0u);
 }
 
-// The factory resolves the default name and honors policy_instance.
+// The factory defaults to the threshold policy and honors policy_instance.
 TEST(PolicyFactory, ResolvesThresholdAndInstanceWins) {
   HermesConfig config = test_config();
-  auto by_name = make_migration_policy(config);
-  ASSERT_NE(by_name, nullptr);
-  EXPECT_EQ(by_name->name(), "Threshold");
+  auto by_default = make_migration_policy(config);
+  ASSERT_NE(by_default, nullptr);
+  EXPECT_EQ(by_default->name(), "Threshold");
 
   auto instance = threshold_of(config);
   config.policy_instance = instance;
   EXPECT_EQ(make_migration_policy(config), instance);
-
-  config.policy_instance = nullptr;
-  config.policy = "NoSuchPolicy";
-  EXPECT_EQ(make_migration_policy(config), nullptr);
 }
 
 }  // namespace

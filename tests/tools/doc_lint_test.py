@@ -142,6 +142,27 @@ class DocLintTest(unittest.TestCase):
             any("docs/METRICS.md" in e and "policy_decision" in e
                 for e in errors))
 
+    def test_catalog_row_with_registering_source_passes(self):
+        def add_metric(root):
+            write(root, "docs/METRICS.md", "| `tcam_shift` | | |\n"
+                                           "| `policy_decision` | | |\n"
+                                           "| `cache.hits` | counter | |")
+            write(root, "src/cache/cache.cpp",
+                  'auto c = attached_counter("cache.hits");')
+        self.assertEqual(self.lint_tree(add_metric), [])
+
+    def test_catalog_row_nothing_registers_fails(self):
+        # A documented metric no code registers (the stale `gate.redundant`
+        # row this rule exists to catch).
+        errors = self.lint_tree(
+            lambda root: write(root, "docs/METRICS.md",
+                               "| `tcam_shift` | | |\n"
+                               "| `policy_decision` | | |\n"
+                               "| `gate.redundant` | counter | |"))
+        self.assertTrue(
+            any("docs/METRICS.md" in e and "gate.redundant" in e
+                for e in errors))
+
     def test_real_repo_lints_clean(self):
         repo = TOOL.parent.parent
         self.assertEqual(doc_lint.lint(repo), [])

@@ -27,12 +27,11 @@ namespace {
 constexpr Time kBegin = from_millis(10);
 const net::Ipv4Address kFlowAddr = *net::Ipv4Address::parse("10.0.0.1");
 
-core::HermesConfig agent_config(bool reject_on_exhaustion = false) {
+core::HermesConfig agent_config() {
   core::HermesConfig config;
   config.guarantee = from_millis(5);
   config.token_rate = 1e9;
   config.token_burst = 1e9;
-  config.reject_on_retry_exhaustion = reject_on_exhaustion;
   return config;
 }
 
@@ -56,13 +55,9 @@ struct ResetHarness {
         config);
   }
 
-  /// Replaces switch `sw`'s backend with one running `config` and
-  /// attaches `fault_config` as its plan.
-  void inject(net::NodeId sw, core::HermesConfig config,
-              fault::FaultPlanConfig fault_config) {
+  /// Attaches `fault_config` as switch `sw`'s fault plan.
+  void inject(net::NodeId sw, fault::FaultPlanConfig fault_config) {
     auto idx = static_cast<std::size_t>(sw);
-    backends[idx] = std::make_unique<baselines::HermesBackend>(
-        tcam::pica8_p3290(), 2000, config);
     plans[idx] = std::make_unique<fault::FaultPlan>(fault_config);
     backends[idx]->set_fault_plan(plans[idx].get());
   }
@@ -165,7 +160,7 @@ TEST(UpdateReset, MidUpdateResetConvergesToNewPathAfterReconciliation) {
   fault::FaultPlanConfig fc;
   fc.seed = 7;
   fc.resets = {kBegin + from_millis(2)};
-  h.inject(4, agent_config(), fc);
+  h.inject(4, fc);
 
   auto old_rules = h.seed_path({0, 1, 2, 3});
   h.reroute({0, 1, 2, 3}, {0, 4, 5, 3}, std::move(old_rules));
@@ -188,7 +183,7 @@ TEST(UpdateReset, MidUpdateResetConvergesToNewPathAfterReconciliation) {
 
 TEST(UpdateReset, FailedAddPlusResetAbortsToCompleteOldPath) {
   // Switch 5 rejects its insert outright (write failures past the retry
-  // budget, reject policy) — the transaction aborts before any flip. An
+  // budget on both slices) — the transaction aborts before any flip. An
   // unrelated reset also wipes old-path switch 1 mid-update. After the
   // rollback deletes the sibling add and reconciliation restores switch
   // 1, the fabric is back on the complete OLD path.
@@ -196,11 +191,11 @@ TEST(UpdateReset, FailedAddPlusResetAbortsToCompleteOldPath) {
   fault::FaultPlanConfig reject_fc;
   reject_fc.seed = 11;
   reject_fc.default_slice.write_failure_prob = 1.0;
-  h.inject(5, agent_config(/*reject_on_exhaustion=*/true), reject_fc);
+  h.inject(5, reject_fc);
   fault::FaultPlanConfig reset_fc;
   reset_fc.seed = 13;
   reset_fc.resets = {kBegin + from_millis(1)};
-  h.inject(1, agent_config(), reset_fc);
+  h.inject(1, reset_fc);
 
   auto old_rules = h.seed_path({0, 1, 2, 3});
   h.reroute({0, 1, 2, 3}, {0, 4, 5, 3}, std::move(old_rules));
@@ -227,7 +222,7 @@ TEST(UpdateReset, SegwayFirstInstallIsAllOrNothing) {
   fault::FaultPlanConfig reject_fc;
   reject_fc.seed = 17;
   reject_fc.default_slice.write_failure_prob = 1.0;
-  h.inject(1, agent_config(/*reject_on_exhaustion=*/true), reject_fc);
+  h.inject(1, reject_fc);
 
   const net::Path path{0, 1, 2, 3};
   h.reroute(path, path, /*old_rules=*/{});
@@ -250,7 +245,7 @@ TEST(UpdateReset, TwoPhasePartialFirstInstallStrandsMixedState) {
   fault::FaultPlanConfig reject_fc;
   reject_fc.seed = 17;
   reject_fc.default_slice.write_failure_prob = 1.0;
-  h.inject(1, agent_config(/*reject_on_exhaustion=*/true), reject_fc);
+  h.inject(1, reject_fc);
 
   const net::Path path{0, 1, 2, 3};
   h.reroute(path, path, /*old_rules=*/{});

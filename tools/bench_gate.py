@@ -29,8 +29,8 @@ Why each gate reproduces on any machine:
   * update -- segway speedup, violation-free rate and two-phase loop rate
     are virtual-time ratios over a fixed seeded reroute storm.
   * cache -- FDRC hit-ratio improvements, modeled miss-path latency
-    ratio, violation-free rate and spill admission are virtual-time or
-    counted ratios over a seeded Zipf workload. The bench also self-gates:
+    ratio and violation-free rate are virtual-time or counted ratios
+    over a seeded Zipf workload. The bench also self-gates:
     it exits non-zero if any policy run records a dependency violation or
     FDRC fails to beat both LRU and LFU on hit ratio at every cache size.
   * matrix -- runs entirely in virtual time over seeded scenario traces,

@@ -22,6 +22,10 @@ Checks (all of them; exit 1 if any reference is broken):
      src/obs/metrics.cpp appears in README.md and docs/METRICS.md (this
      rule would have caught README's trace-kind list silently going
      stale when update_phase/cache_op were added).
+  6. Every backticked name in the first column of a docs/METRICS.md
+     table appears as a quoted string literal ("name") in some file
+     under src/ -- the reverse of tests/obs/metrics_catalog_test.cpp, so
+     the catalog cannot keep a row for a metric no code registers.
 
 Checks 1-3 cover README.md / EXPERIMENTS.md / DESIGN.md plus every
 Markdown file under docs/, recursively.
@@ -61,6 +65,9 @@ QUOTED_NAME = re.compile(r'"([a-z0-9_]+)"')
 # kind_name() switch cases in src/obs/metrics.cpp: the full set of
 # trace-event kinds the obs layer can emit.
 KIND_RETURN = re.compile(r'case\s+EventKind::\w+:\s*return\s+"([a-z0-9_]+)"')
+
+# The backticked name opening a docs/METRICS.md table row.
+CATALOG_NAME = re.compile(r"^\|\s*`([^`]+)`\s*\|", re.MULTILINE)
 
 
 def lint(root: Path) -> list[str]:
@@ -148,6 +155,20 @@ def lint(root: Path) -> list[str]:
                         f"{doc}: trace-event kind `{kind}` "
                         "(src/obs/metrics.cpp) is never mentioned"
                     )
+
+    # 6. Catalog rows name registered things: each row's name is a string
+    # literal somewhere under src/.
+    sources = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted((root / "src").rglob("*"))
+        if path.suffix in (".h", ".cpp")
+    )
+    for name in CATALOG_NAME.findall(texts.get("docs/METRICS.md", "")):
+        if f'"{name}"' not in sources:
+            errors.append(
+                f"docs/METRICS.md: `{name}` has no \"{name}\" string "
+                "literal under src/"
+            )
     return errors
 
 
