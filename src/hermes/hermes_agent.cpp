@@ -134,10 +134,59 @@ HermesAgent::RetriedInsert HermesAgent::submit_insert_with_retry(
     note_retry(at, slice, attempt);
     r.completion = submit(at, &r.last);
     r.total_latency += r.last.latency;
-    ++r.attempts;
     backoff = std::min(backoff * 2, kInsertRetryBackoffCap);
   }
   return r;
+}
+
+HermesAgent::LandedBatch HermesAgent::land_batch(
+    Time now, int slice, const std::vector<net::Rule>& rules) {
+  LandedBatch out;
+  out.completion = now;
+  if (rules.empty()) return out;
+  tcam::Asic::BatchResult result;
+  out.completion = asic_.submit_batch_insert(now, slice, rules, &result);
+  out.latencies.push_back(result.latency);
+  out.landed = static_cast<std::size_t>(result.inserted);
+  if (asic_.fault_plan() == nullptr) return out;
+  // Prefix semantics hold across attempts: each retry resubmits exactly
+  // the un-landed suffix.
+  Duration backoff = kInsertRetryBackoff;
+  for (int attempt = 1;
+       attempt <= kInsertRetryLimit && out.landed < rules.size(); ++attempt) {
+    Time at = out.completion + backoff;
+    note_retry(at, slice, attempt);
+    std::vector<net::Rule> rest(
+        rules.begin() + static_cast<std::ptrdiff_t>(out.landed), rules.end());
+    out.completion = asic_.submit_batch_insert(at, slice, rest, &result);
+    out.latencies.push_back(result.latency);
+    out.landed += static_cast<std::size_t>(result.inserted);
+    backoff = std::min(backoff * 2, kInsertRetryBackoffCap);
+  }
+  return out;
+}
+
+// --- The insert planner -----------------------------------------------------
+
+HermesAgent::InsertPlan HermesAgent::plan_insert(const net::Rule& rule) const {
+  InsertPlan plan;
+  plan.partition =
+      partition_new_rule(rule, main_index_, config_.merge_partitions);
+  plan.cut = !(plan.partition.pieces.size() == 1 &&
+               plan.partition.pieces[0] == rule.match);
+  for (net::RuleId pid : plan.partition.cut_against)
+    if (auto lid = store_.logical_of(pid)) plan.blockers.push_back(*lid);
+  return plan;
+}
+
+std::vector<net::Rule> HermesAgent::mint_pieces(const net::Rule& rule,
+                                                const InsertPlan& plan,
+                                                bool keep_uncut_id) {
+  if (keep_uncut_id && !plan.cut) return {rule};
+  std::vector<net::Rule> pieces =
+      materialize_partitions(rule, plan.partition, piece_id_counter_);
+  piece_id_counter_ += pieces.size();
+  return pieces;
 }
 
 // --- Control plane entry points ---------------------------------------------
@@ -207,7 +256,108 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
     rules.push_back(rule);
     ++stats_.inserts;
   }
+  RouteContext ctx = route_context();
+  std::vector<Route> routes =
+      gate_keeper_->route_insert_batch(now, rules, ctx);
 
+  // Plan every admitted rule against ONE main-table snapshot: main-table
+  // fallbacks are deferred until after the shadow batch, so main_index_
+  // does not move under the planner.
+  struct Planned {
+    std::size_t run_pos = 0;      ///< index into run/rules
+    InsertPlan plan;
+    std::size_t first_piece = 0;  ///< [first_piece, end) in all_pieces
+    std::size_t end = 0;
+  };
+  struct Fallback {
+    std::size_t run_pos = 0;
+    Time start = 0;  ///< when its main-table write may begin
+    bool count_violation = false;
+  };
+  std::vector<Planned> planned;
+  std::vector<Fallback> fallback;
+  std::vector<net::Rule> all_pieces;
+  int shadow_free = ctx.shadow_free;
+  for (std::size_t pos = 0; pos < run.size(); ++pos) {
+    const net::Rule& rule = rules[pos];
+    if (routes[pos] != Route::kGuaranteed) {
+      fallback.push_back({pos, now, routes[pos] == Route::kMainShadowFull});
+      continue;
+    }
+    InsertPlan plan = plan_insert(rule);
+    ShadowFit fit = fit_shadow(rule, plan, shadow_free);
+    if (fit == ShadowFit::kRedundant) {
+      batch.complete(run[pos], now, true);
+      continue;
+    }
+    if (fit == ShadowFit::kOverflow) {
+      fallback.push_back({pos, now, false});
+      continue;
+    }
+    std::vector<net::Rule> pieces =
+        mint_pieces(rule, plan, /*keep_uncut_id=*/true);
+    shadow_free -= static_cast<int>(pieces.size());
+    planned.push_back({pos, std::move(plan), all_pieces.size(),
+                       all_pieces.size() + pieces.size()});
+    all_pieces.insert(all_pieces.end(), pieces.begin(), pieces.end());
+  }
+
+  // ONE optimized shadow write for every planned piece.
+  Time barrier = now;
+  if (!all_pieces.empty()) {
+    LandedBatch land = land_batch(now, kShadow, all_pieces);
+    obs_shadow_batch_pieces_.record(all_pieces.size());
+    // The batch write is one control-plane action on the TCAM (and each
+    // retry another): judge the guarantee on each one's channel
+    // occupation, like a migration batch.
+    for (Duration latency : land.latencies) note_guaranteed_latency(latency);
+    stats_.worst_guaranteed_latency =
+        std::max(stats_.worst_guaranteed_latency, land.completion - now);
+    for (std::size_t i = 0; i < land.landed; ++i)
+      shadow_index_.insert(all_pieces[i]);
+    for (Planned& p : planned) {
+      const std::size_t count = p.end - p.first_piece;
+      std::vector<net::RuleId> landed;
+      landed.reserve(count);
+      for (std::size_t j = p.first_piece; j < std::min(p.end, land.landed);
+           ++j)
+        landed.push_back(all_pieces[j].id);
+      if (landed.size() < count) {
+        // Only a fault plan truncates the batch (capacity and duplicate
+        // ids are pre-checked): this rule's retries ran dry. As on the
+        // per-op path, its landed siblings are rolled back and it falls
+        // through to main once the last failed attempt completed.
+        fallback.push_back(
+            {p.run_pos, rollback_exhausted(land.completion, landed), false});
+        continue;
+      }
+      commit_shadow(now, rules[p.run_pos], std::move(landed),
+                    std::move(p.plan));
+      // Amortize the batch channel occupation over its pieces so the
+      // per-insert op-latency samples still sum to the channel time.
+      Duration amortized = static_cast<Duration>(
+          static_cast<std::uint64_t>(land.latencies.front()) * count /
+          all_pieces.size());
+      record_rit(land.completion - now, amortized);
+      batch.complete(run[p.run_pos], land.completion, true);
+    }
+    barrier = std::max(barrier, land.completion);
+  }
+
+  // Deferred main-table fallbacks, in batch order. Each one runs
+  // repartition_shadow_overlaps, which restores joint-table equivalence
+  // for any shadow rule the new main rule masks.
+  for (const Fallback& f : fallback) {
+    const net::Rule& rule = rules[f.run_pos];
+    Time done = insert_to_main(f.start, rule, f.count_violation,
+                               /*arrival=*/now);
+    batch.complete(run[f.run_pos], done, store_.contains(rule.id));
+    barrier = std::max(barrier, done);
+  }
+  return barrier;
+}
+
+RouteContext HermesAgent::route_context() const {
   const tcam::TcamTable& shadow = asic_.slice(kShadow);
   const tcam::TcamTable& main = asic_.slice(kMain);
   RouteContext ctx;
@@ -216,161 +366,54 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
   ctx.main_min_priority = main_min_priority();
   ctx.main_empty = main.empty();
   ctx.main_full = main.full();
-  std::vector<Route> routes =
-      gate_keeper_->route_insert_batch(now, rules, ctx);
+  return ctx;
+}
 
-  // Plan partitioning for every admitted rule against ONE main-table
-  // snapshot: fallback main inserts are deferred until after the shadow
-  // batch, so main_index_ does not move under the planner.
-  struct Planned {
-    std::size_t run_pos = 0;          ///< index into run/rules
-    std::vector<net::Rule> pieces;
-    bool partitioned = false;
-    std::vector<net::RuleId> blockers;
-    std::size_t first_piece = 0;      ///< offset into the combined batch
-  };
-  std::vector<Planned> planned;
-  std::vector<std::size_t> fallback;  // run positions -> insert_to_main
-  std::vector<bool> fallback_violation;
-  int shadow_free = ctx.shadow_free;
-  Time barrier = now;
-  for (std::size_t pos = 0; pos < run.size(); ++pos) {
-    const net::Rule& rule = rules[pos];
-    if (routes[pos] != Route::kGuaranteed) {
-      fallback.push_back(pos);
-      fallback_violation.push_back(routes[pos] == Route::kMainShadowFull);
-      continue;
-    }
-    PartitionResult partition =
-        partition_new_rule(rule, main_index_, config_.merge_partitions);
-    if (partition.redundant) {
-      // Figure 5 (a): handled entirely in agent software.
-      ++stats_.redundant_inserts;
-      std::vector<net::RuleId> blockers;
-      for (net::RuleId pid : partition.cut_against)
-        if (auto lid = store_.logical_of(pid)) blockers.push_back(*lid);
-      store_.add(LogicalRule{rule, Placement::kMain, {}, true,
-                             std::move(blockers)});
-      record_rit(0, 0);
-      batch.complete(run[pos], now, true);
-      continue;
-    }
-    if (static_cast<int>(partition.pieces.size()) > shadow_free) {
-      // Shadow cannot absorb the pieces: guarantee missed, fall back.
-      ++stats_.violations;
-      fallback.push_back(pos);
-      fallback_violation.push_back(false);
-      continue;
-    }
-    shadow_free -= static_cast<int>(partition.pieces.size());
-    Planned p;
-    p.run_pos = pos;
-    p.partitioned = !(partition.pieces.size() == 1 &&
-                      partition.pieces[0] == rule.match);
-    if (!p.partitioned) {
-      p.pieces.push_back(rule);  // keep the controller's id for 1:1
-    } else {
-      p.pieces = materialize_partitions(rule, partition, piece_id_counter_);
-      piece_id_counter_ += p.pieces.size();
-    }
-    for (net::RuleId pid : partition.cut_against)
-      if (auto lid = store_.logical_of(pid)) p.blockers.push_back(*lid);
-    planned.push_back(std::move(p));
+HermesAgent::ShadowFit HermesAgent::fit_shadow(const net::Rule& rule,
+                                               InsertPlan& plan,
+                                               int shadow_free) {
+  if (plan.partition.redundant) {
+    // Figure 5 (a): the rule could never match; record it (with its
+    // blockers) so a later blocker deletion can materialize it. Handled
+    // entirely in agent software.
+    ++stats_.redundant_inserts;
+    store_.add(LogicalRule{rule, Placement::kMain, {},
+                           std::move(plan.blockers)});
+    record_rit(0, 0);
+    return ShadowFit::kRedundant;
   }
+  if (static_cast<int>(plan.partition.pieces.size()) > shadow_free) {
+    // Shadow cannot absorb the pieces: guarantee missed, fall back.
+    ++stats_.violations;
+    return ShadowFit::kOverflow;
+  }
+  return ShadowFit::kFits;
+}
 
-  // ONE optimized shadow write for every planned piece.
-  std::vector<net::Rule> all_pieces;
-  for (Planned& p : planned) {
-    p.first_piece = all_pieces.size();
-    all_pieces.insert(all_pieces.end(), p.pieces.begin(), p.pieces.end());
+void HermesAgent::commit_shadow(Time now, const net::Rule& rule,
+                                std::vector<net::RuleId> piece_ids,
+                                InsertPlan plan) {
+  const std::size_t piece_count = piece_ids.size();
+  const int blocker_count = static_cast<int>(plan.blockers.size());
+  store_.add(LogicalRule{rule, Placement::kShadow, std::move(piece_ids),
+                         std::move(plan.blockers)});
+  ++stats_.guaranteed_inserts;
+  stats_.partition_pieces += piece_count;
+  arrivals_this_epoch_ += static_cast<double>(piece_count);
+  if (plan.cut) {
+    obs::trace_event(obs::partition_expand_event(
+        now, static_cast<int>(piece_count), blocker_count));
   }
-  if (!all_pieces.empty()) {
-    tcam::Asic::BatchResult bresult;
-    Time done =
-        asic_.submit_batch_insert(now, kShadow, all_pieces, &bresult);
-    obs_shadow_batch_pieces_.record(all_pieces.size());
-    // The batch write is one control-plane action on the TCAM; judge the
-    // guarantee on its channel occupation once, like a migration batch.
-    note_guaranteed_latency(bresult.latency);
-    std::size_t landed = static_cast<std::size_t>(bresult.inserted);
-    if (landed < all_pieces.size() && asic_.fault_plan() != nullptr) {
-      // An injected failure truncated the batch: resubmit the un-landed
-      // suffix with capped exponential backoff. Prefix semantics hold
-      // across attempts, so the per-rule landed check below still works.
-      Duration backoff = kInsertRetryBackoff;
-      for (int attempt = 1; attempt <= kInsertRetryLimit &&
-                            landed < all_pieces.size();
-           ++attempt) {
-        Time at = done + backoff;
-        note_retry(at, kShadow, attempt);
-        std::vector<net::Rule> rest(
-            all_pieces.begin() + static_cast<std::ptrdiff_t>(landed),
-            all_pieces.end());
-        tcam::Asic::BatchResult r2;
-        done = asic_.submit_batch_insert(at, kShadow, rest, &r2);
-        note_guaranteed_latency(r2.latency);
-        landed += static_cast<std::size_t>(r2.inserted);
-        backoff = std::min(backoff * 2, kInsertRetryBackoffCap);
-      }
-    }
-    stats_.worst_guaranteed_latency =
-        std::max(stats_.worst_guaranteed_latency, done - now);
-    for (const Planned& p : planned) {
-      const net::Rule& rule = rules[p.run_pos];
-      const std::size_t end = p.first_piece + p.pieces.size();
-      if (end <= landed) {
-        for (const net::Rule& piece : p.pieces) shadow_index_.insert(piece);
-        std::vector<net::RuleId> piece_ids;
-        piece_ids.reserve(p.pieces.size());
-        for (const net::Rule& piece : p.pieces)
-          piece_ids.push_back(piece.id);
-        std::vector<net::RuleId> blockers = p.blockers;
-        const std::size_t blocker_count = blockers.size();
-        store_.add(LogicalRule{rule, Placement::kShadow,
-                               std::move(piece_ids), p.partitioned,
-                               std::move(blockers)});
-        ++stats_.guaranteed_inserts;
-        stats_.partition_pieces += p.pieces.size();
-        arrivals_this_epoch_ += static_cast<double>(p.pieces.size());
-        if (p.partitioned) {
-          obs::trace_event(obs::partition_expand_event(
-              now, static_cast<int>(p.pieces.size()),
-              static_cast<int>(blocker_count)));
-        }
-        // Amortize the batch channel occupation over its pieces so the
-        // per-insert op-latency samples still sum to the channel time.
-        Duration amortized = static_cast<Duration>(
-            static_cast<std::uint64_t>(bresult.latency) * p.pieces.size() /
-            all_pieces.size());
-        record_rit(done - now, amortized);
-        batch.complete(run[p.run_pos], done, true);
-      } else {
-        // Defensive only (capacity and duplicate ids are pre-checked): a
-        // piece was rejected mid-batch. Roll this rule's landed siblings
-        // back out of the shadow slice and fall back to the main table.
-        std::vector<net::RuleId> landed_ids;
-        for (std::size_t j = p.first_piece; j < std::min(end, landed); ++j)
-          landed_ids.push_back(all_pieces[j].id);
-        asic_.submit_batch_delete(now, kShadow, landed_ids);
-        ++stats_.violations;
-        fallback.push_back(p.run_pos);
-        fallback_violation.push_back(false);
-      }
-    }
-    barrier = std::max(barrier, done);
-  }
+}
 
-  // Deferred main-table fallbacks, in batch order. Each one runs
-  // repartition_shadow_overlaps, which restores joint-table equivalence
-  // for any shadow rule the new main rule masks.
-  for (std::size_t f = 0; f < fallback.size(); ++f) {
-    const std::size_t pos = fallback[f];
-    const net::Rule& rule = rules[pos];
-    Time done = insert_to_main(now, rule, fallback_violation[f]);
-    batch.complete(run[pos], done, store_.contains(rule.id));
-    barrier = std::max(barrier, done);
+Time HermesAgent::rollback_exhausted(Time at,
+                                     const std::vector<net::RuleId>& landed) {
+  for (net::RuleId pid : landed) {
+    if (const net::Rule* piece = asic_.slice(kShadow).find_ptr(pid))
+      shadow_index_.erase(pid, piece->match);
   }
-  return barrier;
+  ++stats_.violations;
+  return std::max(at, asic_.submit_batch_delete(at, kShadow, landed));
 }
 
 Time HermesAgent::insert(Time now, const net::Rule& rule) {
@@ -378,104 +421,48 @@ Time HermesAgent::insert(Time now, const net::Rule& rule) {
   if (store_.contains(rule.id)) return modify(now, rule);
   ++stats_.inserts;
 
-  const tcam::TcamTable& shadow = asic_.slice(kShadow);
-  const tcam::TcamTable& main = asic_.slice(kMain);
-  RouteContext ctx;
-  ctx.shadow_free = shadow.capacity() - shadow.occupancy();
-  ctx.pieces_needed = 1;  // provisional; refined after partitioning
-  ctx.main_min_priority = main_min_priority();
-  ctx.main_empty = main.empty();
-  ctx.main_full = main.full();
-
+  RouteContext ctx = route_context();
   Route route = gate_keeper_->route_insert(now, rule, ctx);
   if (route != Route::kGuaranteed) {
     return insert_to_main(now, rule,
                           /*count_violation=*/route == Route::kMainShadowFull);
   }
-
-  PartitionResult partition =
-      partition_new_rule(rule, main_index_, config_.merge_partitions);
-  if (partition.redundant) {
-    // Figure 5 (a): the rule could never match; record it (with its
-    // blockers) so a later blocker deletion can materialize it.
-    ++stats_.redundant_inserts;
-    std::vector<net::RuleId> blockers;
-    for (net::RuleId pid : partition.cut_against)
-      if (auto lid = store_.logical_of(pid)) blockers.push_back(*lid);
-    store_.add(LogicalRule{rule, Placement::kMain, {}, true,
-                           std::move(blockers)});
-    record_rit(0, 0);
-    return now;  // handled entirely in agent software
+  InsertPlan plan = plan_insert(rule);
+  switch (fit_shadow(rule, plan, ctx.shadow_free)) {
+    case ShadowFit::kRedundant:
+      return now;
+    case ShadowFit::kOverflow:
+      return insert_to_main(now, rule, /*count_violation=*/false);
+    case ShadowFit::kFits:
+      break;
   }
-  if (static_cast<int>(partition.pieces.size()) > ctx.shadow_free) {
-    // Shadow cannot absorb the pieces: guarantee missed, fall back.
-    ++stats_.violations;
-    return insert_to_main(now, rule, /*count_violation=*/false);
-  }
-  return insert_guaranteed(now, rule, std::move(partition));
+  return insert_guaranteed(now, rule, std::move(plan));
 }
 
 Time HermesAgent::insert_guaranteed(Time now, const net::Rule& rule,
-                                    PartitionResult partition) {
-  std::vector<net::Rule> pieces;
-  bool partitioned = !(partition.pieces.size() == 1 &&
-                       partition.pieces[0] == rule.match);
-  if (!partitioned) {
-    pieces.push_back(rule);  // keep the controller's id for the 1:1 case
-  } else {
-    pieces = materialize_partitions(rule, partition, piece_id_counter_);
-    piece_id_counter_ += pieces.size();
-  }
-
+                                    InsertPlan plan) {
+  const std::vector<net::Rule> pieces =
+      mint_pieces(rule, plan, /*keep_uncut_id=*/true);
   Time completion = now;
   Duration op_latency = 0;
   Duration worst_piece = 0;
-  std::vector<net::RuleId> piece_ids;
-  piece_ids.reserve(pieces.size());
-  bool exhausted = false;
+  std::vector<net::RuleId> landed;
+  landed.reserve(pieces.size());
   for (const net::Rule& piece : pieces) {
     RetriedInsert r = submit_insert_with_retry(now, kShadow, piece);
     completion = r.completion;
     op_latency += r.total_latency;
     worst_piece = std::max(worst_piece, r.total_latency);
     // Only a fault plan can fail a piece here (capacity is pre-checked and
-    // piece ids are unique); fault-free, every piece lands as before.
+    // piece ids are unique). Its retries ran dry: undo the landed siblings
+    // and fall through to main.
     if (!r.last.ok && asic_.fault_plan() != nullptr) {
-      exhausted = true;
-      break;
+      return insert_to_main(rollback_exhausted(completion, landed), rule,
+                            /*count_violation=*/false, /*arrival=*/now);
     }
-    piece_ids.push_back(piece.id);
+    landed.push_back(piece.id);
   }
-
-  if (exhausted) {
-    // Retries ran dry on the shadow slice: undo the landed siblings and
-    // fall through to the main table. The guarantee is missed.
-    for (net::RuleId pid : piece_ids) {
-      if (const net::Rule* p = asic_.slice(kShadow).find_ptr(pid))
-        shadow_index_.erase(pid, p->match);
-    }
-    completion =
-        std::max(completion,
-                 asic_.submit_batch_delete(completion, kShadow, piece_ids));
-    ++stats_.violations;
-    return insert_to_main(completion, rule, /*count_violation=*/false,
-                          /*arrival=*/now);
-  }
-  std::vector<net::RuleId> blockers;
-  for (net::RuleId pid : partition.cut_against)
-    if (auto lid = store_.logical_of(pid)) blockers.push_back(*lid);
-  const std::size_t blocker_count = blockers.size();
-  store_.add(LogicalRule{rule, Placement::kShadow, std::move(piece_ids),
-                         partitioned, std::move(blockers)});
-
-  ++stats_.guaranteed_inserts;
-  stats_.partition_pieces += pieces.size();
-  arrivals_this_epoch_ += static_cast<double>(pieces.size());
-  if (partitioned) {
-    obs::trace_event(obs::partition_expand_event(
-        now, static_cast<int>(pieces.size()),
-        static_cast<int>(blocker_count)));
-  }
+  commit_shadow(now, rule, std::move(landed), std::move(plan));
 
   // The guarantee is per control-plane ACTION on the TCAM: a partitioned
   // insert is several actions, each individually bounded by the shadow
@@ -497,7 +484,7 @@ Time HermesAgent::insert_to_main(Time now, const net::Rule& rule,
     ++stats_.failed_ops;
     return completion;
   }
-  store_.add(LogicalRule{rule, Placement::kMain, {rule.id}, false, {}});
+  store_.add(LogicalRule{rule, Placement::kMain, {rule.id}, {}});
   ++stats_.main_inserts;
   if (count_violation) ++stats_.violations;
   record_rit(completion - (arrival >= 0 ? arrival : now), r.total_latency);
@@ -599,74 +586,70 @@ void HermesAgent::repartition_logical(Time now, net::RuleId logical_id) {
   LogicalRule* lr = store_.find_mutable(logical_id);
   if (!lr) return;
   const Placement placement = lr->placement;
+  const int slice = placement == Placement::kShadow ? kShadow : kMain;
   const net::Rule original = lr->original;
   const std::vector<net::RuleId> old_pieces = lr->physical_ids;
-
-  PartitionResult partition = partition_new_rule(
-      original, main_index_, config_.merge_partitions);
-  std::vector<net::RuleId> blockers;
-  for (net::RuleId pid : partition.cut_against)
-    if (auto lid = store_.logical_of(pid)) blockers.push_back(*lid);
+  InsertPlan plan = plan_insert(original);
 
   // No-op fast path: if the recomputed cover equals the installed one,
   // only refresh the dependency edges — no TCAM churn. (Without this,
   // repeated triggers — e.g. a rule repeatedly skipped by migration —
   // would delete and reinsert identical pieces forever.)
   {
-    const tcam::TcamTable& table =
-        asic_.slice(placement == Placement::kShadow ? kShadow : kMain);
+    const tcam::TcamTable& table = asic_.slice(slice);
     std::vector<net::Prefix> current;
     current.reserve(old_pieces.size());
     for (net::RuleId pid : old_pieces)
       if (const net::Rule* rule = table.find_ptr(pid))
         current.push_back(rule->match);
-    std::vector<net::Prefix> target = partition.pieces;
+    std::vector<net::Prefix> target = plan.partition.pieces;
     std::sort(current.begin(), current.end());
     std::sort(target.begin(), target.end());
     if (current == target && current.size() == old_pieces.size()) {
       store_.rebind(logical_id, placement, old_pieces,
-                    lr->partitioned, std::move(blockers));
+                    std::move(plan.blockers));
       return;
     }
   }
 
-  std::vector<net::Rule> new_pieces;
-  if (!partition.redundant) {
-    new_pieces =
-        materialize_partitions(original, partition, piece_id_counter_);
-    piece_id_counter_ += new_pieces.size();
-  }
-
   // Insert the replacement pieces first, then delete the old ones: at
   // every instant each packet matches either the old or the new cover.
+  // That needs room for both covers at once; a shadow without it moves
+  // the rule to main instead, as a migration would.
+  const tcam::TcamTable& table = asic_.slice(slice);
+  const bool to_main =
+      placement == Placement::kShadow &&
+      static_cast<int>(plan.partition.pieces.size()) >
+          table.capacity() - table.occupancy();
+  const std::vector<net::Rule> new_pieces =
+      mint_pieces(original, plan, /*keep_uncut_id=*/false);
   std::vector<net::RuleId> new_ids;
   new_ids.reserve(new_pieces.size());
   for (const net::Rule& piece : new_pieces) {
-    RetriedInsert r = submit_insert_with_retry(
-        now, placement == Placement::kShadow ? kShadow : kMain, piece);
-    // Fault-free the push is unconditional (an organic failure cannot
-    // happen here); under a fault plan a piece whose retries ran dry is
-    // dropped from the cover and counted as a failed op.
-    if (r.last.ok || asic_.fault_plan() == nullptr) {
+    RetriedInsert r =
+        submit_insert_with_retry(now, to_main ? kMain : slice, piece);
+    // A piece the table still rejects (retries ran dry, or the table is
+    // full) is dropped from the cover and counted as a failed op.
+    if (r.last.ok) {
       new_ids.push_back(piece.id);
     } else {
       ++stats_.failed_ops;
     }
   }
   for (net::RuleId pid : old_pieces) {
-    if (placement == Placement::kShadow) {
-      if (auto rule = asic_.slice(kShadow).find(pid))
+    if (auto rule = asic_.slice(slice).find(pid)) {
+      if (placement == Placement::kShadow) {
         submit_shadow_delete(now, pid, rule->match);
-    } else {
-      if (auto rule = asic_.slice(kMain).find(pid))
+      } else {
         submit_main_delete(now, pid, rule->match);
+      }
     }
   }
-  store_.rebind(logical_id, placement, std::move(new_ids),
-                !partition.redundant &&
-                    !(partition.pieces.size() == 1 &&
-                      partition.pieces[0] == original.match),
-                std::move(blockers));
+  store_.rebind(logical_id, to_main ? Placement::kMain : placement,
+                std::move(new_ids), std::move(plan.blockers));
+  // From main the rule can be masked by lower-priority shadow rules (the
+  // mirror of Figure 4): cut them, as insert_to_main() does.
+  if (to_main) repartition_shadow_overlaps(now, original);
 }
 
 // --- Physical mutation helpers -------------------------------------------------

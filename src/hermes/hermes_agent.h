@@ -202,9 +202,43 @@ class HermesAgent {
   static constexpr int kShadow = 0;
   static constexpr int kMain = 1;
 
-  // --- Gate Keeper path helpers (hermes_agent.cpp) ------------------------
-  Time insert_guaranteed(Time now, const net::Rule& rule,
-                         PartitionResult partition);
+  // --- The insert planner (hermes_agent.cpp) ------------------------------
+  /// Algorithm 1 for one rule against the main table, plus its half of the
+  /// mapping set M. Every path that binds a rule for the shadow plans
+  /// through plan_insert(): insert(), flush_insert_run(), run_migration(),
+  /// reconcile() and repartition_logical().
+  struct InsertPlan {
+    PartitionResult partition;
+    bool cut = false;  ///< the pieces differ from the rule's own match
+    /// Logical ids of the main rules that cut (or covered) the rule.
+    std::vector<net::RuleId> blockers;
+  };
+  InsertPlan plan_insert(const net::Rule& rule) const;
+  /// The plan's physical pieces. With `keep_uncut_id` (fresh and
+  /// reconciled shadow rules) an uncut rule keeps the controller's id;
+  /// otherwise (migration, un-partitioning) every piece gets a fresh id.
+  /// A redundant plan yields no pieces.
+  std::vector<net::Rule> mint_pieces(const net::Rule& rule,
+                                     const InsertPlan& plan,
+                                     bool keep_uncut_id);
+
+  // --- Gate Keeper path, shared by insert() and flush_insert_run() ---------
+  RouteContext route_context() const;
+  enum class ShadowFit { kRedundant, kOverflow, kFits };
+  /// kRedundant: the rule is recorded software-only (Figure 5 (a)) and is
+  /// done. kOverflow: its pieces need more than `shadow_free` slots; the
+  /// violation is counted and the caller falls back to main. kFits: the
+  /// caller mints and writes the pieces.
+  ShadowFit fit_shadow(const net::Rule& rule, InsertPlan& plan,
+                       int shadow_free);
+  /// Records a guaranteed insert whose shadow pieces all landed.
+  void commit_shadow(Time now, const net::Rule& rule,
+                     std::vector<net::RuleId> piece_ids, InsertPlan plan);
+  /// A rule's shadow write ran out of retries at `at`: deletes its
+  /// `landed` sibling pieces and counts the missed guarantee. Returns when
+  /// the main-table fallback may start.
+  Time rollback_exhausted(Time at, const std::vector<net::RuleId>& landed);
+  Time insert_guaranteed(Time now, const net::Rule& rule, InsertPlan plan);
   /// Applies one maximal run of fresh inserts from `batch` (indices in
   /// `run`, batch order) through the batched guaranteed path.
   Time flush_insert_run(Time now, net::FlowModBatch& batch,
@@ -223,10 +257,20 @@ class HermesAgent {
     tcam::ApplyResult last;      ///< outcome of the final attempt
     Duration total_latency = 0;  ///< channel occupation across attempts
     Time completion = 0;
-    int attempts = 1;
   };
   RetriedInsert submit_insert_with_retry(Time now, int slice,
                                          const net::Rule& rule);
+  /// The batch form: `rules` written as one optimized batch, the
+  /// un-landed suffix of a truncated batch re-submitted with the same
+  /// capped backoff. Without a fault plan this is exactly one batch write;
+  /// an empty batch writes nothing and completes at `now`.
+  struct LandedBatch {
+    std::size_t landed = 0;           ///< rules landed (a prefix)
+    Time completion = 0;              ///< when the last attempt completed
+    std::vector<Duration> latencies;  ///< channel occupation per attempt
+  };
+  LandedBatch land_batch(Time now, int slice,
+                         const std::vector<net::Rule>& rules);
   void note_retry(Time at, int slice, int attempt);
 
   /// Applies pending scheduled resets and, if the ASIC rebooted since we
@@ -254,7 +298,6 @@ class HermesAgent {
   Time submit_main_delete(Time now, net::RuleId id, const net::Prefix& match);
 
   int main_min_priority() const;
-  net::RuleId next_piece_id() { return piece_id_counter_++; }
   void record_rit(Duration sojourn, Duration op_latency) {
     rit_samples_.push_back(sojourn);
     op_latency_samples_.push_back(op_latency);

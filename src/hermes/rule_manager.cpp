@@ -167,28 +167,14 @@ Time HermesAgent::run_migration(Time now, int max_rules) {
     net::RuleId lid;
     std::vector<net::Rule> pieces;
     std::vector<net::RuleId> blockers;
-    bool partitioned = false;
   };
   std::vector<Planned> plan;
   plan.reserve(shadow_lids.size());
   for (net::RuleId lid : shadow_lids) {
-    const LogicalRule* lr = store_.find(lid);
-    PartitionResult partition = partition_new_rule(
-        lr->original, main_index_, config_.merge_partitions);
-    Planned item;
-    item.lid = lid;
-    if (!partition.redundant) {
-      bool unchanged = partition.pieces.size() == 1 &&
-                       partition.pieces[0] == lr->original.match;
-      item.partitioned = !unchanged;
-      item.pieces = materialize_partitions(lr->original, partition,
-                                           piece_id_counter_);
-      piece_id_counter_ += item.pieces.size();
-    }
-    for (net::RuleId pid : partition.cut_against)
-      if (auto blocker = store_.logical_of(pid))
-        item.blockers.push_back(*blocker);
-    plan.push_back(std::move(item));
+    const net::Rule& original = store_.find(lid)->original;
+    InsertPlan p = plan_insert(original);
+    plan.push_back({lid, mint_pieces(original, p, /*keep_uncut_id=*/false),
+                    std::move(p.blockers)});
   }
 
   // Step 3: write the optimized rules into the main table as one batch
@@ -301,9 +287,8 @@ Time HermesAgent::run_migration(Time now, int max_rules) {
     std::vector<net::RuleId> new_ids;
     new_ids.reserve(item.pieces.size());
     for (const net::Rule& piece : item.pieces) new_ids.push_back(piece.id);
-    bool partitioned = item.partitioned || item.pieces.empty();
     store_.rebind(item.lid, Placement::kMain, std::move(new_ids),
-                  partitioned, std::move(item.blockers));
+                  std::move(item.blockers));
     ++stats_.rules_migrated;
     stats_.pieces_migrated += item.pieces.size();
     pieces_this_run += item.pieces.size();
@@ -370,32 +355,6 @@ Time HermesAgent::reconcile(Time now) {
   main_index_.clear();
   shadow_index_.clear();
 
-  auto batch_insert_with_retry = [&](Time at, int slice,
-                                     const std::vector<net::Rule>& rules,
-                                     Time* completion) -> std::size_t {
-    if (rules.empty()) {
-      *completion = at;
-      return 0;
-    }
-    tcam::Asic::BatchResult result;
-    Time batch_done = asic_.submit_batch_insert(at, slice, rules, &result);
-    std::size_t landed = static_cast<std::size_t>(result.inserted);
-    Duration backoff = kInsertRetryBackoff;
-    for (int attempt = 1;
-         attempt <= kInsertRetryLimit && landed < rules.size(); ++attempt) {
-      Time t = batch_done + backoff;
-      note_retry(t, slice, attempt);
-      std::vector<net::Rule> rest(
-          rules.begin() + static_cast<std::ptrdiff_t>(landed), rules.end());
-      tcam::Asic::BatchResult r2;
-      batch_done = asic_.submit_batch_insert(t, slice, rest, &r2);
-      landed += static_cast<std::size_t>(r2.inserted);
-      backoff = std::min(backoff * 2, kInsertRetryBackoffCap);
-    }
-    *completion = batch_done;
-    return landed;
-  };
-
   // 1. Purge physical entries no logical rule claims, then classify each
   //    placed rule as intact (all pieces present: reindex) or damaged
   //    (purge the surviving partial cover, reinstall below).
@@ -447,15 +406,13 @@ Time HermesAgent::reconcile(Time now) {
   main_batch.reserve(damaged_main.size());
   for (net::RuleId lid : damaged_main)
     main_batch.push_back(store_.find(lid)->original);
-  Time main_done = now;
-  std::size_t main_landed =
-      batch_insert_with_retry(now, kMain, main_batch, &main_done);
-  done = std::max(done, main_done);
+  LandedBatch main_land = land_batch(now, kMain, main_batch);
+  done = std::max(done, main_land.completion);
   for (std::size_t i = 0; i < damaged_main.size(); ++i) {
     net::RuleId lid = damaged_main[i];
-    if (i < main_landed) {
+    if (i < main_land.landed) {
       main_index_.insert(main_batch[i]);
-      store_.rebind(lid, Placement::kMain, {main_batch[i].id}, false, {});
+      store_.rebind(lid, Placement::kMain, {main_batch[i].id}, {});
       ++rules_reinstalled;
       ++pieces_reinstalled;
     } else {
@@ -476,7 +433,6 @@ Time HermesAgent::reconcile(Time now) {
     net::RuleId lid;
     std::size_t begin = 0;
     std::size_t end = 0;
-    bool partitioned = false;
     std::vector<net::RuleId> blockers;
   };
   std::vector<net::Rule> shadow_batch;
@@ -485,23 +441,19 @@ Time HermesAgent::reconcile(Time now) {
                     asic_.slice(kShadow).occupancy();
   for (net::RuleId lid : damaged_shadow) {
     const net::Rule original = store_.find(lid)->original;
-    PartitionResult partition =
-        partition_new_rule(original, main_index_, config_.merge_partitions);
-    std::vector<net::RuleId> blockers;
-    for (net::RuleId pid : partition.cut_against)
-      if (auto blid = store_.logical_of(pid)) blockers.push_back(*blid);
-    if (partition.redundant) {
+    InsertPlan plan = plan_insert(original);
+    if (plan.partition.redundant) {
       // Fully masked by what survived/reinstalled in main: keep it as a
       // software-only record, like a redundant insert.
-      store_.rebind(lid, Placement::kMain, {}, true, std::move(blockers));
+      store_.rebind(lid, Placement::kMain, {}, std::move(plan.blockers));
       continue;
     }
-    if (static_cast<int>(partition.pieces.size()) > shadow_free) {
+    if (static_cast<int>(plan.partition.pieces.size()) > shadow_free) {
       // No shadow room post-reset: demote the rule whole into main.
       RetriedInsert r = submit_insert_with_retry(now, kMain, original);
       done = std::max(done, r.completion);
       if (r.last.ok) {
-        store_.rebind(lid, Placement::kMain, {original.id}, false, {});
+        store_.rebind(lid, Placement::kMain, {original.id}, {});
         ++rules_reinstalled;
         ++pieces_reinstalled;
       } else {
@@ -511,31 +463,19 @@ Time HermesAgent::reconcile(Time now) {
       }
       continue;
     }
-    shadow_free -= static_cast<int>(partition.pieces.size());
-    Span span;
-    span.lid = lid;
-    span.begin = shadow_batch.size();
-    span.partitioned = !(partition.pieces.size() == 1 &&
-                         partition.pieces[0] == original.match);
-    std::vector<net::Rule> pieces;
-    if (!span.partitioned) {
-      pieces.push_back(original);
-    } else {
-      pieces = materialize_partitions(original, partition, piece_id_counter_);
-      piece_id_counter_ += pieces.size();
-    }
+    std::vector<net::Rule> pieces =
+        mint_pieces(original, plan, /*keep_uncut_id=*/true);
+    shadow_free -= static_cast<int>(pieces.size());
+    spans.push_back({lid, shadow_batch.size(),
+                     shadow_batch.size() + pieces.size(),
+                     std::move(plan.blockers)});
     shadow_batch.insert(shadow_batch.end(), pieces.begin(), pieces.end());
-    span.end = shadow_batch.size();
-    span.blockers = std::move(blockers);
-    spans.push_back(std::move(span));
   }
-  Time shadow_done = now;
-  std::size_t shadow_landed =
-      batch_insert_with_retry(now, kShadow, shadow_batch, &shadow_done);
-  done = std::max(done, shadow_done);
+  LandedBatch shadow_land = land_batch(now, kShadow, shadow_batch);
+  done = std::max(done, shadow_land.completion);
   std::vector<net::RuleId> partial;  // landed pieces of a straddling span
   for (Span& span : spans) {
-    if (span.end <= shadow_landed) {
+    if (span.end <= shadow_land.landed) {
       std::vector<net::RuleId> ids;
       ids.reserve(span.end - span.begin);
       for (std::size_t i = span.begin; i < span.end; ++i) {
@@ -545,10 +485,10 @@ Time HermesAgent::reconcile(Time now) {
       pieces_reinstalled += ids.size();
       ++rules_reinstalled;
       store_.rebind(span.lid, Placement::kShadow, std::move(ids),
-                    span.partitioned, std::move(span.blockers));
+                    std::move(span.blockers));
     } else {
-      for (std::size_t i = span.begin; i < std::min(span.end, shadow_landed);
-           ++i)
+      for (std::size_t i = span.begin;
+           i < std::min(span.end, shadow_land.landed); ++i)
         partial.push_back(shadow_batch[i].id);
       store_.remove(span.lid);
       ++stats_.reconcile_rules_lost;

@@ -50,14 +50,12 @@ std::vector<net::RuleId> RuleStore::dependents_of(
 
 void RuleStore::rebind(net::RuleId logical_id, Placement placement,
                        std::vector<net::RuleId> physical_ids,
-                       bool partitioned,
                        std::vector<net::RuleId> cut_against) {
   auto it = logical_.find(logical_id);
   assert(it != logical_.end());
   unlink(it->second);
   it->second.placement = placement;
   it->second.physical_ids = std::move(physical_ids);
-  it->second.partitioned = partitioned;
   it->second.cut_against = std::move(cut_against);
   link(it->second);
 }

@@ -29,9 +29,6 @@ struct LogicalRule {
   /// Physical rule ids realizing this logical rule (== {original.id} when
   /// unpartitioned; partition piece ids otherwise).
   std::vector<net::RuleId> physical_ids;
-  /// True when physical rules differ from the original match (Algorithm 1
-  /// cut the rule).
-  bool partitioned = false;
   /// Logical ids of main-resident rules this rule was cut against.
   std::vector<net::RuleId> cut_against;
 };
@@ -59,7 +56,7 @@ class RuleStore {
   /// Rebinds a logical rule's physical pieces (e.g. after re-partitioning
   /// or migration). Updates the physical->logical map and dependency edges.
   void rebind(net::RuleId logical_id, Placement placement,
-              std::vector<net::RuleId> physical_ids, bool partitioned,
+              std::vector<net::RuleId> physical_ids,
               std::vector<net::RuleId> cut_against);
 
   std::size_t size() const { return logical_.size(); }

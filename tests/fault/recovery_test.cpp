@@ -9,6 +9,7 @@
 #include "baselines/plain_switch.h"
 #include "fault/fault_plan.h"
 #include "hermes/hermes_agent.h"
+#include "net/flow_mod_batch.h"
 #include "tcam/switch_model.h"
 
 namespace hermes::core {
@@ -94,6 +95,37 @@ TEST(AgentRecovery, ExhaustionFallsThroughToMain) {
     EXPECT_EQ(agent.store().find(1 + i)->placement, Placement::kMain);
   }
   EXPECT_EQ(port_at(agent, "10.1.2.3"), 3);
+}
+
+TEST(AgentRecovery, BatchExhaustionFallsThroughAfterTheLastAttempt) {
+  // The batched form of the test above: one shadow batch burns the whole
+  // retry budget. Each rule's main-table fallback starts only once the
+  // last failed attempt has completed, and its RIT runs from arrival —
+  // the per-op path's semantics.
+  fault::FaultPlan plan(slice_probs(1.0, 0.0));
+  HermesAgent agent(tcam::pica8_p3290(), 2000, test_config());
+  agent.asic().set_fault_plan(&plan);
+
+  net::FlowModBatch batch;
+  batch.insert(make_rule(1, 10, "10.0.0.0/8", 1));
+  batch.insert(make_rule(2, 10, "11.0.0.0/8", 2));
+  agent.handle_batch(0, batch);
+
+  EXPECT_EQ(agent.stats().retries,
+            static_cast<std::uint64_t>(HermesAgent::kInsertRetryLimit));
+  EXPECT_EQ(agent.stats().violations, 2u);
+  EXPECT_EQ(agent.shadow_occupancy(), 0);
+  EXPECT_EQ(agent.main_occupancy(), 2);
+  const Time gave_up = agent.asic().busy_until(kShadowSlice);
+  ASSERT_EQ(agent.rit_samples().size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch.result(i).status, net::ModStatus::kApplied);
+    EXPECT_GE(batch.result(i).completion, gave_up) << "mod " << i;
+    EXPECT_EQ(agent.rit_samples()[i], batch.result(i).completion)
+        << "mod " << i;
+  }
+  EXPECT_EQ(port_at(agent, "10.1.2.3"), 1);
+  EXPECT_EQ(port_at(agent, "11.1.2.3"), 2);
 }
 
 TEST(AgentRecovery, MigrationRequeuesAndLaterSucceeds) {

@@ -228,5 +228,36 @@ TEST(AgentEdge, LookupAcrossSlicesAfterPartialMigration) {
   }
 }
 
+TEST(AgentEdge, RepartitionIntoAFullShadowMovesTheRuleToMain) {
+  // A full shadow cannot hold a rule's new cover next to its old one. When
+  // a main insert cuts that rule, the rule moves to main instead of losing
+  // the pieces the shadow would reject.
+  HermesConfig config = test_config();
+  config.shadow_capacity = 4;
+  HermesAgent agent(tcam::pica8_p3290(), 2000, config);
+  for (int i = 1; i <= 4; ++i)
+    agent.insert(0, make_rule(static_cast<net::RuleId>(i), 10,
+                              std::to_string(9 + i) + ".0.0.0/8", i));
+  ASSERT_EQ(agent.shadow_occupancy(), agent.shadow_capacity());
+
+  // The shadow is full, so this rule lands in main and cuts rule 1 in two.
+  agent.insert(from_millis(1), make_rule(5, 50, "10.64.0.0/10", 5));
+  ASSERT_EQ(agent.store().find(5)->placement, Placement::kMain);
+  EXPECT_EQ(agent.store().find(1)->placement, Placement::kMain);
+  EXPECT_EQ(agent.store().find(1)->physical_ids.size(), 2u);
+  EXPECT_EQ(agent.shadow_occupancy(), 3);
+  EXPECT_EQ(agent.stats().failed_ops, 0u);
+  EXPECT_EQ(port_at(agent, "10.1.2.3"), 1);
+  EXPECT_EQ(port_at(agent, "10.200.0.1"), 1);
+  EXPECT_EQ(port_at(agent, "10.64.0.1"), 5);
+  for (int i = 2; i <= 4; ++i)
+    EXPECT_EQ(port_at(agent, std::to_string(9 + i) + ".1.2.3"), i);
+
+  // The blocker was recorded: deleting it un-partitions rule 1 in main.
+  agent.erase(from_millis(2), 5);
+  EXPECT_EQ(agent.store().find(1)->physical_ids.size(), 1u);
+  EXPECT_EQ(port_at(agent, "10.64.0.1"), 1);
+}
+
 }  // namespace
 }  // namespace hermes::core

@@ -7,6 +7,7 @@
 #include <random>
 #include <stdexcept>
 
+#include "net/flow_mod_batch.h"
 #include "tcam/switch_model.h"
 
 namespace hermes::core {
@@ -392,15 +393,38 @@ TEST(HermesAgent, Equation2RateIsPositiveAndFinite) {
 // two tables must behave exactly like one monolithic table. The reference
 // oracle keeps the logical rules and resolves lookups by highest priority
 // (priorities are unique per rule so the oracle is deterministic).
-class AgentEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+//
+// Each seed runs twice: once per-op, and once with every step sent as one
+// handle_batch of 1-8 mixed mods, so partitioned multi-piece shadow
+// batches face the same oracle.
+struct OracleRun {
+  std::uint64_t seed = 0;
+  bool batched = false;
+};
+
+// The printed value names the run in ctest: the bare seed for per-op runs.
+void PrintTo(const OracleRun& run, std::ostream* os) {
+  *os << (run.batched ? "batched_" : "") << run.seed;
+}
+
+std::vector<OracleRun> oracle_runs() {
+  std::vector<OracleRun> runs;
+  for (bool batched : {false, true})
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+      runs.push_back({seed, batched});
+  return runs;
+}
+
+class AgentEquivalence : public ::testing::TestWithParam<OracleRun> {};
 
 TEST_P(AgentEquivalence, MatchesMonolithicOracle) {
-  std::mt19937_64 rng(GetParam());
+  const OracleRun run = GetParam();
+  std::mt19937_64 rng(run.seed);
   HermesConfig config = test_config();
   config.shadow_capacity = 48;
   config.epoch = from_millis(10);
   // Exercise both gate keeper paths.
-  config.lowest_priority_optimization = (GetParam() % 2) == 0;
+  config.lowest_priority_optimization = (run.seed % 2) == 0;
   HermesAgent agent(tcam::pica8_p3290(), 4000, config);
 
   std::map<net::RuleId, Rule> reference;
@@ -427,8 +451,8 @@ TEST_P(AgentEquivalence, MatchesMonolithicOracle) {
     }
   };
 
-  for (int step = 0; step < 500; ++step) {
-    now += from_micros(500);
+  // One random control-plane action, applied to the reference at once.
+  auto random_mod = [&]() -> net::FlowMod {
     int op = static_cast<int>(rng() % 10);
     if (op < 6 || reference.empty()) {
       // Insert: short prefixes make overlap (and partitioning) common.
@@ -436,29 +460,38 @@ TEST_P(AgentEquivalence, MatchesMonolithicOracle) {
              Prefix(net::Ipv4Address(static_cast<std::uint32_t>(rng())),
                     static_cast<int>(rng() % 12)),
              net::forward_to(static_cast<int>(rng() % 1000))};
-      agent.insert(now, r);
       reference.emplace(r.id, r);
-    } else if (op < 8) {
-      auto it = reference.begin();
-      std::advance(it, static_cast<std::ptrdiff_t>(
-                           rng() % reference.size()));
-      agent.erase(now, it->first);
+      return {net::FlowModType::kInsert, r};
+    }
+    auto it = reference.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(rng() % reference.size()));
+    if (op < 8) {
+      net::FlowMod del{net::FlowModType::kDelete, Rule{it->first, 0, {}, {}}};
       reference.erase(it);
+      return del;
+    }
+    Rule updated = it->second;
+    if (rng() % 2 == 0) {
+      updated.action = net::forward_to(static_cast<int>(rng() % 1000));
     } else {
-      auto it = reference.begin();
-      std::advance(it, static_cast<std::ptrdiff_t>(
-                           rng() % reference.size()));
-      Rule updated = it->second;
-      if (rng() % 2 == 0) {
-        updated.action = net::forward_to(static_cast<int>(rng() % 1000));
-      } else {
-        updated.match =
-            Prefix(net::Ipv4Address(static_cast<std::uint32_t>(rng())),
-                   static_cast<int>(rng() % 12));
-        updated.priority = next_priority++;
-      }
-      agent.modify(now, updated);
-      it->second = updated;
+      updated.match =
+          Prefix(net::Ipv4Address(static_cast<std::uint32_t>(rng())),
+                 static_cast<int>(rng() % 12));
+      updated.priority = next_priority++;
+    }
+    it->second = updated;
+    return {net::FlowModType::kModify, updated};
+  };
+
+  for (int step = 0; step < 500; ++step) {
+    now += from_micros(500);
+    if (run.batched) {
+      net::FlowModBatch batch;
+      const int mods = 1 + static_cast<int>(rng() % 8);
+      for (int m = 0; m < mods; ++m) batch.push(random_mod());
+      agent.handle_batch(now, batch);
+    } else {
+      agent.handle(now, random_mod());
     }
     agent.tick(now);
     if (step % 25 == 0) check(40);
@@ -470,7 +503,7 @@ TEST_P(AgentEquivalence, MatchesMonolithicOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AgentEquivalence,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+                         ::testing::ValuesIn(oracle_runs()));
 
 }  // namespace
 }  // namespace hermes::core

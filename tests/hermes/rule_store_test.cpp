@@ -16,7 +16,7 @@ Rule make_rule(net::RuleId id, int priority = 1) {
 }
 
 LogicalRule simple(net::RuleId id, Placement placement = Placement::kShadow) {
-  return LogicalRule{make_rule(id), placement, {id}, false, {}};
+  return LogicalRule{make_rule(id), placement, {id}, {}};
 }
 
 TEST(RuleStore, AddAndFind) {
@@ -33,7 +33,6 @@ TEST(RuleStore, PhysicalToLogicalMapping) {
   RuleStore store;
   LogicalRule lr = simple(1);
   lr.physical_ids = {100, 101, 102};
-  lr.partitioned = true;
   store.add(lr);
   EXPECT_EQ(store.logical_of(101), std::optional<net::RuleId>(1));
   EXPECT_EQ(store.logical_of(999), std::nullopt);
@@ -44,7 +43,6 @@ TEST(RuleStore, DependencyEdges) {
   store.add(simple(10, Placement::kMain));  // the blocker
   LogicalRule cut = simple(2);
   cut.cut_against = {10};
-  cut.partitioned = true;
   store.add(cut);
   auto deps = store.dependents_of(10);
   EXPECT_EQ(deps, std::vector<net::RuleId>{2});
@@ -71,16 +69,14 @@ TEST(RuleStore, RebindSwapsPiecesAndEdges) {
   store.add(simple(11, Placement::kMain));
   LogicalRule cut = simple(2);
   cut.physical_ids = {200, 201};
-  cut.partitioned = true;
   cut.cut_against = {10};
   store.add(cut);
 
-  store.rebind(2, Placement::kMain, {300}, false, {11});
+  store.rebind(2, Placement::kMain, {300}, {11});
   const LogicalRule* lr = store.find(2);
   ASSERT_NE(lr, nullptr);
   EXPECT_EQ(lr->placement, Placement::kMain);
   EXPECT_EQ(lr->physical_ids, std::vector<net::RuleId>{300});
-  EXPECT_FALSE(lr->partitioned);
   EXPECT_EQ(store.logical_of(300), std::optional<net::RuleId>(2));
   EXPECT_EQ(store.logical_of(200), std::nullopt);
   EXPECT_TRUE(store.dependents_of(10).empty());

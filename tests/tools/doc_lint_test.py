@@ -84,6 +84,20 @@ class DocLintTest(unittest.TestCase):
                                "see `src/also_gone.h`"))
         self.assertTrue(any("also_gone.h" in e for e in errors))
 
+    def test_glob_path_matching_a_file_passes(self):
+        def add_glob(root):
+            write(root, "DESIGN.md", "see `src/obs/metrics.*`")
+        self.assertEqual(self.lint_tree(add_glob), [])
+
+    def test_glob_path_matching_nothing_fails(self):
+        # A module deleted from under a `src/.../name.*` row: the glob is
+        # checked like any other path, not skipped.
+        errors = self.lint_tree(
+            lambda root: write(root, "DESIGN.md",
+                               "see `src/hermes/no_such_module.*`"))
+        self.assertTrue(
+            any("src/hermes/no_such_module.*" in e for e in errors))
+
     def test_unknown_bench_binary(self):
         errors = self.lint_tree(
             lambda root: write(root, "README.md", "run bench_nonexistent"))

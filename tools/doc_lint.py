@@ -10,7 +10,8 @@ Checks (all of them; exit 1 if any reference is broken):
      DESIGN.md has a source file bench/<name>.cpp.
   2. Every repo-rooted path in backticks (src/..., tests/..., tools/...,
      bench/..., docs/..., examples/...) in those documents exists --
-     trailing "/" means a directory, otherwise a file.
+     trailing "/" means a directory, otherwise a file; a glob (`*`, `?`)
+     must match at least one file.
   3. Every derived-metric name from a gated baseline (each committed
      bench/baselines/BENCH_*.json; tools/bench_gate.py gates exactly
      those) appears literally in EXPERIMENTS.md, so the gated numbers
@@ -55,7 +56,7 @@ BENCH_TOKEN = re.compile(r"\bbench_[a-z0-9_]+\b(?!\.)")
 # part of the tree are considered; `build/...` outputs and bare file
 # names are intentionally out of scope.
 PATH_TOKEN = re.compile(
-    r"`((?:src|tests|tools|bench|docs|examples)/[A-Za-z0-9_.\-/]*)`"
+    r"`((?:src|tests|tools|bench|docs|examples)/[A-Za-z0-9_.\-/*?]*)`"
 )
 
 # The scenario catalog literal in bench/bench_matrix.cpp.
@@ -92,7 +93,10 @@ def lint(root: Path) -> list[str]:
                 errors.append(f"{name}: `{tok}` has no bench/{tok}.cpp")
         for tok in sorted(set(PATH_TOKEN.findall(text))):
             target = root / tok
-            if tok.endswith("/"):
+            if "*" in tok or "?" in tok:
+                if not any(root.glob(tok)):
+                    errors.append(f"{name}: glob `{tok}` matches no file")
+            elif tok.endswith("/"):
                 if not target.is_dir():
                     errors.append(f"{name}: directory `{tok}` does not exist")
             elif not target.exists():
