@@ -1,6 +1,7 @@
 // Hot-path microbenchmark: per-op wall-clock cost of the TCAM bookkeeping
 // primitives that every control-plane action rides on, plus the agent
-// migration drain and a full PlainSwitch backend churn.
+// migration drain, a full PlainSwitch backend churn and the rule cache's
+// aborted promotion closure.
 //
 // Unlike the per-figure harnesses (which report SIMULATED latency from the
 // switch models), this measures REAL nanoseconds of the simulator's own
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <random>
 #include <string>
@@ -23,6 +25,7 @@
 
 #include "hermes/hermes_agent.h"
 #include "baselines/plain_switch.h"
+#include "cache/cache_hierarchy.h"
 #include "report.h"
 #include "tcam/switch_model.h"
 #include "tcam/tcam_table.h"
@@ -292,6 +295,85 @@ void bench_backend(int n) {
          sw.table_stats().inserts + sw.table_stats().deletes, ns);
 }
 
+// Aborted promotion round: a /12 aggregate at priority 1 with
+// `descendants` /32s at priority 9 spread under it, so its dependency
+// closure holds every /32 and always exceeds `closure_limit`. One round =
+// classify an address only the /12 matches (LRU re-queues it on every
+// miss) + a forced promotion round that aborts the closure.
+struct ClosureAbort {
+  explicit ClosureAbort(int descendants)
+      : descendants(descendants), h(tcam::pica8_p3290(), 4096, lru()) {
+    h.handle(0, {net::FlowModType::kInsert,
+                 net::Rule{1, 1, net::Prefix(net::Ipv4Address(kBase), 12),
+                           net::forward_to(1)}});
+    const std::uint32_t step =
+        (1u << 20) / static_cast<std::uint32_t>(descendants);
+    for (int i = 0; i < descendants; ++i) {
+      const std::uint32_t addr =
+          kBase + static_cast<std::uint32_t>(i) * step + 1;
+      h.handle(0, {net::FlowModType::kInsert,
+                   net::Rule{static_cast<net::RuleId>(2 + i), 9,
+                             net::Prefix(net::Ipv4Address(addr), 32),
+                             net::forward_to(2)}});
+    }
+  }
+
+  static cache::CacheConfig lru() {
+    cache::CacheConfig config;
+    config.policy = cache::PolicyKind::kLru;
+    return config;
+  }
+
+  double block_ns(int rounds) {
+    const net::Ipv4Address probe(kBase);  // no /32 sits on offset 0
+    auto start = Clock::now();
+    for (int r = 0; r < rounds; ++r) {
+      h.classify(now, probe);
+      h.flush(now++);
+    }
+    return ns_since(start, static_cast<std::uint64_t>(rounds));
+  }
+
+  static constexpr std::uint32_t kBase = 10u << 24;  // 10.0.0.0/12
+  int descendants;
+  cache::CacheHierarchy h;
+  Time now = 1;
+};
+
+// Closure-abort scaling: the cost of an aborted round with 65,536 /32s
+// under the aggregate divided by the cost with 256. The closure query
+// stops at closure_limit + 1 members, so the ratio should not grow with
+// the number of /32s.
+// The two sizes run in alternating blocks, so drift hits both alike; each
+// is the median over its blocks of ns/round.
+double bench_closure_abort_scaling() {
+  constexpr int kBlocks = 7;
+  constexpr int kRounds = 200;
+  ClosureAbort small(256);
+  ClosureAbort large(65536);
+  std::vector<double> small_ns;
+  std::vector<double> large_ns;
+  for (int b = 0; b < kBlocks; ++b) {
+    small_ns.push_back(small.block_ns(kRounds));
+    large_ns.push_back(large.block_ns(kRounds));
+  }
+  const std::uint64_t total = kBlocks * kRounds;
+  auto median_of = [&](ClosureAbort& run, std::vector<double>& ns) {
+    if (run.h.promotion_aborts() != total) {
+      std::fprintf(stderr, "closure_abort: %llu of %llu rounds aborted\n",
+                   static_cast<unsigned long long>(run.h.promotion_aborts()),
+                   static_cast<unsigned long long>(total));
+      std::exit(1);
+    }
+    std::nth_element(ns.begin(), ns.begin() + ns.size() / 2, ns.end());
+    record("closure_abort", "cache", run.descendants, total,
+           ns[ns.size() / 2]);
+    return ns[ns.size() / 2];
+  };
+  const double small_median = median_of(small, small_ns);
+  return median_of(large, large_ns) / std::max(small_median, 1e-9);
+}
+
 double ns_of(const std::string& op, const std::string& impl, int rules) {
   for (const Row& r : g_rows)
     if (r.op == op && r.impl == impl && r.rules == rules) return r.ns_per_op;
@@ -333,6 +415,9 @@ int main(int argc, char** argv) {
                                                               16384};
   for (int n : agent_sizes) bench_migrate(n);
   for (int n : agent_sizes) bench_backend(n);
+  // Host-time scaling ratio (lower is better). Same sizes and reps in
+  // smoke mode, for the same CI-stability reason as above.
+  const double closure_scaling = bench_closure_abort_scaling();
 
   // Headline indexed-vs-linear ratios at the largest size that ran.
   // Ratios — not raw ns/op — are what CI regression-gates: they are
@@ -348,10 +433,13 @@ int main(int argc, char** argv) {
   rep.derived("find_speedup", find_speedup);
   rep.derived("erase_drain_speedup", drain_speedup);
   rep.derived("erase_insert_speedup", churn_speedup);
+  rep.derived("closure_abort_scaling", closure_scaling);
   std::printf(
       "\nspeedup @%dk rules: find %.1fx, erase (drain) %.1fx, "
-      "erase+insert churn %.1fx\n",
-      top / 1024, find_speedup, drain_speedup, churn_speedup);
+      "erase+insert churn %.1fx\n"
+      "closure abort cost, 65536 vs 256 /32s under the aggregate: %.2fx\n",
+      top / 1024, find_speedup, drain_speedup, churn_speedup,
+      closure_scaling);
   rep.write(out);
   return 0;
 }

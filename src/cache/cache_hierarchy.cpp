@@ -8,6 +8,11 @@
 
 namespace hermes::cache {
 
+namespace {
+constexpr int kMinPriority = std::numeric_limits<int>::min();
+constexpr int kMaxPriority = std::numeric_limits<int>::max();
+}  // namespace
+
 CacheHierarchy::CacheHierarchy(const tcam::SwitchModel& model,
                                int tcam_capacity, CacheConfig config)
     : config_(config),
@@ -229,15 +234,17 @@ int CacheHierarchy::promote_one(Time now, net::RuleId id,
   std::unordered_set<net::RuleId> in_closure{id};
   for (std::size_t i = 0; i < closure.size(); ++i) {
     const net::Rule member = closure[i];
-    for (const net::Rule& s :
-         uncached_index_.overlapping(member.match, member.priority - 1)) {
-      if (!in_closure.insert(s.id).second) continue;
-      closure.push_back(s);
-      if (static_cast<int>(closure.size()) > config_.closure_limit) {
-        ++promotion_aborts_;
-        obs_promotion_aborts_.inc();
-        return 0;
-      }
+    const bool fits = uncached_index_.visit(
+        member.match, member.priority - 1, kMaxPriority,
+        [&](const net::Rule& s) {
+          if (!in_closure.insert(s.id).second) return true;
+          closure.push_back(s);
+          return static_cast<int>(closure.size()) <= config_.closure_limit;
+        });
+    if (!fits) {
+      ++promotion_aborts_;
+      obs_promotion_aborts_.inc();
+      return 0;
     }
   }
   obs_closure_size_.record(closure.size());
@@ -319,12 +326,18 @@ void CacheHierarchy::demote_conflicting(Time now, const net::Rule& rule) {
   // the software rule), and each demotion can expose further conflicts.
   std::vector<net::Rule> frontier{rule};
   std::unordered_set<net::RuleId> seen{rule.id};
+  std::vector<net::Rule> shadowed;
   while (!frontier.empty()) {
     const net::Rule u = frontier.back();
     frontier.pop_back();
-    for (const net::Rule& c : cached_index_.overlapping(
-             u.match, std::numeric_limits<int>::min())) {
-      if (c.priority > u.priority) continue;
+    // Collect first: demoting mutates the index the visit walks.
+    shadowed.clear();
+    cached_index_.visit(u.match, kMinPriority, u.priority,
+                        [&](const net::Rule& c) {
+                          shadowed.push_back(c);
+                          return true;
+                        });
+    for (const net::Rule& c : shadowed) {
       if (!seen.insert(c.id).second) continue;
       auto it = entries_.find(c.id);
       if (it == entries_.end() || !it->second.cached) continue;
@@ -355,14 +368,14 @@ std::vector<net::Rule> CacheHierarchy::demotion_cascade(
   std::unordered_set<net::RuleId> seen{victim.id};
   for (std::size_t i = 0; i < cascade.size(); ++i) {
     const net::Rule member = cascade[i];
-    for (const net::Rule& c : cached_index_.overlapping(
-             member.match, std::numeric_limits<int>::min())) {
-      if (c.priority > member.priority) continue;
-      if (!seen.insert(c.id).second) continue;
-      cascade.push_back(c);
-      if (static_cast<int>(cascade.size()) > config_.closure_limit)
-        return {};
-    }
+    const bool fits = cached_index_.visit(
+        member.match, kMinPriority, member.priority,
+        [&](const net::Rule& c) {
+          if (!seen.insert(c.id).second) return true;
+          cascade.push_back(c);
+          return static_cast<int>(cascade.size()) <= config_.closure_limit;
+        });
+    if (!fits) return {};
   }
   return cascade;
 }
@@ -453,10 +466,10 @@ bool CacheHierarchy::check_invariant() const {
     ++cached_seen;
     if (!asic_.slice(0).contains(id)) return false;
     // No software-only rule at >= priority may overlap a cached rule.
-    for (const net::Rule& s : uncached_index_.overlapping(
-             entry.rule.match, entry.rule.priority - 1)) {
-      if (s.id != id) return false;
-    }
+    if (!uncached_index_.visit(
+            entry.rule.match, entry.rule.priority - 1, kMaxPriority,
+            [id = id](const net::Rule& s) { return s.id == id; }))
+      return false;
   }
   if (cached_seen != cached_count_) return false;
   if (cached_count_ != asic_.slice(0).occupancy()) return false;

@@ -565,17 +565,17 @@ Time HermesAgent::modify(Time now, const net::Rule& rule) {
 
 void HermesAgent::repartition_shadow_overlaps(Time now,
                                               const net::Rule& main_rule) {
-  auto overlapping = shadow_index_.overlapping(
-      main_rule.match, std::numeric_limits<int>::min());
   std::vector<net::RuleId> logicals;
-  for (const net::Rule& piece : overlapping) {
-    if (piece.priority >= main_rule.priority) continue;
-    if (auto lid = store_.logical_of(piece.id)) {
-      if (std::find(logicals.begin(), logicals.end(), *lid) ==
-          logicals.end())
-        logicals.push_back(*lid);
-    }
-  }
+  shadow_index_.visit(
+      main_rule.match, std::numeric_limits<int>::min(),
+      main_rule.priority - 1, [&](const net::Rule& piece) {
+        if (auto lid = store_.logical_of(piece.id)) {
+          if (std::find(logicals.begin(), logicals.end(), *lid) ==
+              logicals.end())
+            logicals.push_back(*lid);
+        }
+        return true;
+      });
   for (net::RuleId lid : logicals) {
     repartition_logical(now, lid);
     ++stats_.repartitions;

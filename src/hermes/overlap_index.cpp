@@ -1,127 +1,104 @@
 #include "hermes/overlap_index.h"
 
 #include <algorithm>
-#include <limits>
+#include <array>
 
 namespace hermes::core {
 
-namespace {
-constexpr int kNoPriority = std::numeric_limits<int>::min();
-}
-
-struct OverlapIndex::Node {
-  std::unique_ptr<Node> child[2];
-  std::vector<net::Rule> rules;  // rules whose match ends exactly here
-  int max_priority = kNoPriority;  // max over rules + both subtrees
-
-  void recompute_max() {
-    max_priority = kNoPriority;
-    for (const net::Rule& r : rules)
-      max_priority = std::max(max_priority, r.priority);
-    for (const auto& c : child)
-      if (c) max_priority = std::max(max_priority, c->max_priority);
-  }
-};
-
-OverlapIndex::OverlapIndex() : root_(std::make_unique<Node>()) {}
-OverlapIndex::~OverlapIndex() = default;
-OverlapIndex::OverlapIndex(OverlapIndex&&) noexcept = default;
-OverlapIndex& OverlapIndex::operator=(OverlapIndex&&) noexcept = default;
-
-namespace {
-
-// Bit i (0 = MSB) of the prefix address.
-int bit_at(const net::Prefix& p, int i) {
-  return (p.address().value() >> (31 - i)) & 1u;
-}
-
-}  // namespace
+OverlapIndex::OverlapIndex() : nodes_(1) {}
 
 void OverlapIndex::insert(const net::Rule& rule) {
-  // Walk/extend the trie along the prefix bits, then fix up cached
-  // priorities on the way back (iteratively, via a parent stack).
-  std::vector<Node*> path;
-  Node* node = root_.get();
-  path.push_back(node);
-  for (int i = 0; i < rule.match.length(); ++i) {
-    int b = bit_at(rule.match, i);
-    if (!node->child[b]) node->child[b] = std::make_unique<Node>();
-    node = node->child[b].get();
-    path.push_back(node);
+  // Walk/extend the trie along the prefix bits, widening each subtree's
+  // priority bounds on the way down.
+  std::uint32_t n = 0;
+  for (int i = 0;; ++i) {
+    Node& node = nodes_[n];
+    node.max_priority = std::max(node.max_priority, rule.priority);
+    node.min_priority = std::min(node.min_priority, rule.priority);
+    if (i == rule.match.length()) break;
+    const int b = bit_at(rule.match, i);
+    if (node.child[b] == 0) {
+      node.child[b] = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.emplace_back();  // invalidates `node`
+    }
+    n = nodes_[n].child[b];
   }
-  node->rules.push_back(rule);
+  std::uint32_t r = free_;
+  if (r == kNil) {
+    r = static_cast<std::uint32_t>(records_.size());
+    records_.push_back({rule, kNil});
+  } else {
+    free_ = records_[r].next;
+    records_[r] = {rule, kNil};
+  }
+  // Append, so a node's rules stay in insertion order.
+  std::uint32_t* link = &nodes_[n].head;
+  while (*link != kNil) link = &records_[*link].next;
+  *link = r;
   ++size_;
-  for (auto it = path.rbegin(); it != path.rend(); ++it)
-    (*it)->recompute_max();
 }
 
 bool OverlapIndex::erase(net::RuleId id, const net::Prefix& match) {
-  std::vector<Node*> path;
-  Node* node = root_.get();
-  path.push_back(node);
-  for (int i = 0; i < match.length(); ++i) {
-    int b = bit_at(match, i);
-    if (!node->child[b]) return false;
-    node = node->child[b].get();
-    path.push_back(node);
+  std::array<std::uint32_t, 33> path{};  // path[0] is the root
+  int depth = 0;
+  for (; depth < match.length(); ++depth) {
+    const std::uint32_t c = nodes_[path[depth]].child[bit_at(match, depth)];
+    if (c == 0) return false;
+    path[depth + 1] = c;
   }
-  auto it = std::find_if(node->rules.begin(), node->rules.end(),
-                         [&](const net::Rule& r) { return r.id == id; });
-  if (it == node->rules.end()) return false;
-  node->rules.erase(it);
+  std::uint32_t* link = &nodes_[path[depth]].head;
+  while (*link != kNil && records_[*link].rule.id != id)
+    link = &records_[*link].next;
+  if (*link == kNil) return false;
+  const std::uint32_t r = *link;
+  *link = records_[r].next;
+  records_[r].next = free_;
+  free_ = r;
   --size_;
-  for (auto pit = path.rbegin(); pit != path.rend(); ++pit)
-    (*pit)->recompute_max();
+  // Refresh bounds bottom-up. A node's bounds depend only on its own
+  // rules and its children's bounds, so once one node's bounds hold
+  // still, every ancestor's do too.
+  for (; depth >= 0; --depth) {
+    Node& node = nodes_[path[depth]];
+    int hi = std::numeric_limits<int>::min();
+    int lo = std::numeric_limits<int>::max();
+    for (std::uint32_t k = node.head; k != kNil; k = records_[k].next) {
+      hi = std::max(hi, records_[k].rule.priority);
+      lo = std::min(lo, records_[k].rule.priority);
+    }
+    for (std::uint32_t c : node.child) {
+      if (c == 0) continue;
+      hi = std::max(hi, nodes_[c].max_priority);
+      lo = std::min(lo, nodes_[c].min_priority);
+    }
+    if (hi == node.max_priority && lo == node.min_priority) break;
+    node.max_priority = hi;
+    node.min_priority = lo;
+  }
   return true;
-}
-
-void OverlapIndex::collect_subtree(const Node* node, int bound,
-                                   std::vector<net::Rule>& out) {
-  if (!node || node->max_priority <= bound) return;
-  for (const net::Rule& r : node->rules)
-    if (r.priority > bound) out.push_back(r);
-  collect_subtree(node->child[0].get(), bound, out);
-  collect_subtree(node->child[1].get(), bound, out);
 }
 
 std::vector<net::Rule> OverlapIndex::overlapping(
     const net::Prefix& p, int min_priority_exclusive) const {
   std::vector<net::Rule> out;
-  const Node* node = root_.get();
-  // Ancestors (shorter prefixes containing p), including the empty prefix.
-  for (int i = 0;; ++i) {
-    for (const net::Rule& r : node->rules)
-      if (r.priority > min_priority_exclusive) out.push_back(r);
-    if (i >= p.length()) break;
-    const Node* next = node->child[bit_at(p, i)].get();
-    if (!next) return out;  // path ends: no descendants either
-    node = next;
-  }
-  // Descendants: everything below p's node (excluding the node's own
-  // rules, already collected above).
-  collect_subtree(node->child[0].get(), min_priority_exclusive, out);
-  collect_subtree(node->child[1].get(), min_priority_exclusive, out);
+  visit(p, min_priority_exclusive, std::numeric_limits<int>::max(),
+        [&](const net::Rule& r) {
+          out.push_back(r);
+          return true;
+        });
   return out;
 }
 
 bool OverlapIndex::has_overlap_above(const net::Prefix& p,
                                      int min_priority_exclusive) const {
-  const Node* node = root_.get();
-  for (int i = 0;; ++i) {
-    for (const net::Rule& r : node->rules)
-      if (r.priority > min_priority_exclusive) return true;
-    if (i >= p.length()) break;
-    const Node* next = node->child[bit_at(p, i)].get();
-    if (!next) return false;
-    node = next;
-  }
-  // Own rules were screened in the loop, so exceeding the bound here can
-  // only come from descendants.
-  return node->max_priority > min_priority_exclusive;
+  return !visit(p, min_priority_exclusive, std::numeric_limits<int>::max(),
+                [](const net::Rule&) { return false; });
 }
 
 void OverlapIndex::clear() {
-  root_ = std::make_unique<Node>();
+  nodes_.assign(1, Node{});
+  records_.clear();
+  free_ = kNil;
   size_ = 0;
 }
 

@@ -113,6 +113,97 @@ TEST(CacheHierarchy, OversizedClosureAbortsPromotion) {
   EXPECT_TRUE(h.check_invariant());
 }
 
+// The closure and cascade queries stop as soon as a set passes
+// `closure_limit`; these four pin both sides of each stop.
+
+/// A /8 at priority 1 plus `n` higher-priority /32s under it, then one
+/// promotion attempt for the /8 (its closure is the /8 plus every /32).
+void promote_wide_rule(CacheHierarchy& h, int n) {
+  h.handle(0, {FlowModType::kInsert, make_rule(1, 1, "10.0.0.0/8", 1)});
+  for (int i = 0; i < n; ++i)
+    h.handle(0, {FlowModType::kInsert,
+                 make_rule(static_cast<net::RuleId>(2 + i), 9,
+                           "10.0.0." + std::to_string(2 + i) + "/32")});
+  touch(h, 0, addr_of("10.9.9.9"));  // matches only the /8
+  h.flush(from_millis(1));
+}
+
+TEST(CacheHierarchy, ClosureOfExactlyTheLimitIsInstalled) {
+  CacheConfig config = cache_config();
+  config.closure_limit = 4;
+  CacheHierarchy h(tcam::pica8_p3290(), 64, config);
+  promote_wide_rule(h, config.closure_limit - 1);
+  EXPECT_EQ(h.promotion_aborts(), 0u);
+  EXPECT_EQ(h.tcam_occupancy(), config.closure_limit);
+  EXPECT_EQ(h.dependency_violations(), 0u);
+  EXPECT_TRUE(h.check_invariant());
+}
+
+TEST(CacheHierarchy, ClosureOneOverTheLimitAborts) {
+  CacheConfig config = cache_config();
+  config.closure_limit = 4;
+  CacheHierarchy h(tcam::pica8_p3290(), 64, config);
+  promote_wide_rule(h, config.closure_limit);
+  EXPECT_EQ(h.promotion_aborts(), 1u);
+  EXPECT_EQ(h.tcam_occupancy(), 0);
+  EXPECT_TRUE(h.check_invariant());
+}
+
+/// Under LRU, caches a /8 at priority 9 and then `n` lower-priority /32s
+/// under it, oldest first, so the /8 is the LRU victim and its demotion
+/// cascade is itself plus the `n` /32s. A shadowed /32 can only enter
+/// the TCAM in the closure of a wider visible rule: each one rides in
+/// with a default route that is then deleted. Then a two-rule closure
+/// elsewhere needs one slot more than the TCAM (capacity n + 2) has.
+void cascade_from_wide_victim(CacheHierarchy& h, int n) {
+  h.handle(0, {FlowModType::kInsert, make_rule(1, 9, "10.0.0.0/8", 1)});
+  touch(h, 0, addr_of("10.9.9.9"));
+  h.flush(0);
+  net::RuleId next = 2;
+  for (int i = 0; i < n; ++i) {
+    h.handle(0, {FlowModType::kInsert,
+                 make_rule(next++, 5,
+                           "10.0.0." + std::to_string(2 + i) + "/32")});
+    const net::RuleId route = next++;
+    h.handle(0, {FlowModType::kInsert, make_rule(route, 1, "0.0.0.0/0")});
+    touch(h, 0, addr_of("11.1.1.1"));  // matches only the default route
+    h.flush(0);
+    h.handle(0, {FlowModType::kDelete, Rule{route, 0, {}, {}}});
+  }
+  ASSERT_EQ(h.tcam_occupancy(), n + 1);
+  h.handle(0, {FlowModType::kInsert, make_rule(next++, 5, "20.0.0.0/24")});
+  h.handle(0, {FlowModType::kInsert, make_rule(next++, 6, "20.0.0.1/32")});
+  touch(h, 0, addr_of("20.0.0.2"));  // matches only the /24
+  h.flush(from_millis(1));
+}
+
+TEST(CacheHierarchy, CascadeOfExactlyTheLimitIsDemoted) {
+  CacheConfig config = cache_config(PolicyKind::kLru);
+  config.closure_limit = 4;
+  const int n = config.closure_limit - 1;
+  CacheHierarchy h(tcam::pica8_p3290(), n + 2, config);
+  cascade_from_wide_victim(h, n);
+  EXPECT_EQ(h.pins(), 0u);
+  EXPECT_EQ(h.demotions(), static_cast<std::uint64_t>(n + 1));
+  EXPECT_EQ(h.tcam_occupancy(), 2);
+  EXPECT_EQ(h.dependency_violations(), 0u);
+  EXPECT_TRUE(h.check_invariant());
+}
+
+TEST(CacheHierarchy, CascadeOneOverTheLimitPinsTheVictim) {
+  CacheConfig config = cache_config(PolicyKind::kLru);
+  config.closure_limit = 4;
+  const int n = config.closure_limit;
+  CacheHierarchy h(tcam::pica8_p3290(), n + 2, config);
+  cascade_from_wide_victim(h, n);
+  EXPECT_EQ(h.pins(), 1u);
+  // The next LRU victim, the oldest /32, leaves alone.
+  EXPECT_EQ(h.demotions(), 1u);
+  EXPECT_EQ(h.tcam_occupancy(), n + 2);
+  EXPECT_EQ(h.dependency_violations(), 0u);
+  EXPECT_TRUE(h.check_invariant());
+}
+
 TEST(CacheHierarchy, InsertDemotesConflictingCachedRule) {
   CacheHierarchy h(tcam::pica8_p3290(), 8, cache_config());
   h.handle(0, {FlowModType::kInsert, make_rule(1, 5, "10.2.0.1/32", 1)});

@@ -116,6 +116,42 @@ TEST(OverlapIndex, DefaultRouteOverlapsEverything) {
             1u);
 }
 
+std::vector<net::RuleId> in_order(const std::vector<Rule>& rules) {
+  std::vector<net::RuleId> ids;
+  for (const Rule& r : rules) ids.push_back(r.id);
+  return ids;
+}
+
+// The documented query order over `reference` (kept in insertion order):
+// ancestors of `probe` (including rules on `probe` itself) by ascending
+// length, then descendants by (network address, length) — a pre-order,
+// child-0-first walk of the trie — with same-prefix rules in insertion
+// order.
+std::vector<Rule> reference_order(const std::vector<Rule>& reference,
+                                  const Prefix& probe) {
+  std::vector<Rule> ancestors;
+  std::vector<Rule> descendants;
+  for (const Rule& r : reference) {
+    if (r.match.contains(probe))
+      ancestors.push_back(r);
+    else if (probe.contains(r.match))
+      descendants.push_back(r);
+  }
+  std::stable_sort(ancestors.begin(), ancestors.end(),
+                   [](const Rule& a, const Rule& b) {
+                     return a.match.length() < b.match.length();
+                   });
+  std::stable_sort(descendants.begin(), descendants.end(),
+                   [](const Rule& a, const Rule& b) {
+                     if (a.match.address() != b.match.address())
+                       return a.match.address().value() <
+                              b.match.address().value();
+                     return a.match.length() < b.match.length();
+                   });
+  ancestors.insert(ancestors.end(), descendants.begin(), descendants.end());
+  return ancestors;
+}
+
 // Property: results agree with a brute-force scan over random rule sets
 // under interleaved insert/erase.
 class OverlapIndexProperty : public ::testing::TestWithParam<std::uint64_t> {
@@ -127,11 +163,22 @@ TEST_P(OverlapIndexProperty, MatchesBruteForce) {
   std::vector<Rule> reference;
   net::RuleId next_id = 1;
 
-  for (int step = 0; step < 400; ++step) {
-    if (reference.empty() || rng() % 3 != 0) {
-      Rule r{next_id++, static_cast<int>(rng() % 10),
-             Prefix(net::Ipv4Address(static_cast<std::uint32_t>(rng())),
-                    static_cast<int>(rng() % 17)),  // short => dense overlap
+  for (int step = 0; step < 900; ++step) {
+    // Every third 100-step phase is erase-heavy: it drains most of
+    // what the two before it built, so subtree bounds must shrink
+    // bottom-up, down to an empty trie at times.
+    const bool erase_heavy = step / 100 % 3 == 2;
+    const bool erase = !reference.empty() &&
+                       (erase_heavy ? rng() % 4 != 0 : rng() % 3 == 0);
+    if (!erase) {
+      // A quarter of the inserts reuse a resident prefix, so one node
+      // holds several rules of different priorities.
+      const Prefix match =
+          !reference.empty() && rng() % 4 == 0
+              ? reference[rng() % reference.size()].match
+              : Prefix(net::Ipv4Address(static_cast<std::uint32_t>(rng())),
+                       static_cast<int>(rng() % 17));  // short => dense
+      Rule r{next_id++, static_cast<int>(rng() % 10), match,
              net::forward_to(1)};
       idx.insert(r);
       reference.push_back(r);
@@ -154,6 +201,39 @@ TEST_P(OverlapIndexProperty, MatchesBruteForce) {
     std::sort(expected.begin(), expected.end());
     EXPECT_EQ(ids_of(idx.overlapping(probe, bound)), expected);
     EXPECT_EQ(idx.has_overlap_above(probe, bound), !expected.empty());
+
+    // The order, not just the set: Algorithm 1's cut order and every
+    // cache closure depend on it.
+    std::vector<net::RuleId> ordered;
+    for (const Rule& r : reference_order(reference, probe))
+      if (r.priority > bound) ordered.push_back(r.id);
+    EXPECT_EQ(in_order(idx.overlapping(probe, bound)), ordered);
+
+    // A random (lo, hi] window prunes on both sides of the subtree
+    // bounds and still yields the filtered reference, in order.
+    const int lo = static_cast<int>(rng() % 11) - 1;
+    const int hi = lo + static_cast<int>(rng() % 6);
+    std::vector<net::RuleId> windowed;
+    for (const Rule& r : reference_order(reference, probe))
+      if (r.priority > lo && r.priority <= hi) windowed.push_back(r.id);
+    std::vector<net::RuleId> visited;
+    EXPECT_TRUE(idx.visit(probe, lo, hi, [&](const Rule& r) {
+      visited.push_back(r.id);
+      return true;
+    }));
+    EXPECT_EQ(visited, windowed);
+
+    // Stopping after k visits yields exactly the first k rules, and
+    // visit reports the stop.
+    const std::size_t k = 1 + rng() % (windowed.size() + 1);
+    visited.clear();
+    const bool finished = idx.visit(probe, lo, hi, [&](const Rule& r) {
+      visited.push_back(r.id);
+      return visited.size() < k;
+    });
+    EXPECT_EQ(finished, k > windowed.size());
+    windowed.resize(std::min(k, windowed.size()));
+    EXPECT_EQ(visited, windowed);
   }
 }
 

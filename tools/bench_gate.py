@@ -16,11 +16,13 @@ reports every broken gate.
 
 Why each gate reproduces on any machine:
 
-  * hotpath, batchpath, lookup -- derived{} holds wall-clock speedup
-    ratios, both sides measured on the same machine in the same run. The
-    committed baselines store each ratio's MINIMUM over 5 local smoke
-    runs, a conservative lower bound: run-to-run noise (~+-20% on the
-    ratios) stays inside the 25% gate while a real regression trips it.
+  * hotpath, batchpath, lookup -- derived{} holds wall-clock ratios,
+    both sides measured on the same machine in the same run. The
+    committed baselines store each speedup's MINIMUM and each scaling
+    ratio's MAXIMUM (hotpath's closure_abort_scaling, lower-is-better)
+    over 5 local smoke runs, the conservative end of each: run-to-run
+    noise (~+-20% on the ratios) stays inside the 25% gate while a real
+    regression trips it.
   * faultpath -- runs entirely in virtual time, so its smoke ratios
     reproduce exactly.
   * fleet -- the determinism rate and virtual mods/s are pure
