@@ -3,15 +3,17 @@
 //
 //   A1  Section 4.2 lowest-priority optimization on/off
 //   A2  batched migration (Section 5.2 optimizers) vs per-rule reinsertion
-//   A3  Algorithm 1's Merge step on/off (piece-count inflation)
 //   A4  shadow operating watermark sweep
 //   A5  Hermes vs ShadowSwitch (hardware vs software shadow, Section 9)
+//
+// No A3: toggling Algorithm 1's Merge step changes nothing for prefix
+// rules, whose cuts are already a minimal cover
+// (PartitionProperty.PiecesAreExactResidualCover pins that).
+#include <algorithm>
 #include <cstdio>
-#include <random>
 
 #include "baselines/hermes_backend.h"
 #include "baselines/shadow_switch.h"
-#include "hermes/acl_hermes.h"
 #include "bench/common.h"
 #include "tcam/switch_model.h"
 #include "workloads/bgp.h"
@@ -131,60 +133,6 @@ int main() {
                 static_cast<unsigned long long>(slow.migrations),
                 slow.main_channel_busy_ms /
                     std::max(1.0, fast.main_channel_busy_ms));
-  }
-
-  // A3: Algorithm 1's Merge step.
-  {
-    core::HermesConfig merged = base_config();
-    core::HermesConfig raw = base_config();
-    raw.merge_partitions = false;
-    RunStats with = run(merged, trace);
-    RunStats without = run(raw, trace);
-    std::printf("\nA3 partition Merge step (Algorithm 1 line 7):\n");
-    std::printf("  merge on:  %llu pieces, mean-op %.3f ms\n",
-                static_cast<unsigned long long>(with.pieces),
-                with.mean_op_ms);
-    std::printf("  merge off: %llu pieces, mean-op %.3f ms\n",
-                static_cast<unsigned long long>(without.pieces),
-                without.mean_op_ms);
-    std::printf("  finding: for single-prefix (LPM) rules the iterative "
-                "sibling-path cuts already produce a MINIMAL cover, so "
-                "Merge is a no-op safeguard here.\n");
-
-    // A3b: the multi-field ACL setting, where partial overlaps fragment
-    // non-minimally and Merge genuinely pays (the EffiCuts-style setting
-    // the paper cites [59]).
-    auto run_acl = [&](bool merge) {
-      core::AclConfig acl_config;
-      acl_config.merge_partitions = merge;
-      core::AclHermes acl(tcam::pica8_p3290(), 32768, acl_config);
-      std::mt19937_64 rng(404);
-      Time now = 0;
-      for (int i = 0; i < 2000; ++i) {
-        core::TernaryRule rule{static_cast<net::RuleId>(i + 1),
-                               static_cast<int>(rng() % 64),
-                               net::TernaryMatch(rng(), rng() & 0x3FF),
-                               net::forward_to(1)};
-        acl.insert(now, rule);
-        now += from_millis(1);
-        acl.tick(now);
-      }
-      return acl.stats().pieces;
-    };
-    std::uint64_t acl_with = run_acl(true);
-    std::uint64_t acl_without = run_acl(false);
-    rep.derived("A3b_acl_piece_ratio_merge_off_vs_on",
-                static_cast<double>(acl_without) /
-                    static_cast<double>(
-                        std::max<std::uint64_t>(1, acl_with)));
-    std::printf("  A3b, ternary ACL rules: merge on %llu pieces, merge "
-                "off %llu pieces (%.2fx) — Merge earns its keep on "
-                "multi-field matches\n",
-                static_cast<unsigned long long>(acl_with),
-                static_cast<unsigned long long>(acl_without),
-                static_cast<double>(acl_without) /
-                    static_cast<double>(std::max<std::uint64_t>(1,
-                                                                acl_with)));
   }
 
   // A4: watermark sweep.

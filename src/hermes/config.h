@@ -78,10 +78,6 @@ struct HermesConfig {
   /// Migrate with one optimized batch write (Section 5.2's step-2
   /// optimizers); false = naive rule-by-rule reinsertion into main.
   bool batched_migration = true;
-
-  /// Run Algorithm 1's final Merge step (minimal piece cover); false =
-  /// install the raw cut set.
-  bool merge_partitions = true;
 };
 
 }  // namespace hermes::core

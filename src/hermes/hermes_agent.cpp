@@ -170,8 +170,7 @@ HermesAgent::LandedBatch HermesAgent::land_batch(
 
 HermesAgent::InsertPlan HermesAgent::plan_insert(const net::Rule& rule) const {
   InsertPlan plan;
-  plan.partition =
-      partition_new_rule(rule, main_index_, config_.merge_partitions);
+  plan.partition = partition_new_rule(rule, main_index_);
   plan.cut = !(plan.partition.pieces.size() == 1 &&
                plan.partition.pieces[0] == rule.match);
   for (net::RuleId pid : plan.partition.cut_against)

@@ -14,16 +14,7 @@
 // mutates immediately; latency only affects the returned timestamps (and
 // per-slice control-channel serialization inside tcam::Asic).
 //
-// Threading: the agent is single-threaded by design and not reentrant —
-// no internal locking, and handle/handle_batch/tick must never overlap.
-// Under the sharded controller core (sim::FleetController) each agent is
-// pinned to exactly one shard worker, which serializes every call; the
-// process-attached obs handles are the only state it shares with other
-// threads, and those are thread-sharded by the registry. Audit note: all
-// mutable members (partitioner, gate keeper, store, predictor, pending
-// migration state, AgentStats/GateKeeperStats, RIT samples) are written
-// only from the pinned thread. Other threads read stats() and
-// rit_samples() only after joining that thread, never while it runs.
+// Threading: single-threaded, not reentrant.
 #pragma once
 
 #include <memory>

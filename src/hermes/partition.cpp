@@ -7,8 +7,7 @@
 namespace hermes::core {
 
 PartitionResult partition_new_rule(const net::Rule& new_rule,
-                                   const OverlapIndex& main_index,
-                                   bool merge) {
+                                   const OverlapIndex& main_index) {
   PartitionResult result;
   std::vector<net::Rule> overlaps =
       main_index.overlapping(new_rule.match, new_rule.priority);
@@ -56,8 +55,7 @@ PartitionResult partition_new_rule(const net::Rule& new_rule,
     result.redundant = true;
     return result;
   }
-  result.pieces =
-      merge ? net::merge_prefixes(std::move(pieces)) : std::move(pieces);
+  result.pieces = net::merge_prefixes(std::move(pieces));
   return result;
 }
 

@@ -43,12 +43,11 @@ struct PartitionResult {
 
 /// Runs Algorithm 1 for `new_rule` against the main table described by
 /// `main_index`. Only strictly-higher-priority main rules cut the new rule
-/// (Algo 1 line 3: Prio(r_new) < Prio(r)). `merge` controls the final
-/// Merge step (line 7); disabling it is an ablation, not a correctness
-/// change — the raw cut set covers the same addresses with more pieces.
+/// (Algo 1 line 3: Prio(r_new) < Prio(r)). For prefix rules the cuts
+/// already form a minimal cover, so the final Merge step (line 7) only
+/// puts the pieces in net::merge_prefixes' canonical order.
 PartitionResult partition_new_rule(const net::Rule& new_rule,
-                                   const OverlapIndex& main_index,
-                                   bool merge = true);
+                                   const OverlapIndex& main_index);
 
 /// Expands a partition result into concrete rules: each piece inherits the
 /// original priority and action; ids are assigned sequentially starting at

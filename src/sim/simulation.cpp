@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
 
 namespace hermes::sim {
 
@@ -25,6 +26,8 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
       network_(topology),
       paths_(topology, config_.paths_per_pair, net::hop_count()),
       rng_(config_.seed) {
+  if (config_.controller_threads != 1)
+    throw std::invalid_argument("SimConfig::controller_threads must be 1");
   if (config_.backend_factory) {
     for (net::NodeId sw : topology.switches()) {
       auto backend = config_.backend_factory(sw, topology.node(sw).name);
@@ -42,21 +45,11 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
       }
       backends_.emplace(sw, std::move(backend));
     }
-    if (config_.controller_threads > 1 && !backends_.empty()) {
-      // Sharded controller core: pin each backend to one worker shard
-      // (contiguous blocks in topology switch order). The sequential
-      // path below stays untouched when controller_threads == 1.
-      fleet_ = std::make_unique<FleetController>(config_.controller_threads);
-      for (net::NodeId sw : topology.switches())
-        fleet_->add_switch(sw, backends_.at(sw).get());
-      fleet_->start();
-    }
   }
   // Consistent-update coordinator for TE moves. Operations route through
   // the same backend paths as every other flow-mod: per-switch batches
-  // (fleet mailbox + join in sharded mode — decisions stay on the control
-  // thread, keeping sharded runs bit-identical to sequential), and
-  // fire-and-forget deletes through dispatch_mod.
+  // through handle_batch, and fire-and-forget deletes through
+  // dispatch_mod.
   update::CoordinatorConfig uc;
   uc.strategy = update::Strategy::kSegway;
   uc.signal_delay = config_.update_signal_delay;
@@ -71,12 +64,7 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
           return;
         }
         obs_app_batch_size_.record(batch.size());
-        if (fleet_) {
-          fleet_->post_batch(now, sw, &batch);
-          fleet_->join();
-        } else {
-          it->second->handle_batch(now, batch);
-        }
+        it->second->handle_batch(now, batch);
       },
       [this](Time now, net::NodeId sw, const net::FlowMod& mod) {
         dispatch_mod(now, sw, mod);
@@ -131,9 +119,6 @@ void Simulation::run() {
     if ((processed & 63u) == 0)
       obs_queue_depth_.record(events_.size());
   }
-  // Final barrier: trailing fire-and-forget work (deletes, ticks) must
-  // land before callers read backend state or rit samples.
-  if (fleet_) fleet_->join();
   if (collecting) {
     obs_events_.inc(processed);
     obs_virtual_time_ns_.set(events_.now());
@@ -144,28 +129,14 @@ void Simulation::run() {
   assert(outstanding_flows_ == 0 && "simulation ended with active flows");
 }
 
-void Simulation::tick_backends(Time now) {
-  if (fleet_) {
-    // One tick message per shard; each shard ticks its pinned backends.
-    // No barrier — the next join (install_moves or end of run) syncs.
-    fleet_->post_tick(now);
-    return;
-  }
-  for (auto& [sw, backend] : backends_) backend->tick(now);
-}
-
 void Simulation::dispatch_mod(Time now, net::NodeId sw,
                               const net::FlowMod& mod) {
-  if (fleet_) {
-    fleet_->post_mod(now, sw, mod);
-    return;
-  }
   auto it = backends_.find(sw);
   if (it != backends_.end()) it->second->handle(now, mod);
 }
 
 void Simulation::tick_backends_and_reschedule(Time now) {
-  tick_backends(now);
+  for (auto& [sw, backend] : backends_) backend->tick(now);
   if (outstanding_flows_ > 0)
     events_.schedule(now + from_millis(10),
                      [this](Time t) { tick_backends_and_reschedule(t); });

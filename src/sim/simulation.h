@@ -23,7 +23,6 @@
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
-#include "sim/fleet.h"
 #include "sim/fluid_network.h"
 #include "update/update_coordinator.h"
 #include "workloads/trace.h"
@@ -62,13 +61,10 @@ struct SimConfig {
   // Control plane. Null factory => perfect (zero-latency) control plane.
   BackendFactory backend_factory;
 
-  /// Shard the switch backends across this many controller worker
-  /// threads (FleetController). 1 = the sequential simulator (no threads
-  /// — the differential oracle). N > 1 is the deterministic parallel
-  /// mode: bit-identical flow/job results and (non-fleet) metrics for any
-  /// thread count, because every backend still sees the identical
-  /// (time, op) sequence and results are only read at join barriers.
-  /// Ignored without a backend_factory (nothing to parallelize).
+  /// Must be 1: the simulator drives every backend from its one control
+  /// thread, and the constructor throws std::invalid_argument for any
+  /// other value. Kept only for existing callers that set it; it goes
+  /// with the next change to the benchmark.
   int controller_threads = 1;
 
   /// Switch-to-switch release latency for the consistent-update
@@ -112,6 +108,7 @@ struct JobResult {
 
 class Simulation {
  public:
+  /// Throws std::invalid_argument unless config.controller_threads == 1.
   Simulation(const net::Topology& topology, SimConfig config);
   ~Simulation();
 
@@ -184,11 +181,9 @@ class Simulation {
   net::Path initial_path(net::NodeId src, net::NodeId dst,
                          std::uint64_t salt);
   net::RuleId next_rule_id() { return rule_id_counter_++; }
-  void tick_backends(Time now);
   void tick_backends_and_reschedule(Time now);
-  /// Routes one flow-mod to its backend: directly in sequential mode,
-  /// through the fleet mailbox in sharded mode. No-op for switches
-  /// without a backend (perfect control plane).
+  /// Routes one flow-mod to its backend. No-op for switches without a
+  /// backend (perfect control plane).
   void dispatch_mod(Time now, net::NodeId sw, const net::FlowMod& mod);
 
   const net::Topology* topology_;
@@ -201,13 +196,8 @@ class Simulation {
   std::unordered_map<net::NodeId, std::unique_ptr<baselines::SwitchBackend>>
       backends_;
   std::vector<std::unique_ptr<fault::FaultPlan>> fault_plans_;
-  /// Sharded controller core (controller_threads > 1). Declared after the
-  /// backends so its destructor joins the workers before any backend
-  /// dies. Null in sequential mode — that path never touches the fleet.
-  std::unique_ptr<FleetController> fleet_;
 
-  /// Consistent-update transaction coordinator for TE moves. Declared
-  /// after fleet_ so its in-flight batches never outlive the workers.
+  /// Consistent-update transaction coordinator for TE moves.
   std::unique_ptr<update::UpdateCoordinator> coordinator_;
 
   std::vector<ActiveFlow> flows_;               // indexed by flow_idx

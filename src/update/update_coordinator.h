@@ -10,10 +10,9 @@
 //    operation is a FlowModBatch dispatched at its virtual ready time;
 //    the batch's result slots (the install barrier) are what "releases"
 //    the successor operations, paying only `signal_delay` per
-//    switch-to-switch hand-off — no controller round-trips. In the
-//    simulator the dispatch goes through the fleet mailboxes in sharded
-//    mode, so the release chain is exactly the per-switch agent telling
-//    its successor "my segment is in".
+//    switch-to-switch hand-off — no controller round-trips. The release
+//    chain is exactly the per-switch agent telling its successor "my
+//    segment is in".
 //  * kTwoPhase — the naive centralized baseline: the controller collects
 //    every add ack (paying ctrl_rtt per phase plus a per-message send
 //    gap), then fires ALL entry flips concurrently, ignoring segment
@@ -34,9 +33,8 @@
 // (the flow completed mid-update) deletes the installed adds and stops.
 //
 // All times are virtual (sim::EventQueue); the coordinator is
-// single-threaded on the control thread and drives backends through the
-// caller-supplied dispatch callbacks, which may post through
-// sim::FleetController mailboxes (post_batch + join) in sharded mode.
+// single-threaded and drives backends through the caller-supplied
+// dispatch callbacks.
 #pragma once
 
 #include <cstdint>
@@ -92,8 +90,7 @@ struct TxnOutcome {
 class UpdateCoordinator {
  public:
   /// Dispatches one single-mod transaction to `sw` at virtual time `now`
-  /// and fills the batch's result slots before returning (directly in
-  /// sequential mode; post_batch + join in fleet mode). Must complete
+  /// and fills the batch's result slots before returning. Must complete
   /// every slot (completion >= now).
   using BatchDispatch =
       std::function<void(Time, net::NodeId, net::FlowModBatch&)>;

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "baselines/hermes_backend.h"
 #include "baselines/plain_switch.h"
 #include "fault/fault_plan.h"
 #include "net/topology.h"
+#include "obs/metrics.h"
 #include "sim/simulation.h"
 #include "tcam/asic.h"
 #include "tcam/switch_model.h"
@@ -164,51 +166,112 @@ TEST(FaultDeterminism, PlainBackendRunsAreBitIdentical) {
   EXPECT_GT(a.plan_failures, 0u);
 }
 
-// Full simulator runs with faults enabled reproduce exactly: same
-// fault_seed, same workload -> identical completion times and
-// rule-installation samples (retries are scheduled in virtual time, so
-// nothing depends on the wall clock).
-TEST(FaultDeterminism, SimulationRunsAreBitIdentical) {
-  auto drive = [] {
-    net::Topology topo = net::fat_tree(4);
-    sim::SimConfig config;
-    config.congestion_threshold = 0.5;
-    config.backend_factory = [](net::NodeId, const std::string&) {
-      return std::make_unique<baselines::HermesBackend>(tcam::pica8_p3290(),
-                                                        4000);
-    };
-    config.faults_enabled = true;
+// One faulty TE simulation on fat_tree(4): `jobs` single-flow jobs of
+// `bytes` each, one a millisecond, over Hermes backends.
+struct SimProfile {
+  const char* name;
+  int jobs;
+  double bytes;
+  double write_failure_prob;
+  bool stalls_and_reset;  ///< 1-30 us channel stalls, a reset at 300 ms
+  bool aborts;            ///< some moves must abort and roll back
+};
+
+/// Everything observable about one simulator run.
+struct SimRecord {
+  std::vector<Duration> rit;
+  std::vector<Time> flow_completions;
+  std::vector<Time> job_completions;
+  int total_moves = 0;
+  int moves_aborted = 0;
+  /// obs::export_json with the value of sim.wall_time_ns (host time, the
+  /// one non-virtual figure in it) erased.
+  std::string metrics;
+};
+
+SimRecord drive_simulation(const SimProfile& profile) {
+  obs::Registry registry(/*trace_capacity=*/0);
+  obs::attach(&registry);
+  net::Topology topo = net::fat_tree(4);
+  sim::SimConfig config;
+  config.congestion_threshold = 0.5;
+  config.backend_factory = [](net::NodeId, const std::string&) {
+    return std::make_unique<baselines::HermesBackend>(tcam::pica8_p3290(),
+                                                      4000);
+  };
+  config.faults_enabled = true;
+  config.fault_slice.write_failure_prob = profile.write_failure_prob;
+  if (profile.stalls_and_reset) {
     config.fault_seed = 0xFEED;
-    config.fault_slice.write_failure_prob = 0.15;
     config.fault_slice.stall_min = from_micros(1);
     config.fault_slice.stall_max = from_micros(30);
     config.fault_resets = {from_millis(300)};
+  }
+  auto hosts = topo.hosts();
+  std::vector<workloads::Job> jobs;
+  for (int i = 0; i < profile.jobs; ++i) {
+    workloads::Job job;
+    job.id = i;
+    job.arrival = from_millis(i);
+    job.flows.push_back(
+        workloads::FlowSpec{hosts[static_cast<std::size_t>(i % 8)],
+                            hosts[static_cast<std::size_t>(8 + i % 8)],
+                            profile.bytes});
+    jobs.push_back(job);
+  }
+  SimRecord rec;
+  {
     sim::Simulation simulation(topo, config);
-    auto hosts = topo.hosts();
-    std::vector<workloads::Job> jobs;
-    for (int i = 0; i < 8; ++i) {
-      workloads::Job job;
-      job.id = i;
-      job.arrival = from_millis(i);
-      job.flows.push_back(
-          workloads::FlowSpec{hosts[static_cast<std::size_t>(i % 8)],
-                              hosts[static_cast<std::size_t>(8 + i % 8)],
-                              4e9});
-      jobs.push_back(job);
-    }
     simulation.add_jobs(jobs);
     simulation.run();
-    std::pair<std::vector<Duration>, std::vector<Time>> out;
-    out.first = simulation.all_rit_samples();
+    rec.rit = simulation.all_rit_samples();
     for (const sim::FlowResult& f : simulation.flow_results())
-      out.second.push_back(f.completion);
-    return out;
+      rec.flow_completions.push_back(f.completion);
+    for (const sim::JobResult& j : simulation.job_results())
+      rec.job_completions.push_back(j.completion);
+    rec.total_moves = simulation.total_moves();
+    rec.moves_aborted = simulation.moves_aborted();
+  }
+  obs::attach(nullptr);
+  rec.metrics = obs::export_json(registry);
+  const std::string key = "\"sim.wall_time_ns\":";
+  const std::size_t at = rec.metrics.find(key);
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos) {
+    const std::size_t from = at + key.size();
+    rec.metrics.erase(from, rec.metrics.find_first_of(",}", from) - from);
+  }
+  return rec;
+}
+
+// Full simulator runs with faults enabled reproduce exactly: same
+// fault_seed, same workload -> identical completions, rule-installation
+// samples, move counts (aborts included) and obs export. Retries are
+// scheduled in virtual time, so nothing but sim.wall_time_ns depends on
+// the wall clock. The second profile fails 60% of writes, so moves abort
+// and roll back.
+TEST(FaultDeterminism, SimulationRunsAreBitIdentical) {
+  const SimProfile profiles[] = {
+      {"8 x 4 GB, 15% faults, stalls, reset", 8, 4e9, 0.15, true, false},
+      {"12 x 8 GB, 60% faults", 12, 8e9, 0.6, false, true},
   };
-  auto a = drive();
-  auto b = drive();
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
-  EXPECT_FALSE(a.first.empty());
+  for (const SimProfile& profile : profiles) {
+    SCOPED_TRACE(profile.name);
+    SimRecord a = drive_simulation(profile);
+    SimRecord b = drive_simulation(profile);
+    EXPECT_EQ(a.rit, b.rit);
+    EXPECT_EQ(a.flow_completions, b.flow_completions);
+    EXPECT_EQ(a.job_completions, b.job_completions);
+    EXPECT_EQ(a.total_moves, b.total_moves);
+    EXPECT_EQ(a.moves_aborted, b.moves_aborted);
+    EXPECT_EQ(a.metrics, b.metrics);
+    EXPECT_FALSE(a.rit.empty());
+    EXPECT_EQ(a.job_completions.size(),
+              static_cast<std::size_t>(profile.jobs));
+    if (profile.aborts) {
+      EXPECT_GT(a.moves_aborted, 0);
+    }
+  }
 }
 
 TEST(FaultDeterminism, UnattemptedBatchSuffixBurnsNoDraws) {

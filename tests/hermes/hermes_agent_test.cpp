@@ -206,7 +206,8 @@ TEST(HermesAgent, PredictiveTickTriggersMigrationBeforeOverflow) {
   // shadow, spread across the epoch as a controller would send them.
   for (int epoch = 0; epoch < 40; ++epoch) {
     for (int k = 0; k < 10; ++k) {
-      agent.insert(now, make_rule(id++, static_cast<int>(id % 50) + 1,
+      const net::RuleId rid = id++;
+      agent.insert(now, make_rule(rid, static_cast<int>(rid % 50) + 1,
                                   "10.0.0.0/8"));
       now += from_millis(1);
     }

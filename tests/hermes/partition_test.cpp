@@ -148,8 +148,11 @@ TEST(Partition, MaterializeAssignsSequentialIds) {
 
 // Property: for random main tables and new rules, the pieces (i) lie
 // within the new rule's match, (ii) are mutually disjoint, (iii) avoid
-// every strictly-higher-priority main rule, and (iv) exactly cover the
-// match minus those rules (sampled).
+// every strictly-higher-priority main rule, (iv) exactly cover the match
+// minus those rules (sampled), and (v) form a minimal cover: no piece can
+// widen, because the parent of every piece cut below the new rule's match
+// overlaps a strictly-higher-priority main rule. (v) is why Algorithm 1's
+// Merge step never joins two pieces for prefix rules.
 class PartitionProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PartitionProperty, PiecesAreExactResidualCover) {
@@ -180,6 +183,16 @@ TEST_P(PartitionProperty, PiecesAreExactResidualCover) {
         if (r.priority > new_rule.priority)
           EXPECT_FALSE(result.pieces[i].overlaps(r.match))
               << result.pieces[i].to_string() << " vs " << net::to_string(r);
+      if (result.pieces[i].length() > new_rule.match.length()) {
+        const Prefix parent = result.pieces[i].parent();
+        EXPECT_TRUE(std::any_of(
+            main_rules.begin(), main_rules.end(), [&](const Rule& r) {
+              return r.priority > new_rule.priority &&
+                     r.match.overlaps(parent);
+            }))
+            << result.pieces[i].to_string() << " could widen to "
+            << parent.to_string();
+      }
     }
 
     // Sampled exact-cover check: an address in the new match is covered by

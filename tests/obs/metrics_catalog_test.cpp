@@ -47,11 +47,10 @@ net::Rule small_rule(net::RuleId id, int priority, std::uint32_t octet) {
   return net::Rule{id, priority, net::Prefix(addr, 8), net::forward_to(1)};
 }
 
-// Drives every metric source: a faulty SHARDED simulation with Hermes
-// backends (sim.*, app.*, agent.*, gate.*, tcam.*, asic.*, migration.*,
-// predictor.*, fault.*, reconcile.*, and — because controller_threads > 1
-// — fleet.* and shard.*) and each baseline backend under a flaky plan
-// (backend.*).
+// Drives every metric source: a faulty simulation with Hermes backends
+// (sim.*, app.*, agent.*, gate.*, tcam.*, asic.*, migration.*,
+// predictor.*, fault.*, reconcile.*) and each baseline backend under a
+// flaky plan (backend.*).
 void run_full_pipeline() {
   using workloads::FlowSpec;
   using workloads::Job;
@@ -59,7 +58,6 @@ void run_full_pipeline() {
   net::Topology topo = net::fat_tree(4);
   sim::SimConfig config;
   config.congestion_threshold = 0.5;
-  config.controller_threads = 2;  // sharded mode registers fleet.*/shard.*
   config.backend_factory = [](net::NodeId, const std::string&) {
     return std::make_unique<baselines::HermesBackend>(tcam::pica8_p3290(),
                                                       4000);
@@ -129,9 +127,6 @@ TEST(MetricsCatalog, DocumentsEveryExportedName) {
   EXPECT_TRUE(names.count("agent.retries"));
   EXPECT_TRUE(names.count("reconcile.runs"));
   EXPECT_TRUE(names.count("backend.retries"));
-  // The sharded controller core really ran (controller_threads = 2).
-  EXPECT_TRUE(names.count("fleet.posted"));
-  EXPECT_TRUE(names.count("shard.msgs"));
   EXPECT_TRUE(names.count("app.moves_aborted"));
 
   std::vector<std::string> undocumented;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "baselines/hermes_backend.h"
 #include "baselines/plain_switch.h"
 #include "tcam/switch_model.h"
@@ -186,6 +188,21 @@ TEST(Simulation, BackendAccessor) {
   net::NodeId sw = topo.switches()[0];
   EXPECT_NE(sim.backend(sw), nullptr);
   EXPECT_EQ(sim.backend(topo.hosts()[0]), nullptr);
+}
+
+TEST(Simulation, RejectsAnyControllerThreadCountButOne) {
+  // The simulator drives every backend from its one control thread.
+  net::Topology topo = net::fat_tree(4);
+  for (int threads : {0, 2, 8}) {
+    SimConfig config = perfect_config();
+    config.backend_factory = hermes_factory(tcam::pica8_p3290());
+    config.controller_threads = threads;
+    EXPECT_THROW({ Simulation sim(topo, config); }, std::invalid_argument)
+        << threads << " threads";
+  }
+  SimConfig config = perfect_config();
+  config.controller_threads = 1;
+  EXPECT_NO_THROW({ Simulation sim(topo, config); });
 }
 
 TEST(Simulation, FacebookWorkloadEndToEnd) {

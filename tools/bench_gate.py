@@ -25,9 +25,6 @@ Why each gate reproduces on any machine:
     regression trips it.
   * faultpath -- runs entirely in virtual time, so its smoke ratios
     reproduce exactly.
-  * fleet -- the determinism rate and virtual mods/s are pure
-    virtual-time arithmetic and reproduce exactly; wall-clock rows are
-    informational only.
   * update -- segway speedup, violation-free rate and two-phase loop rate
     are virtual-time ratios over a fixed seeded reroute storm.
   * cache -- FDRC hit-ratio improvements, modeled miss-path latency
