@@ -1,7 +1,8 @@
 // Hot-path microbenchmark: per-op wall-clock cost of the TCAM bookkeeping
 // primitives that every control-plane action rides on, plus the agent
-// migration drain, a full PlainSwitch backend churn and the rule cache's
-// aborted promotion closure.
+// migration drain, a full PlainSwitch backend churn, the rule cache's
+// aborted promotion closure and id lookups in one long equal-priority
+// run.
 //
 // Unlike the per-figure harnesses (which report SIMULATED latency from the
 // switch models), this measures REAL nanoseconds of the simulator's own
@@ -374,6 +375,75 @@ double bench_closure_abort_scaling() {
   return median_of(large, large_ns) / std::max(small_median, 1e-9);
 }
 
+// Locate-run scaling: ns per find_ptr in a table whose rules all share
+// one priority, at 65,536 entries divided by the same at 1,024. The
+// whole table is one equal-priority run, so a locate that scans the run
+// grows with it (~64x); one binary search on (priority, arrival stamp)
+// grows only with log n. Alternating blocks and medians, as above.
+struct OneRunTable {
+  explicit OneRunTable(int n) : size(n), table(n) {
+    std::mt19937_64 rng(0x5EED ^ static_cast<std::uint64_t>(n));
+    for (int i = 0; i < n; ++i) {
+      table.insert(net::Rule{
+          static_cast<net::RuleId>(i + 1), 7,
+          net::Prefix(net::Ipv4Address(static_cast<std::uint32_t>(i) << 8),
+                      24),
+          net::forward_to(1)});
+    }
+    // A fixed pool of probed ids keeps the search paths cache-resident,
+    // so the ratio measures the locate algorithm, not memory latency.
+    std::vector<net::RuleId> pool;
+    for (int i = 0; i < kPool; ++i)
+      pool.push_back(static_cast<net::RuleId>(1 + rng() % n));
+    for (int i = 0; i < kProbes; ++i) probes.push_back(pool[rng() % kPool]);
+  }
+
+  double block_ns() {
+    std::uint64_t found = 0;
+    auto start = Clock::now();
+    for (int pass = 0; pass < kPasses; ++pass)
+      for (net::RuleId id : probes) found += table.find_ptr(id) != nullptr;
+    const std::uint64_t finds = kFinds;
+    const double ns = ns_since(start, finds);
+    if (found != finds) {
+      std::fprintf(stderr, "locate_run: %llu of %llu probes found\n",
+                   static_cast<unsigned long long>(found),
+                   static_cast<unsigned long long>(finds));
+      std::exit(1);
+    }
+    return ns;
+  }
+
+  static constexpr int kPool = 256;
+  static constexpr int kProbes = 2048;
+  static constexpr int kPasses = 8;
+  static constexpr int kFinds = kProbes * kPasses;
+  int size;
+  tcam::TcamTable table;
+  std::vector<net::RuleId> probes;
+};
+
+double bench_locate_run_scaling() {
+  constexpr int kBlocks = 7;
+  OneRunTable small(1024);
+  OneRunTable large(65536);
+  std::vector<double> small_ns;
+  std::vector<double> large_ns;
+  for (int b = 0; b < kBlocks; ++b) {
+    small_ns.push_back(small.block_ns());
+    large_ns.push_back(large.block_ns());
+  }
+  auto median_of = [&](const OneRunTable& run, std::vector<double>& ns) {
+    std::nth_element(ns.begin(), ns.begin() + ns.size() / 2, ns.end());
+    record("locate_run", "indexed", run.size,
+           static_cast<std::uint64_t>(kBlocks) * OneRunTable::kFinds,
+           ns[ns.size() / 2]);
+    return ns[ns.size() / 2];
+  };
+  const double small_median = median_of(small, small_ns);
+  return median_of(large, large_ns) / std::max(small_median, 1e-9);
+}
+
 double ns_of(const std::string& op, const std::string& impl, int rules) {
   for (const Row& r : g_rows)
     if (r.op == op && r.impl == impl && r.rules == rules) return r.ns_per_op;
@@ -415,9 +485,10 @@ int main(int argc, char** argv) {
                                                               16384};
   for (int n : agent_sizes) bench_migrate(n);
   for (int n : agent_sizes) bench_backend(n);
-  // Host-time scaling ratio (lower is better). Same sizes and reps in
+  // Host-time scaling ratios (lower is better). Same sizes and reps in
   // smoke mode, for the same CI-stability reason as above.
   const double closure_scaling = bench_closure_abort_scaling();
+  const double locate_scaling = bench_locate_run_scaling();
 
   // Headline indexed-vs-linear ratios at the largest size that ran.
   // Ratios — not raw ns/op — are what CI regression-gates: they are
@@ -434,12 +505,14 @@ int main(int argc, char** argv) {
   rep.derived("erase_drain_speedup", drain_speedup);
   rep.derived("erase_insert_speedup", churn_speedup);
   rep.derived("closure_abort_scaling", closure_scaling);
+  rep.derived("locate_run_scaling", locate_scaling);
   std::printf(
       "\nspeedup @%dk rules: find %.1fx, erase (drain) %.1fx, "
       "erase+insert churn %.1fx\n"
-      "closure abort cost, 65536 vs 256 /32s under the aggregate: %.2fx\n",
+      "closure abort cost, 65536 vs 256 /32s under the aggregate: %.2fx\n"
+      "find cost in one equal-priority run, 65536 vs 1024 entries: %.2fx\n",
       top / 1024, find_speedup, drain_speedup, churn_speedup,
-      closure_scaling);
+      closure_scaling, locate_scaling);
   rep.write(out);
   return 0;
 }

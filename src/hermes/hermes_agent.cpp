@@ -528,7 +528,7 @@ Time HermesAgent::erase(Time now, net::RuleId logical_id) {
 
 Time HermesAgent::modify(Time now, const net::Rule& rule) {
   ++stats_.modifies;
-  LogicalRule* lr = store_.find_mutable(rule.id);
+  const LogicalRule* lr = store_.find(rule.id);
   if (!lr) {
     ++stats_.failed_ops;
     return now;
@@ -536,22 +536,21 @@ Time HermesAgent::modify(Time now, const net::Rule& rule) {
   if (rule.priority == lr->original.priority &&
       rule.match == lr->original.match) {
     // Action-only change: constant-time in-place rewrite of every piece
-    // (Section 2.1.1 / 4.1).
+    // (Section 2.1.1 / 4.1), in the table and in its overlap index.
     Time completion = now;
     int slice_idx = lr->placement == Placement::kShadow ? kShadow : kMain;
     OverlapIndex& index =
         lr->placement == Placement::kShadow ? shadow_index_ : main_index_;
     for (net::RuleId pid : lr->physical_ids) {
-      auto piece = asic_.slice(slice_idx).find(pid);
+      const net::Rule* piece = asic_.slice(slice_idx).find_ptr(pid);
       if (!piece) continue;
       net::Rule updated = *piece;
       updated.action = rule.action;
-      net::FlowMod mod{net::FlowModType::kModify, updated};
-      completion = asic_.submit(now, slice_idx, mod);
-      index.erase(pid, piece->match);
-      index.insert(updated);
+      completion =
+          asic_.submit(now, slice_idx, {net::FlowModType::kModify, updated});
+      index.set_action(pid, updated.match, rule.action);
     }
-    lr->original.action = rule.action;
+    store_.set_action(rule.id, rule.action);
     return completion;
   }
   // Match or priority change: delete + insert (Section 4.1).
@@ -582,7 +581,7 @@ void HermesAgent::repartition_shadow_overlaps(Time now,
 }
 
 void HermesAgent::repartition_logical(Time now, net::RuleId logical_id) {
-  LogicalRule* lr = store_.find_mutable(logical_id);
+  const LogicalRule* lr = store_.find(logical_id);
   if (!lr) return;
   const Placement placement = lr->placement;
   const int slice = placement == Placement::kShadow ? kShadow : kMain;

@@ -78,6 +78,29 @@ bool OverlapIndex::erase(net::RuleId id, const net::Prefix& match) {
   return true;
 }
 
+bool OverlapIndex::set_action(net::RuleId id, const net::Prefix& match,
+                              const net::Action& action) {
+  std::uint32_t n = 0;
+  for (int i = 0; i < match.length(); ++i) {
+    n = nodes_[n].child[bit_at(match, i)];
+    if (n == 0) return false;
+  }
+  std::uint32_t* link = &nodes_[n].head;
+  while (*link != kNil && records_[*link].rule.id != id)
+    link = &records_[*link].next;
+  if (*link == kNil) return false;
+  // The priority is unchanged, so no bound moves. erase() + insert()
+  // would reuse this very record off the free list and append it, so
+  // unlink it and re-append it at the tail.
+  const std::uint32_t r = *link;
+  records_[r].rule.action = action;
+  *link = records_[r].next;
+  while (*link != kNil) link = &records_[*link].next;
+  *link = r;
+  records_[r].next = kNil;
+  return true;
+}
+
 std::vector<net::Rule> OverlapIndex::overlapping(
     const net::Prefix& p, int min_priority_exclusive) const {
   std::vector<net::Rule> out;

@@ -48,6 +48,13 @@ class OverlapIndex {
   /// anything was removed.
   bool erase(net::RuleId id, const net::Prefix& match);
 
+  /// Rewrites the action of the rule with this id stored under `match`
+  /// in one walk, and moves it to the end of its node's rules: the index
+  /// ends exactly as erase() + insert() of the rewritten rule would leave
+  /// it, visit order included. Returns whether the rule was found.
+  bool set_action(net::RuleId id, const net::Prefix& match,
+                  const net::Action& action);
+
   /// Calls `fn(const net::Rule&) -> bool` on every rule overlapping `p`
   /// with lo < priority <= hi, in the order of the header comment, until
   /// `fn` returns false. Returns false iff `fn` stopped the walk.

@@ -146,11 +146,7 @@ Time HermesAgent::run_migration(Time now, int max_rules) {
   // Migrate higher-priority rules first so that, if the main table runs
   // out of room mid-migration, the rules left behind in the shadow table
   // are the low-priority ones (which partition worst anyway).
-  std::sort(shadow_lids.begin(), shadow_lids.end(),
-            [&](net::RuleId a, net::RuleId b) {
-              return store_.find(a)->original.priority >
-                     store_.find(b)->original.priority;
-            });
+  store_.sort_by_priority(shadow_lids);
   // A partial migration (the migrate-small policy action) moves only the
   // highest-priority prefix, keeping the control channel occupation — and
   // hence the stall risk for guaranteed inserts — bounded per epoch.
@@ -389,19 +385,11 @@ Time HermesAgent::reconcile(Time now) {
   std::vector<net::RuleId> damaged_shadow =
       survey(Placement::kShadow, kShadow, shadow_index_);
 
-  auto by_priority_desc = [&](net::RuleId a, net::RuleId b) {
-    const LogicalRule* la = store_.find(a);
-    const LogicalRule* lb = store_.find(b);
-    if (la->original.priority != lb->original.priority)
-      return la->original.priority > lb->original.priority;
-    return a < b;
-  };
-
   // 2. Reinstall damaged MAIN rules whole (ids are the logical ids, so no
   //    piece bookkeeping) as one batch, highest priority first — the main
   //    TCAM disambiguates same-table overlaps by priority, so no cuts are
   //    needed between them.
-  std::sort(damaged_main.begin(), damaged_main.end(), by_priority_desc);
+  store_.sort_by_priority(damaged_main);
   std::vector<net::Rule> main_batch;
   main_batch.reserve(damaged_main.size());
   for (net::RuleId lid : damaged_main)
@@ -428,7 +416,7 @@ Time HermesAgent::reconcile(Time now) {
   //    reinstall them as one optimized shadow batch. Highest priority
   //    first: anything demoted whole into main along the way then blocks
   //    (rather than being masked by) the lower-priority rules after it.
-  std::sort(damaged_shadow.begin(), damaged_shadow.end(), by_priority_desc);
+  store_.sort_by_priority(damaged_shadow);
   struct Span {
     net::RuleId lid;
     std::size_t begin = 0;
@@ -513,11 +501,7 @@ void HermesAgent::unpartition_dependents(Time now,
   std::vector<net::RuleId> deps = store_.dependents_of(blocker_logical_id);
   // Restore higher-priority dependents first: lower-priority ones are then
   // re-partitioned against the already-expanded higher-priority pieces.
-  std::sort(deps.begin(), deps.end(), [&](net::RuleId a, net::RuleId b) {
-    const LogicalRule* la = store_.find(a);
-    const LogicalRule* lb = store_.find(b);
-    return la->original.priority > lb->original.priority;
-  });
+  store_.sort_by_priority(deps);
   for (net::RuleId lid : deps) {
     repartition_logical(now, lid);
     ++stats_.unpartitions;

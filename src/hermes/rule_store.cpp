@@ -29,9 +29,12 @@ const LogicalRule* RuleStore::find(net::RuleId logical_id) const {
   return it == logical_.end() ? nullptr : &it->second;
 }
 
-LogicalRule* RuleStore::find_mutable(net::RuleId logical_id) {
+bool RuleStore::set_action(net::RuleId logical_id,
+                           const net::Action& action) {
   auto it = logical_.find(logical_id);
-  return it == logical_.end() ? nullptr : &it->second;
+  if (it == logical_.end()) return false;
+  it->second.original.action = action;
+  return true;
 }
 
 std::optional<net::RuleId> RuleStore::logical_of(
@@ -62,11 +65,22 @@ void RuleStore::rebind(net::RuleId logical_id, Placement placement,
 
 std::vector<net::RuleId> RuleStore::ids_with_placement(
     Placement placement) const {
+  if (placement == Placement::kShadow) return {shadow_.begin(), shadow_.end()};
   std::vector<net::RuleId> out;
   for (const auto& [id, rule] : logical_) {
     if (rule.placement == placement) out.push_back(id);
   }
   return out;
+}
+
+void RuleStore::sort_by_priority(std::vector<net::RuleId>& logical_ids) const {
+  std::sort(logical_ids.begin(), logical_ids.end(),
+            [&](net::RuleId a, net::RuleId b) {
+              const int pa = find(a)->original.priority;
+              const int pb = find(b)->original.priority;
+              if (pa != pb) return pa > pb;
+              return a < b;
+            });
 }
 
 std::vector<net::Rule> RuleStore::all_originals() const {
@@ -85,9 +99,11 @@ void RuleStore::clear() {
   logical_.clear();
   physical_to_logical_.clear();
   dependents_.clear();
+  shadow_.clear();
 }
 
 void RuleStore::unlink(const LogicalRule& rule) {
+  if (rule.placement == Placement::kShadow) shadow_.erase(rule.original.id);
   for (net::RuleId pid : rule.physical_ids) physical_to_logical_.erase(pid);
   for (net::RuleId blocker : rule.cut_against) {
     auto it = dependents_.find(blocker);
@@ -99,6 +115,7 @@ void RuleStore::unlink(const LogicalRule& rule) {
 }
 
 void RuleStore::link(const LogicalRule& rule) {
+  if (rule.placement == Placement::kShadow) shadow_.insert(rule.original.id);
   for (net::RuleId pid : rule.physical_ids)
     physical_to_logical_.emplace(pid, rule.original.id);
   for (net::RuleId blocker : rule.cut_against)

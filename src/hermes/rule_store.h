@@ -8,7 +8,14 @@
 //   * physical id -> owning logical id,
 //   * blocking main rule (logical id) -> logical rules partitioned
 //     because of it (to "un-partition" when the blocker is deleted,
-//     Figure 6).
+//     Figure 6),
+//   * the set of shadow-resident logical ids, so a migration lists the
+//     few rules it moves without walking every logical rule. link() and
+//     unlink() keep it in step with `placement`; no caller gets a mutable
+//     LogicalRule, so no caller can move a rule behind the set's back.
+//     There is no main-resident set: ids_with_placement(kMain) still
+//     scans every logical rule (in the agent only reconciliation asks
+//     for it).
 #pragma once
 
 #include <optional>
@@ -44,7 +51,10 @@ class RuleStore {
   std::optional<LogicalRule> remove(net::RuleId logical_id);
 
   const LogicalRule* find(net::RuleId logical_id) const;
-  LogicalRule* find_mutable(net::RuleId logical_id);
+
+  /// Rewrites the action of a logical rule's original (an action-only
+  /// modify). Returns false if the id is unknown.
+  bool set_action(net::RuleId logical_id, const net::Action& action);
 
   /// Logical id owning a physical rule id, or nullopt.
   std::optional<net::RuleId> logical_of(net::RuleId physical_id) const;
@@ -64,8 +74,15 @@ class RuleStore {
     return logical_.count(logical_id) > 0;
   }
 
-  /// All logical ids currently placed in the given table.
+  /// All logical ids currently placed in the given table, in no set
+  /// order. kShadow costs the shadow's size; kMain scans every rule.
   std::vector<net::RuleId> ids_with_placement(Placement placement) const;
+
+  /// Sorts logical ids into the one order every multi-rule move uses
+  /// (migration, reinstallation, un-partitioning): priority descending,
+  /// then logical id ascending. A total order, so the result never
+  /// depends on hash-container iteration order. All ids must be known.
+  void sort_by_priority(std::vector<net::RuleId>& logical_ids) const;
 
   /// Every logical rule as originally issued by the controller, sorted by
   /// descending priority then id (a valid reinstallation order).
@@ -81,6 +98,7 @@ class RuleStore {
   std::unordered_map<net::RuleId, net::RuleId> physical_to_logical_;
   std::unordered_map<net::RuleId, std::unordered_set<net::RuleId>>
       dependents_;
+  std::unordered_set<net::RuleId> shadow_;  // placement == kShadow
 };
 
 }  // namespace hermes::core

@@ -16,7 +16,7 @@ FluidNetwork::FluidNetwork(const net::Topology& topology)
 
 FlowId FluidNetwork::add_flow(double bytes,
                               const std::vector<net::LinkId>& links,
-                              Time now) {
+                              [[maybe_unused]] Time now) {
   assert(now == last_advance_ && "advance_to(now) before mutating");
   assert(bytes > 0 && !links.empty());
   FlowId id = next_id_++;
@@ -25,7 +25,7 @@ FlowId FluidNetwork::add_flow(double bytes,
   return id;
 }
 
-void FluidNetwork::remove_flow(FlowId id, Time now) {
+void FluidNetwork::remove_flow(FlowId id, [[maybe_unused]] Time now) {
   assert(now == last_advance_ && "advance_to(now) before mutating");
   flows_.erase(id);
   recompute_rates();
@@ -33,7 +33,7 @@ void FluidNetwork::remove_flow(FlowId id, Time now) {
 
 void FluidNetwork::reroute_flow(FlowId id,
                                 const std::vector<net::LinkId>& links,
-                                Time now) {
+                                [[maybe_unused]] Time now) {
   assert(now == last_advance_ && "advance_to(now) before mutating");
   auto it = flows_.find(id);
   if (it == flows_.end()) return;  // completed before the move finished

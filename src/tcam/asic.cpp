@@ -63,8 +63,10 @@ ApplyResult Asic::apply(int slice_idx, const net::FlowMod& mod,
       const net::Rule* existing = table.find_ptr(mod.rule.id);
       if (!existing) return {false, model_->base_latency(), 0};
       if (existing->priority == mod.rule.priority) {
-        // Constant-time in-place rewrite (Section 2.1.1).
-        table.modify_match(mod.rule.id, mod.rule.match);
+        // Constant-time in-place rewrite (Section 2.1.1). An action-only
+        // modify leaves the engine's match key alone.
+        if (existing->match != mod.rule.match)
+          table.modify_match(mod.rule.id, mod.rule.match);
         table.modify_action(mod.rule.id, mod.rule.action);
         return {true, model_->modify_latency(), 0};
       }
@@ -192,11 +194,7 @@ Time Asic::submit_batch_delete(Time now, int slice_idx,
     return now;
   }
   ChannelStats& cs = channel_stats_[static_cast<std::size_t>(slice_idx)];
-  TcamTable& table = slice(slice_idx);
-  int removed = 0;
-  for (net::RuleId id : ids) {
-    if (table.erase(id).ok) ++removed;
-  }
+  int removed = slice(slice_idx).erase_batch(ids);
   Duration latency = model_->batch_delete_latency(removed);
   // Deletes never fail under the fault model (a delete on a rebooted
   // switch is a harmless no-op), but they do ride the same stalled

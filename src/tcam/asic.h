@@ -117,8 +117,9 @@ class Asic {
                            BatchResult* result = nullptr);
 
   /// Deletes `ids` as one batch (the shadow-emptying step of migration);
-  /// missing ids are ignored. One channel occupation for the whole batch;
-  /// an empty batch is a no-op with zero channel occupation.
+  /// missing ids are ignored. One channel occupation for the whole batch,
+  /// and the slice compacts once (TcamTable::erase_batch); an empty batch
+  /// is a no-op with zero channel occupation.
   Time submit_batch_delete(Time now, int slice_idx,
                            const std::vector<net::RuleId>& ids,
                            BatchResult* result = nullptr);

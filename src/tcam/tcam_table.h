@@ -11,16 +11,20 @@
 // occupancy-independent (Section 2.1.1).
 //
 // Bookkeeping cost model: the priority-ordered `entries_` array is the
-// ground truth for shift counts (the hardware mechanics), while an
-// id -> priority hash index replaces the old full-array scans in the
-// agent-side bookkeeping operations (`contains`/`find`/`erase`/
-// `modify_*`). Membership is O(1); locating a slot costs a binary search
-// over the sorted array plus a scan of the one equal-priority run —
-// O(log n + run) instead of O(n). Storing the priority rather than the
-// slot is deliberate: a slot index would be invalidated by every splice
-// (each insert/erase shifts the whole suffix), forcing an O(n) reindex
-// per mutation, while the priority never moves with the entry. The index
-// never changes placement or shift semantics.
+// ground truth for shift counts (the hardware mechanics), while an id
+// index replaces full-array scans in the agent-side bookkeeping
+// operations (`contains`/`find`/`erase`/`modify_*`). Each slot also
+// carries a 32-bit arrival stamp, in `stamps_` beside `entries_`, and the
+// index maps id -> {priority, stamp}. Every insert and batch lands below
+// the equal-priority residents with fresh, rising stamps, so slot order
+// is exactly (priority descending, stamp ascending): membership is O(1)
+// and locating a slot is one O(log n) binary search on that pair, however
+// long the equal-priority run. The index stores the key, not the slot,
+// because a slot index would be invalidated by every splice (each
+// insert/erase shifts the whole suffix), while the key never moves with
+// the entry. When the per-table stamp counter would wrap, the table
+// renumbers every slot 0..n-1 in slot order, which keeps the order. The
+// index never changes placement or shift semantics.
 //
 // This class models the mechanics (placement and shift counts);
 // converting shift counts to latency is the job of tcam::SwitchModel.
@@ -117,6 +121,12 @@ class TcamTable {
   /// entry splice still pays for the slots below it.
   OpResult erase(net::RuleId id);
 
+  /// Removes every listed id (missing and repeated ids are skipped) and
+  /// returns how many were removed. Same final table and stats as one
+  /// erase() per id, but the gaps close in ONE pass, so each remaining
+  /// entry moves at most once whatever the order of `ids`.
+  int erase_batch(std::span<const net::RuleId> ids);
+
   /// In-place modification of action (indexed lookup). Fails if absent.
   OpResult modify_action(net::RuleId id, const net::Action& action);
 
@@ -141,7 +151,7 @@ class TcamTable {
 
   /// O(1) id membership test via the id index.
   bool contains(net::RuleId id) const;
-  /// Indexed id lookup (O(log n + equal-priority run)); copies the rule.
+  /// Indexed id lookup (O(log n)); copies the rule.
   std::optional<net::Rule> find(net::RuleId id) const;
   /// Zero-copy indexed id lookup. The pointer is invalidated by any table
   /// mutation; use it immediately.
@@ -168,8 +178,10 @@ class TcamTable {
 
   const TableStats& stats() const { return stats_; }
 
-  /// Validates the physical-order invariant AND id-index <-> array
-  /// agreement AND lookup-engine <-> array agreement; used by tests.
+  /// Validates the physical-order invariant, id-index <-> array
+  /// agreement (each index key equals its slot's priority and stamp, and
+  /// stamps strictly rise within each priority run) and lookup-engine <->
+  /// array agreement; used by tests.
   bool check_invariant() const;
 
   /// The classification engine backing lookup()/lookup_ptr() (exposed
@@ -177,19 +189,30 @@ class TcamTable {
   const LookupEngine& engine() const { return engine_; }
 
  private:
+  // White-box seam for tests that need the stamp counter near its wrap.
+  friend struct TcamTableTestPeer;
+
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
-  /// Slot of `id` via the index: binary-search its priority, then scan
-  /// the equal-priority run. Returns kNoSlot when absent. Cache-line
-  /// aligned: the run scan is the hottest loop behind find/modify/erase,
-  /// and at the default 16-byte function alignment one placement in four
-  /// splits it across a 64-byte boundary, slowing every locate by about
-  /// a third on a Xeon host whenever unrelated code changed size.
-  [[gnu::aligned(64)]] std::size_t locate(net::RuleId id) const;
+  /// An id's place in slot order.
+  struct SlotKey {
+    int priority;
+    std::uint32_t stamp;
+  };
+
+  /// Slot of `id`: one binary search on (priority descending, stamp
+  /// ascending). Returns kNoSlot when absent.
+  std::size_t locate(net::RuleId id) const;
+  /// Reserves `count` consecutive stamps above every resident one and
+  /// returns the first; renumbers the slots first if the counter would
+  /// wrap.
+  std::uint32_t take_stamps(std::uint32_t count);
 
   int capacity_;
   std::vector<net::Rule> entries_;  // compact, non-increasing priority
-  std::unordered_map<net::RuleId, int> priority_of_;  // id -> priority
+  std::vector<std::uint32_t> stamps_;  // arrival stamp of each slot
+  std::unordered_map<net::RuleId, SlotKey> key_of_;
+  std::uint32_t next_stamp_ = 0;
   LookupEngine engine_;     // classification index over entries_
   std::uint64_t seq_ = 0;   // arrival stamps for the engine's tie-break
   TableStats stats_;

@@ -191,6 +191,28 @@ TEST(PolicyActions, MigrateSmallDrainsHalf) {
   EXPECT_EQ(agent.stats().rules_migrated, 8u);
 }
 
+// Migrate-small among equal-priority shadow rules takes the lowest ids,
+// whatever order the rules arrived in: the migration order is total
+// (priority descending, then logical id ascending), not hash order.
+TEST(PolicyActions, MigrateSmallBreaksPriorityTiesByLowestId) {
+  HermesConfig config = action_config();
+  HermesAgent agent(tcam::pica8_p3290(), 1024, config);
+  for (net::RuleId id : {6u, 2u, 8u, 1u, 7u, 3u, 5u, 4u})
+    agent.insert(0, make_rule(id, 5,
+                              (10u << 24) + static_cast<std::uint32_t>(id),
+                              32));
+  ASSERT_EQ(agent.shadow_occupancy(), 8);
+
+  AgentTestPeer::apply(agent, MigrationAction::kMigrateSmall,
+                       from_millis(1));
+  for (net::RuleId id = 1; id <= 8; ++id) {
+    ASSERT_NE(agent.store().find(id), nullptr);
+    EXPECT_EQ(agent.store().find(id)->placement,
+              id <= 4 ? Placement::kMain : Placement::kShadow)
+        << "rule " << id;
+  }
+}
+
 // Expand-partition is a bounded ratchet: each application grows the
 // shadow slice by one step until twice the initial carve, then the
 // action degrades to a plain full drain. It also always drains.

@@ -152,14 +152,27 @@ std::vector<Rule> reference_order(const std::vector<Rule>& reference,
   return ancestors;
 }
 
+// Every rule of `idx` in visit order, whole (action included).
+std::vector<Rule> visit_all(const OverlapIndex& idx) {
+  std::vector<Rule> out;
+  idx.visit(Prefix::any(), kAll, std::numeric_limits<int>::max(),
+            [&](const Rule& r) {
+              out.push_back(r);
+              return true;
+            });
+  return out;
+}
+
 // Property: results agree with a brute-force scan over random rule sets
-// under interleaved insert/erase.
+// under interleaved insert/erase/set_action. A twin index applies each
+// set_action as erase + insert, and the two must visit identically.
 class OverlapIndexProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(OverlapIndexProperty, MatchesBruteForce) {
   std::mt19937_64 rng(GetParam());
   OverlapIndex idx;
+  OverlapIndex twin;
   std::vector<Rule> reference;
   net::RuleId next_id = 1;
 
@@ -170,7 +183,27 @@ TEST_P(OverlapIndexProperty, MatchesBruteForce) {
     const bool erase_heavy = step / 100 % 3 == 2;
     const bool erase = !reference.empty() &&
                        (erase_heavy ? rng() % 4 != 0 : rng() % 3 == 0);
-    if (!erase) {
+    if (!erase && !reference.empty() && rng() % 5 == 0) {
+      // An action rewrite ends with the rule last among its prefix's
+      // rules, as erase + insert would leave it.
+      std::size_t victim = rng() % reference.size();
+      Rule r = reference[victim];
+      r.action = net::forward_to(static_cast<int>(rng() % 8));
+      EXPECT_TRUE(idx.set_action(r.id, r.match, r.action));
+      EXPECT_TRUE(twin.erase(r.id, r.match));
+      twin.insert(r);
+      reference.erase(reference.begin() +
+                      static_cast<std::ptrdiff_t>(victim));
+      reference.push_back(r);
+      bool carries = false;
+      idx.visit(r.match, r.priority - 1, r.priority, [&](const Rule& got) {
+        if (got.id == r.id) carries = got == r;
+        return got.id != r.id;
+      });
+      EXPECT_TRUE(carries) << "step " << step;
+      EXPECT_FALSE(idx.set_action(next_id, r.match, r.action));
+      ASSERT_EQ(visit_all(idx), visit_all(twin)) << "step " << step;
+    } else if (!erase) {
       // A quarter of the inserts reuse a resident prefix, so one node
       // holds several rules of different priorities.
       const Prefix match =
@@ -181,11 +214,14 @@ TEST_P(OverlapIndexProperty, MatchesBruteForce) {
       Rule r{next_id++, static_cast<int>(rng() % 10), match,
              net::forward_to(1)};
       idx.insert(r);
+      twin.insert(r);
       reference.push_back(r);
     } else {
       std::size_t victim = rng() % reference.size();
       EXPECT_TRUE(
           idx.erase(reference[victim].id, reference[victim].match));
+      EXPECT_TRUE(
+          twin.erase(reference[victim].id, reference[victim].match));
       reference.erase(reference.begin() +
                       static_cast<std::ptrdiff_t>(victim));
     }

@@ -179,10 +179,12 @@ TEST_P(PartitionProperty, PiecesAreExactResidualCover) {
       EXPECT_TRUE(new_rule.match.contains(result.pieces[i]));
       for (std::size_t j = i + 1; j < result.pieces.size(); ++j)
         EXPECT_FALSE(result.pieces[i].overlaps(result.pieces[j]));
-      for (const Rule& r : main_rules)
-        if (r.priority > new_rule.priority)
+      for (const Rule& r : main_rules) {
+        if (r.priority > new_rule.priority) {
           EXPECT_FALSE(result.pieces[i].overlaps(r.match))
               << result.pieces[i].to_string() << " vs " << net::to_string(r);
+        }
+      }
       if (result.pieces[i].length() > new_rule.match.length()) {
         const Prefix parent = result.pieces[i].parent();
         EXPECT_TRUE(std::any_of(

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <random>
 
 namespace hermes::core {
 namespace {
@@ -128,7 +130,84 @@ TEST(RuleStore, ClearEmptiesEverything) {
   store.clear();
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.find(1), nullptr);
+  EXPECT_TRUE(store.ids_with_placement(Placement::kShadow).empty());
 }
+
+TEST(RuleStore, SetActionRewritesOnlyTheAction) {
+  RuleStore store;
+  store.add(simple(1));
+  EXPECT_TRUE(store.set_action(1, net::forward_to(7)));
+  EXPECT_EQ(store.find(1)->original.action, net::forward_to(7));
+  EXPECT_EQ(store.find(1)->placement, Placement::kShadow);
+  EXPECT_FALSE(store.set_action(2, net::forward_to(7)));
+}
+
+TEST(RuleStore, SortByPriorityBreaksTiesByAscendingId) {
+  RuleStore store;
+  for (net::RuleId id : {5u, 3u, 9u, 1u, 7u}) {
+    LogicalRule lr = simple(id);
+    lr.original.priority = id == 9 ? 2 : 1;
+    store.add(lr);
+  }
+  std::vector<net::RuleId> ids = {7, 1, 9, 5, 3};
+  store.sort_by_priority(ids);
+  EXPECT_EQ(ids, (std::vector<net::RuleId>{9, 1, 3, 5, 7}));
+}
+
+// Property: under random add/rebind/remove/clear, ids_with_placement(p)
+// equals a brute-force filter over every logical rule, for both
+// placements.
+class RuleStoreProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RuleStoreProperty, PlacementQueriesMatchBruteForce) {
+  std::mt19937_64 rng(GetParam());
+  RuleStore store;
+  std::map<net::RuleId, Placement> reference;
+  auto pick = [&](net::RuleId fallback) {
+    if (reference.empty() || rng() % 8 == 0) return fallback;  // unknown id
+    auto it = reference.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(rng() % reference.size()));
+    return it->first;
+  };
+  auto random_placement = [&] {
+    return rng() % 2 == 0 ? Placement::kShadow : Placement::kMain;
+  };
+  net::RuleId next_piece = 1000;
+  for (int step = 0; step < 2000; ++step) {
+    const int op = static_cast<int>(rng() % 16);
+    if (op < 6) {
+      const net::RuleId id = 1 + rng() % 64;
+      if (reference.count(id) > 0) continue;
+      const Placement placement = random_placement();
+      store.add(LogicalRule{make_rule(id), placement, {next_piece++}, {}});
+      reference[id] = placement;
+    } else if (op < 11) {
+      const net::RuleId id = pick(0);
+      if (reference.count(id) == 0) continue;
+      const Placement placement = random_placement();
+      store.rebind(id, placement, {next_piece++, next_piece++}, {});
+      reference[id] = placement;
+    } else if (op < 15) {
+      const net::RuleId id = pick(999);
+      EXPECT_EQ(store.remove(id).has_value(), reference.erase(id) > 0);
+    } else if (step % 10 == 0) {
+      store.clear();
+      reference.clear();
+    }
+    for (Placement placement : {Placement::kShadow, Placement::kMain}) {
+      std::vector<net::RuleId> got = store.ids_with_placement(placement);
+      std::sort(got.begin(), got.end());
+      std::vector<net::RuleId> want;
+      for (const auto& [id, p] : reference)
+        if (p == placement) want.push_back(id);
+      ASSERT_EQ(got, want) << "step " << step;
+    }
+    ASSERT_EQ(store.size(), reference.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RuleStoreProperty,
+                         ::testing::Values(1, 7, 42));
 
 }  // namespace
 }  // namespace hermes::core

@@ -220,7 +220,9 @@ TEST(EndToEnd, HermesAndPlainAgreeAfterMixedWorkloadWithDeletes) {
     auto h = hermes_sw.lookup(addr);
     auto p = plain_sw.lookup(addr);
     ASSERT_EQ(h.has_value(), p.has_value()) << addr.to_string();
-    if (h) EXPECT_EQ(h->priority, p->priority) << addr.to_string();
+    if (h) {
+      EXPECT_EQ(h->priority, p->priority) << addr.to_string();
+    }
   }
 }
 

@@ -55,7 +55,7 @@ TEST(EventQueue, RunUntilStopsAtBoundary) {
 TEST(EventQueue, ScheduleInUsesCurrentTime) {
   EventQueue q;
   Time seen = -1;
-  q.schedule(5, [&](Time now) {
+  q.schedule(5, [&](Time) {
     q.schedule_in(7, [&](Time t) { seen = t; });
   });
   q.run_all();

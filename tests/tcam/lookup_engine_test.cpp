@@ -112,7 +112,9 @@ TEST_P(LookupEngineDifferential, AgreesWithLinearOracleUnderChurn) {
       t.clear();
       live.clear();
     }
-    if (step % 16 == 0) ASSERT_TRUE(t.check_invariant()) << "step " << step;
+    if (step % 16 == 0) {
+      ASSERT_TRUE(t.check_invariant()) << "step " << step;
+    }
     if (step % 8 == 0) {
       std::vector<Ipv4Address> probes = probe_set(live, rng, /*extra=*/16);
       expect_matches_oracle(t, probes);
@@ -217,7 +219,9 @@ TEST(LookupEngine, BatchInsertStampsMatchSequentialSemantics) {
     const Rule* a = seq.lookup_ptr(addr);
     const Rule* b = batched.lookup_ptr(addr);
     ASSERT_EQ(a == nullptr, b == nullptr);
-    if (a != nullptr) EXPECT_EQ(a->id, b->id);
+    if (a != nullptr) {
+      EXPECT_EQ(a->id, b->id);
+    }
   }
   expect_matches_oracle(batched, probes);
 }
@@ -372,7 +376,9 @@ TEST(BackendLookupParity, AllBackendsAgreeAfterSameOpStream) {
       // The copying base-class overload sees the same result.
       std::optional<Rule> copy = b->lookup(now, addr);
       ASSERT_EQ(copy.has_value(), got != nullptr);
-      if (got != nullptr) EXPECT_EQ(copy->id, got->id);
+      if (got != nullptr) {
+        EXPECT_EQ(copy->id, got->id);
+      }
     }
   }
 }

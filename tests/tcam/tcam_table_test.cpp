@@ -3,9 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 
 namespace hermes::tcam {
+
+// White-box seam (friend of TcamTable): the slot-stamp counter, so a test
+// can start it a few stamps below its wrap.
+struct TcamTableTestPeer {
+  static std::uint32_t next_stamp(const TcamTable& t) { return t.next_stamp_; }
+  static void set_next_stamp(TcamTable& t, std::uint32_t stamp) {
+    t.next_stamp_ = stamp;
+  }
+};
+
 namespace {
 
 using net::forward_to;
@@ -280,30 +291,64 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TcamTableProperty,
                          ::testing::Values(1, 17, 23, 42, 99));
 
 // Property: the id index agrees with the priority-ordered array across
-// every mutation path. Exercises all five mutators (insert, erase,
-// modify_action, modify_match, clear) in random interleavings and checks
-// contains/find/find_ptr against a reference map — including misses and
-// ids that were installed then erased (stale-index bait).
-class TcamTableIndexProperty : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(TcamTableIndexProperty, IndexMatchesArrayUnderRandomMutations) {
-  std::mt19937_64 rng(GetParam());
+// every mutation path. Exercises all seven mutators (insert, insert_batch,
+// erase, erase_batch, modify_action, modify_match, clear) in random
+// interleavings and
+// checks contains/find/find_ptr against a reference map — including
+// misses and ids that were installed then erased (stale-index bait).
+// With `rewind_every` > 0 the stamp counter is put a few stamps below
+// its wrap every that many steps; `wraps` counts how often it wrapped.
+void run_index_interleaving(std::uint64_t seed, int rewind_every,
+                            int* wraps) {
+  std::mt19937_64 rng(seed);
   TcamTable t(48);
   std::vector<Rule> reference;
   std::vector<net::RuleId> erased;  // ids the index must have forgotten
   net::RuleId next_id = 1;
+  // Narrow priority range on purpose: long equal-priority runs are where
+  // the stamp order decides the slot.
+  auto fresh_rule = [&] {
+    return Rule{next_id++, static_cast<int>(rng() % 6),
+                Prefix(net::Ipv4Address(static_cast<std::uint32_t>(rng())),
+                       static_cast<int>(rng() % 25)),
+                forward_to(static_cast<int>(rng() % 8))};
+  };
 
   for (int step = 0; step < 800; ++step) {
-    int op = static_cast<int>(rng() % 5);
+    if (rewind_every > 0 && step % rewind_every == 0)
+      TcamTableTestPeer::set_next_stamp(
+          t, std::numeric_limits<std::uint32_t>::max() -
+                 static_cast<std::uint32_t>(rng() % 4));
+    const std::uint32_t stamp_before = TcamTableTestPeer::next_stamp(t);
+    int op = static_cast<int>(rng() % 7);
     if (op == 0 || reference.empty()) {
-      // Narrow priority range on purpose: long equal-priority runs stress
-      // the within-run id scan.
-      Rule r{next_id++, static_cast<int>(rng() % 6),
-             Prefix(net::Ipv4Address(static_cast<std::uint32_t>(rng())),
-                    static_cast<int>(rng() % 25)),
-             forward_to(static_cast<int>(rng() % 8))};
+      Rule r = fresh_rule();
       if (t.insert(r).ok) reference.push_back(r);
+    } else if (op == 5) {
+      std::vector<Rule> batch;
+      const int size = 1 + static_cast<int>(rng() % 6);
+      for (int i = 0; i < size; ++i) batch.push_back(fresh_rule());
+      std::vector<OpResult> per_op;
+      t.insert_batch(batch, &per_op);
+      for (std::size_t i = 0; i < batch.size(); ++i)
+        if (per_op[i].ok) reference.push_back(batch[i]);
+    } else if (op == 6) {
+      // A random subset in random order, plus a repeat and a miss.
+      std::vector<net::RuleId> ids = {next_id};
+      std::vector<Rule> kept;
+      for (const Rule& r : reference) {
+        if (rng() % 3 == 0) {
+          ids.push_back(r.id);
+          erased.push_back(r.id);
+        } else {
+          kept.push_back(r);
+        }
+      }
+      std::shuffle(ids.begin(), ids.end(), rng);
+      ids.push_back(ids.front());
+      const int removed = static_cast<int>(reference.size() - kept.size());
+      ASSERT_EQ(t.erase_batch(ids), removed);
+      reference = std::move(kept);
     } else if (op == 1) {
       std::size_t victim = rng() % reference.size();
       ASSERT_TRUE(t.erase(reference[victim].id).ok);
@@ -352,7 +397,25 @@ TEST_P(TcamTableIndexProperty, IndexMatchesArrayUnderRandomMutations) {
     const std::vector<Rule>& view = t.rules_view();
     ASSERT_EQ(view.size(), reference.size());
     EXPECT_EQ(view, t.rules());
+    if (TcamTableTestPeer::next_stamp(t) < stamp_before) ++*wraps;
   }
+}
+
+class TcamTableIndexProperty : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(TcamTableIndexProperty, IndexMatchesArrayUnderRandomMutations) {
+  int wraps = 0;
+  run_index_interleaving(GetParam(), /*rewind_every=*/0, &wraps);
+}
+
+// The same interleaving with the stamp counter started a few stamps
+// below 2^32 again and again: each wrap renumbers every slot, and
+// check_invariant() and find_ptr must hold across it.
+TEST_P(TcamTableIndexProperty, IndexSurvivesStampWrap) {
+  int wraps = 0;
+  run_index_interleaving(GetParam(), /*rewind_every=*/40, &wraps);
+  EXPECT_GT(wraps, 10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TcamTableIndexProperty,

@@ -118,7 +118,9 @@ TEST(BgpFeed, DeterministicAndOrdered) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].time, b[i].time);
     EXPECT_EQ(a[i].prefix, b[i].prefix);
-    if (i > 0) EXPECT_GE(a[i].time, a[i - 1].time);
+    if (i > 0) {
+      EXPECT_GE(a[i].time, a[i - 1].time);
+    }
   }
 }
 
