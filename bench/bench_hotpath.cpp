@@ -1,8 +1,8 @@
 // Hot-path microbenchmark: per-op wall-clock cost of the TCAM bookkeeping
 // primitives that every control-plane action rides on, plus the agent
 // migration drain, a full PlainSwitch backend churn, the rule cache's
-// aborted promotion closure and id lookups in one long equal-priority
-// run.
+// aborted promotion closure, id lookups in one long equal-priority run
+// and the simulator's max-min rate recompute.
 //
 // Unlike the per-figure harnesses (which report SIMULATED latency from the
 // switch models), this measures REAL nanoseconds of the simulator's own
@@ -27,7 +27,9 @@
 #include "hermes/hermes_agent.h"
 #include "baselines/plain_switch.h"
 #include "cache/cache_hierarchy.h"
+#include "net/routing.h"
 #include "report.h"
+#include "sim/fluid_network.h"
 #include "tcam/switch_model.h"
 #include "tcam/tcam_table.h"
 
@@ -444,6 +446,65 @@ double bench_locate_run_scaling() {
   return median_of(large, large_ns) / std::max(small_median, 1e-9);
 }
 
+// Rate-recompute scaling: CPU ns per add_flow + remove_flow pair in a
+// FluidNetwork on a k=16 fat-tree carrying 4,096 active flows, divided by
+// the same with 512. Every mutation refills max-min rates over all active
+// flows. A filling that rescans every link and flow in each round also
+// pays for the rounds, which grow with the flows (~8.7 against ~5.6 for
+// the bottleneck heap over per-link flow lists). Alternating blocks and
+// medians, as above.
+struct ActiveFlows {
+  ActiveFlows(const net::Topology& topo, net::PathDatabase& paths, int n)
+      : size(n), network(topo) {
+    std::mt19937_64 rng(0xF1A7 ^ static_cast<std::uint64_t>(n));
+    const std::vector<net::NodeId> hosts = topo.hosts();
+    auto random_links = [&] {
+      net::NodeId a = hosts[rng() % hosts.size()];
+      net::NodeId b = hosts[rng() % hosts.size()];
+      while (b == a) b = hosts[rng() % hosts.size()];
+      const auto& candidates = paths.paths(a, b);
+      return net::path_links(topo, candidates[rng() % candidates.size()]);
+    };
+    for (int i = 0; i < n; ++i) network.add_flow(1e9, random_links(), 0);
+    for (int i = 0; i < kPairs; ++i) probes.push_back(random_links());
+  }
+
+  double block_ns() {
+    auto start = Clock::now();
+    for (const auto& links : probes)
+      network.remove_flow(network.add_flow(1e9, links, 0), 0);
+    return ns_since(start, probes.size());
+  }
+
+  static constexpr int kPairs = 16;
+  int size;
+  sim::FluidNetwork network;
+  std::vector<std::vector<net::LinkId>> probes;
+};
+
+double bench_rate_recompute_scaling() {
+  constexpr int kBlocks = 7;
+  const net::Topology topo = net::fat_tree(16);
+  net::PathDatabase paths(topo, 4, net::hop_count());
+  ActiveFlows small(topo, paths, 512);
+  ActiveFlows large(topo, paths, 4096);
+  std::vector<double> small_ns;
+  std::vector<double> large_ns;
+  for (int b = 0; b < kBlocks; ++b) {
+    small_ns.push_back(small.block_ns());
+    large_ns.push_back(large.block_ns());
+  }
+  auto median_of = [&](const ActiveFlows& run, std::vector<double>& ns) {
+    std::nth_element(ns.begin(), ns.begin() + ns.size() / 2, ns.end());
+    record("rate_recompute", "fluid", run.size,
+           static_cast<std::uint64_t>(kBlocks) * ActiveFlows::kPairs,
+           ns[ns.size() / 2]);
+    return ns[ns.size() / 2];
+  };
+  const double small_median = median_of(small, small_ns);
+  return median_of(large, large_ns) / std::max(small_median, 1e-9);
+}
+
 double ns_of(const std::string& op, const std::string& impl, int rules) {
   for (const Row& r : g_rows)
     if (r.op == op && r.impl == impl && r.rules == rules) return r.ns_per_op;
@@ -489,6 +550,7 @@ int main(int argc, char** argv) {
   // smoke mode, for the same CI-stability reason as above.
   const double closure_scaling = bench_closure_abort_scaling();
   const double locate_scaling = bench_locate_run_scaling();
+  const double recompute_scaling = bench_rate_recompute_scaling();
 
   // Headline indexed-vs-linear ratios at the largest size that ran.
   // Ratios — not raw ns/op — are what CI regression-gates: they are
@@ -506,13 +568,15 @@ int main(int argc, char** argv) {
   rep.derived("erase_insert_speedup", churn_speedup);
   rep.derived("closure_abort_scaling", closure_scaling);
   rep.derived("locate_run_scaling", locate_scaling);
+  rep.derived("rate_recompute_scaling", recompute_scaling);
   std::printf(
       "\nspeedup @%dk rules: find %.1fx, erase (drain) %.1fx, "
       "erase+insert churn %.1fx\n"
       "closure abort cost, 65536 vs 256 /32s under the aggregate: %.2fx\n"
-      "find cost in one equal-priority run, 65536 vs 1024 entries: %.2fx\n",
+      "find cost in one equal-priority run, 65536 vs 1024 entries: %.2fx\n"
+      "rate recompute cost, 4096 vs 512 active flows: %.2fx\n",
       top / 1024, find_speedup, drain_speedup, churn_speedup,
-      closure_scaling, locate_scaling);
+      closure_scaling, locate_scaling, recompute_scaling);
   rep.write(out);
   return 0;
 }

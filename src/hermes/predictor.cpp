@@ -48,24 +48,17 @@ double CubicSplinePredictor::predict(std::span<const double> history) const {
   }
 
   // Natural cubic spline: solve the tridiagonal system for the second
-  // derivatives M_i (M_0 = M_{n-1} = 0), knot spacing h = 1.
-  std::vector<double> m(n, 0.0);
-  {
-    std::size_t interior = n - 2;
-    std::vector<double> diag(interior, 4.0);
-    std::vector<double> rhs(interior);
-    for (std::size_t i = 0; i < interior; ++i)
-      rhs[i] = 6.0 * (y[i + 2] - 2 * y[i + 1] + y[i]);
-    // Thomas algorithm with unit off-diagonals.
-    for (std::size_t i = 1; i < interior; ++i) {
-      double w = 1.0 / diag[i - 1];
-      diag[i] -= w;
-      rhs[i] -= w * rhs[i - 1];
-    }
-    for (std::size_t i = interior; i-- > 0;) {
-      double upper = (i + 1 < interior) ? m[i + 2] : 0.0;
-      m[i + 1] = (rhs[i] - upper) / diag[i];
-    }
+  // derivatives M_i (M_0 = M_{n-1} = 0), knot spacing h = 1, by the
+  // Thomas algorithm with unit off-diagonals. The extrapolation below
+  // needs only M_{n-2} and M_{n-1}, and back substitution yields M_{n-2}
+  // first (the last row's rhs over its pivot), so the forward sweep
+  // keeps just the current row and nothing is allocated.
+  double diag = 4.0;
+  double rhs = 6.0 * (y[2] - 2 * y[1] + y[0]);
+  for (std::size_t i = 1; i + 2 < n; ++i) {
+    double w = 1.0 / diag;
+    diag = 4.0 - w;
+    rhs = 6.0 * (y[i + 2] - 2 * y[i + 1] + y[i]) - w * rhs;
   }
 
   // Extrapolate one step past the last knot using the final segment's
@@ -73,7 +66,7 @@ double CubicSplinePredictor::predict(std::span<const double> history) const {
   //   S(t) = y0 (1-t) + y1 t + (M0 ((1-t)^3-(1-t)) + M1 (t^3-t)) / 6.
   // At x = n, t = 2.
   double y0 = y[n - 2], y1 = y[n - 1];
-  double m0 = m[n - 2], m1 = m[n - 1];
+  double m0 = rhs / diag, m1 = 0.0;
   double t = 2.0;
   double omt = 1.0 - t;  // = -1
   double value = y0 * omt + y1 * t +
@@ -168,21 +161,30 @@ void GrowthEstimator::observe(double count) {
   // Score the forecast this history WOULD have produced for the epoch
   // that just closed (guarded: predict() is not free, so only pay for it
   // when a registry is actually collecting).
-  if (obs_samples_.attached() && !history_.empty()) {
+  if (obs_samples_.attached() && !history().empty()) {
     obs_samples_.inc();
     obs_abs_error_.record(static_cast<std::uint64_t>(
         std::abs(raw_prediction() - count) + 0.5));
   }
   history_.push_back(count);
-  if (history_.size() > max_history_)
+  if (history_.size() - first_ > max_history_) ++first_;
+  if (first_ == max_history_) {
     history_.erase(history_.begin(),
-                   history_.begin() +
-                       static_cast<std::ptrdiff_t>(history_.size() -
-                                                   max_history_));
+                   history_.begin() + static_cast<std::ptrdiff_t>(first_));
+    first_ = 0;
+  }
+  forecast_.reset();
+}
+
+void GrowthEstimator::reset() {
+  history_.clear();
+  first_ = 0;
+  forecast_.reset();
 }
 
 double GrowthEstimator::raw_prediction() const {
-  return predictor_->predict(history_);
+  if (!forecast_) forecast_ = predictor_->predict(history());
+  return *forecast_;
 }
 
 double GrowthEstimator::predicted_next() const {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -114,19 +115,29 @@ class GrowthEstimator {
 
   /// Corrected forecast of next epoch's arrivals.
   double predicted_next() const;
-  /// Uncorrected forecast (for error analysis).
+  /// Uncorrected forecast (for error analysis). Computed on the first
+  /// read after an observe() or reset(), then served from memory: a
+  /// forecast is a pure function of the history.
   double raw_prediction() const;
 
   const Predictor& predictor() const { return *predictor_; }
   const Corrector& corrector() const { return *corrector_; }
-  std::span<const double> history() const { return history_; }
-  void reset() { history_.clear(); }
+  /// The last min(n, max_history) observed counts, oldest first.
+  std::span<const double> history() const {
+    return std::span<const double>(history_).subspan(first_);
+  }
+  void reset();
 
  private:
   std::unique_ptr<Predictor> predictor_;
   std::unique_ptr<Corrector> corrector_;
   std::size_t max_history_;
+  // The history is history_[first_..]. Dropped samples stay in front
+  // until there are max_history_ of them, then go in one erase, so
+  // dropping the oldest sample costs O(1) amortized.
   std::vector<double> history_;
+  std::size_t first_ = 0;
+  mutable std::optional<double> forecast_;  // raw forecast of history()
 
   // Forecast-accuracy aggregates (process-attached registry; detached
   // no-op handles otherwise). The error histogram records |raw forecast -

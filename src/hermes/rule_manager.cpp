@@ -42,9 +42,11 @@ Time HermesAgent::migrate_now(Time now) { return run_migration(now); }
 void HermesAgent::close_epoch() {
   // Forecast-vs-actual sample for the epoch that just ended: what the
   // estimator would have predicted BEFORE seeing this epoch's count.
-  obs::trace_event(obs::predictor_sample_event(
-      epoch_start_ + config_.epoch, estimator_->raw_prediction(),
-      arrivals_this_epoch_));
+  // Built only when a registry can receive it.
+  if (obs::attached())
+    obs::trace_event(obs::predictor_sample_event(
+        epoch_start_ + config_.epoch, estimator_->raw_prediction(),
+        arrivals_this_epoch_));
   estimator_->observe(arrivals_this_epoch_);
   arrivals_this_epoch_ = 0;
 

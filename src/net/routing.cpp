@@ -20,6 +20,16 @@ struct QueueEntry {
   }
 };
 
+// Weight of every link, by LinkId: the LinkWeight is called once per link
+// per query (or once per PathDatabase), never once per relaxed edge.
+std::vector<double> link_weights(const Topology& topo,
+                                 const LinkWeight& weight) {
+  std::vector<double> w;
+  w.reserve(static_cast<std::size_t>(topo.link_count()));
+  for (const Link& l : topo.links()) w.push_back(weight(l));
+  return w;
+}
+
 // Dijkstra from `src`, honoring `banned_nodes` / `banned_links` (for Yen).
 // Returns per-node distance and predecessor link.
 struct SsspResult {
@@ -27,7 +37,8 @@ struct SsspResult {
   std::vector<LinkId> pred_link;
 };
 
-SsspResult dijkstra(const Topology& topo, NodeId src, const LinkWeight& weight,
+SsspResult dijkstra(const Topology& topo, const std::vector<double>& weights,
+                    NodeId src,
                     const std::vector<char>* banned_nodes = nullptr,
                     const std::set<LinkId>* banned_links = nullptr) {
   auto n = static_cast<std::size_t>(topo.node_count());
@@ -44,11 +55,10 @@ SsspResult dijkstra(const Topology& topo, NodeId src, const LinkWeight& weight,
     if (d > r.dist[static_cast<std::size_t>(u)]) continue;
     for (LinkId lid : topo.links_of(u)) {
       if (banned_links && banned_links->count(lid)) continue;
-      const Link& l = topo.link(lid);
-      NodeId v = l.other(u);
+      NodeId v = topo.link(lid).other(u);
       if (banned_nodes && (*banned_nodes)[static_cast<std::size_t>(v)])
         continue;
-      double nd = d + weight(l);
+      double nd = d + weights[static_cast<std::size_t>(lid)];
       if (nd < r.dist[static_cast<std::size_t>(v)]) {
         r.dist[static_cast<std::size_t>(v)] = nd;
         r.pred_link[static_cast<std::size_t>(v)] = lid;
@@ -74,37 +84,28 @@ std::optional<Path> extract_path(const Topology& topo, const SsspResult& r,
   return path;
 }
 
-}  // namespace
-
-LinkWeight hop_count() {
-  return [](const Link&) { return 1.0; };
-}
-
-LinkWeight propagation_delay() {
-  return [](const Link& l) { return l.delay_s; };
-}
-
-std::optional<Path> shortest_path(const Topology& topo, NodeId src,
-                                  NodeId dst, const LinkWeight& weight) {
-  if (src == dst) return Path{src};
-  auto r = dijkstra(topo, src, weight);
-  return extract_path(topo, r, src, dst);
-}
-
 double path_cost(const Topology& topo, const Path& path,
-                 const LinkWeight& weight) {
+                 const std::vector<double>& weights) {
   if (path.empty()) return kInf;
   double total = 0;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     LinkId l = topo.find_link(path[i], path[i + 1]);
     if (l == kInvalidLink) return kInf;
-    total += weight(topo.link(l));
+    total += weights[static_cast<std::size_t>(l)];
   }
   return total;
 }
 
-std::vector<Path> ecmp_paths(const Topology& topo, NodeId src, NodeId dst,
-                             const LinkWeight& weight, int max_paths) {
+// All equal-cost shortest paths src -> dst, up to `max_paths`, from the
+// single-source distance rows of both endpoints. Links are undirected and
+// weigh the same both ways, so dst's row holds every node's distance TO
+// dst.
+std::vector<Path> ecmp_from_rows(const Topology& topo,
+                                 const std::vector<double>& weights,
+                                 NodeId src, NodeId dst,
+                                 const std::vector<double>& from_src,
+                                 const std::vector<double>& to_dst,
+                                 int max_paths) {
   std::vector<Path> out;
   if (max_paths <= 0) return out;
   if (src == dst) {
@@ -113,9 +114,7 @@ std::vector<Path> ecmp_paths(const Topology& topo, NodeId src, NodeId dst,
   }
   // dist_from_src + link + dist_to_dst == total  <=>  the link lies on a
   // shortest path. Enumerate such paths by DFS from src.
-  auto from_src = dijkstra(topo, src, weight);
-  auto to_dst = dijkstra(topo, dst, weight);
-  double total = from_src.dist[static_cast<std::size_t>(dst)];
+  double total = from_src[static_cast<std::size_t>(dst)];
   if (total == kInf) return out;
 
   constexpr double kEps = 1e-12;
@@ -133,12 +132,13 @@ std::vector<Path> ecmp_paths(const Topology& topo, NodeId src, NodeId dst,
     bool descended = false;
     while (f.next_idx < adj.size()) {
       LinkId lid = adj[f.next_idx++];
-      const Link& l = topo.link(lid);
-      NodeId v = l.other(u);
-      double du = from_src.dist[static_cast<std::size_t>(u)];
-      double dv = to_dst.dist[static_cast<std::size_t>(v)];
+      NodeId v = topo.link(lid).other(u);
+      double du = from_src[static_cast<std::size_t>(u)];
+      double dv = to_dst[static_cast<std::size_t>(v)];
       if (dv == kInf) continue;
-      if (std::abs(du + weight(l) + dv - total) > kEps) continue;
+      if (std::abs(du + weights[static_cast<std::size_t>(lid)] + dv -
+                   total) > kEps)
+        continue;
       current.push_back(v);
       if (v == dst) {
         out.push_back(current);
@@ -159,19 +159,19 @@ std::vector<Path> ecmp_paths(const Topology& topo, NodeId src, NodeId dst,
   return out;
 }
 
-std::vector<Path> k_shortest_paths(const Topology& topo, NodeId src,
-                                   NodeId dst, const LinkWeight& weight,
-                                   int k) {
+// Yen's algorithm over precomputed link weights.
+std::vector<Path> yen(const Topology& topo, const std::vector<double>& weights,
+                      NodeId src, NodeId dst, int k) {
   std::vector<Path> result;
   if (k <= 0) return result;
-  auto first = shortest_path(topo, src, dst, weight);
+  auto first = extract_path(topo, dijkstra(topo, weights, src), src, dst);
   if (!first) return result;
   result.push_back(*first);
 
   // Candidate paths, ordered by cost then lexicographically (determinism).
   auto cmp = [&](const Path& a, const Path& b) {
-    double ca = path_cost(topo, a, weight);
-    double cb = path_cost(topo, b, weight);
+    double ca = path_cost(topo, a, weights);
+    double cb = path_cost(topo, b, weights);
     if (ca != cb) return ca < cb;
     return a < b;
   };
@@ -181,7 +181,8 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeId src,
     const Path& prev = result.back();
     for (std::size_t i = 0; i + 1 < prev.size(); ++i) {
       NodeId spur_node = prev[i];
-      Path root(prev.begin(), prev.begin() + static_cast<std::ptrdiff_t>(i + 1));
+      Path root(prev.begin(),
+                prev.begin() + static_cast<std::ptrdiff_t>(i + 1));
 
       std::set<LinkId> banned_links;
       for (const Path& p : result) {
@@ -198,7 +199,7 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeId src,
       for (std::size_t j = 0; j < i; ++j)
         banned_nodes[static_cast<std::size_t>(root[j])] = 1;
 
-      auto sssp = dijkstra(topo, spur_node, weight, &banned_nodes,
+      auto sssp = dijkstra(topo, weights, spur_node, &banned_nodes,
                            &banned_links);
       auto spur = extract_path(topo, sssp, spur_node, dst);
       if (!spur) continue;
@@ -218,22 +219,65 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeId src,
   return result;
 }
 
+}  // namespace
+
+LinkWeight hop_count() {
+  return [](const Link&) { return 1.0; };
+}
+
+LinkWeight propagation_delay() {
+  return [](const Link& l) { return l.delay_s; };
+}
+
+std::optional<Path> shortest_path(const Topology& topo, NodeId src,
+                                  NodeId dst, const LinkWeight& weight) {
+  if (src == dst) return Path{src};
+  auto r = dijkstra(topo, link_weights(topo, weight), src);
+  return extract_path(topo, r, src, dst);
+}
+
+double path_cost(const Topology& topo, const Path& path,
+                 const LinkWeight& weight) {
+  return path_cost(topo, path, link_weights(topo, weight));
+}
+
+std::vector<Path> ecmp_paths(const Topology& topo, NodeId src, NodeId dst,
+                             const LinkWeight& weight, int max_paths) {
+  const std::vector<double> weights = link_weights(topo, weight);
+  return ecmp_from_rows(topo, weights, src, dst,
+                        dijkstra(topo, weights, src).dist,
+                        dijkstra(topo, weights, dst).dist, max_paths);
+}
+
+std::vector<Path> k_shortest_paths(const Topology& topo, NodeId src,
+                                   NodeId dst, const LinkWeight& weight,
+                                   int k) {
+  return yen(topo, link_weights(topo, weight), src, dst, k);
+}
+
 PathDatabase::PathDatabase(const Topology& topo, int paths_per_pair,
-                           LinkWeight weight)
+                           const LinkWeight& weight)
     : topo_(topo),
       paths_per_pair_(paths_per_pair),
-      weight_(std::move(weight)) {}
+      weights_(link_weights(topo, weight)),
+      rows_(static_cast<std::size_t>(topo.node_count())) {}
+
+const std::vector<double>& PathDatabase::row(NodeId node) {
+  std::vector<double>& r = rows_[static_cast<std::size_t>(node)];
+  if (r.empty()) r = dijkstra(topo_, weights_, node).dist;
+  return r;
+}
 
 const std::vector<Path>& PathDatabase::paths(NodeId src, NodeId dst) {
-  std::uint64_t key = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-                      static_cast<std::uint32_t>(dst);
+  std::uint64_t key =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
+      static_cast<std::uint32_t>(dst);
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
-  std::vector<Path> paths = ecmp_paths(topo_, src, dst, weight_,
-                                       paths_per_pair_);
+  std::vector<Path> paths = ecmp_from_rows(topo_, weights_, src, dst, row(src),
+                                           row(dst), paths_per_pair_);
   if (static_cast<int>(paths.size()) < paths_per_pair_) {
-    for (Path& p : k_shortest_paths(topo_, src, dst, weight_,
-                                    paths_per_pair_)) {
+    for (Path& p : yen(topo_, weights_, src, dst, paths_per_pair_)) {
       if (std::find(paths.begin(), paths.end(), p) == paths.end())
         paths.push_back(std::move(p));
       if (static_cast<int>(paths.size()) >= paths_per_pair_) break;

@@ -45,13 +45,19 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeId src,
 ///
 /// Large topologies (a k=16 fat-tree has ~1M host pairs) make eager
 /// all-pairs computation wasteful; the TE app only ever asks about pairs
-/// that carry flows.
+/// that carry flows. Link weights are evaluated once, at construction.
+/// The first pair that names an endpoint computes that endpoint's
+/// single-source distance row (node_count doubles); every later pair
+/// with that endpoint derives its ECMP set from the stored row, so a
+/// new pair costs at most two Dijkstras and usually none. The answers
+/// equal ecmp_paths() plus the k_shortest_paths() fill exactly.
 class PathDatabase {
  public:
   /// Serves up to `paths_per_pair` candidate paths per pair. ECMP
   /// shortest paths are preferred; Yen paths fill the remainder when the
   /// topology has few equal-cost options.
-  PathDatabase(const Topology& topo, int paths_per_pair, LinkWeight weight);
+  PathDatabase(const Topology& topo, int paths_per_pair,
+               const LinkWeight& weight);
 
   /// Candidate paths for src -> dst (empty when unreachable). Memoized.
   const std::vector<Path>& paths(NodeId src, NodeId dst);
@@ -59,9 +65,13 @@ class PathDatabase {
   int paths_per_pair() const { return paths_per_pair_; }
 
  private:
+  /// The single-source distance row of `node`, computed on first use.
+  const std::vector<double>& row(NodeId node);
+
   const Topology& topo_;
   int paths_per_pair_;
-  LinkWeight weight_;
+  std::vector<double> weights_;            // by LinkId
+  std::vector<std::vector<double>> rows_;  // by NodeId; empty = not yet
   std::unordered_map<std::uint64_t, std::vector<Path>> cache_;
 };
 

@@ -3,15 +3,20 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
+#include <functional>
 
 namespace hermes::sim {
 
 FluidNetwork::FluidNetwork(const net::Topology& topology)
     : topology_(&topology) {
-  link_capacity_.reserve(static_cast<std::size_t>(topology.link_count()));
+  const auto links = static_cast<std::size_t>(topology.link_count());
+  link_capacity_.reserve(links);
   for (const net::Link& l : topology.links())
     link_capacity_.push_back(l.capacity_bps / 8.0);
+  link_flows_.resize(links);
+  residual_.resize(links);
+  unfrozen_.resize(links);
+  round_of_.resize(links);
 }
 
 FlowId FluidNetwork::add_flow(double bytes,
@@ -121,51 +126,73 @@ std::vector<FlowId> FluidNetwork::flows_on_link(net::LinkId link) const {
 }
 
 void FluidNetwork::recompute_rates() {
-  // Progressive filling. Only links carrying unfrozen flows participate.
-  std::unordered_map<net::LinkId, double> residual;
-  std::unordered_map<net::LinkId, int> active_count;
+  // Progressive filling. Only links carrying flows participate. Each
+  // round freezes every unfrozen flow on the bottleneck link, the link
+  // with the lowest fair share (residual / unfrozen crossings), ties to
+  // the lowest link id.
+  used_links_.clear();
   for (auto& [id, flow] : flows_) {
     flow.rate = 0;
+    flow.frozen = false;
     for (net::LinkId l : flow.links) {
-      auto [it, inserted] =
-          residual.emplace(l, link_capacity_[static_cast<std::size_t>(l)]);
-      (void)it;
-      ++active_count[l];
+      const auto li = static_cast<std::size_t>(l);
+      if (link_flows_[li].empty()) {
+        used_links_.push_back(l);
+        residual_[li] = link_capacity_[li];
+      }
+      link_flows_[li].push_back(&flow);
     }
   }
-
-  std::unordered_map<FlowId, char> frozen;
-  std::size_t remaining_flows = flows_.size();
-  while (remaining_flows > 0) {
-    // Bottleneck link: minimal fair share among links with active flows.
-    net::LinkId bottleneck = net::kInvalidLink;
-    double best_share = std::numeric_limits<double>::infinity();
-    for (const auto& [l, count] : active_count) {
-      if (count <= 0) continue;
-      double share = residual.at(l) / count;
-      if (share < best_share ||
-          (share == best_share && l < bottleneck)) {
-        best_share = share;
-        bottleneck = l;
-      }
-    }
-    if (bottleneck == net::kInvalidLink) break;  // defensive
+  // The heap holds an entry for every link's current (share, link id),
+  // plus superseded entries that are skipped when they surface. Filling
+  // stops once every flow is frozen; the leftovers are cleared next call.
+  heap_.clear();
+  for (net::LinkId l : used_links_) {
+    const auto li = static_cast<std::size_t>(l);
+    unfrozen_[li] = static_cast<int>(link_flows_[li].size());
+    heap_.emplace_back(residual_[li] / unfrozen_[li], l);
+  }
+  const auto later = std::greater<std::pair<double, net::LinkId>>();
+  std::make_heap(heap_.begin(), heap_.end(), later);
+  std::size_t unfrozen_flows = flows_.size();
+  while (unfrozen_flows > 0 && !heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const auto [share, bottleneck] = heap_.back();
+    heap_.pop_back();
+    const auto bi = static_cast<std::size_t>(bottleneck);
+    if (unfrozen_[bi] == 0 || share != residual_[bi] / unfrozen_[bi])
+      continue;  // superseded
 
     // Freeze every unfrozen flow crossing the bottleneck at the share.
-    for (auto& [id, flow] : flows_) {
-      if (frozen.count(id)) continue;
-      if (std::find(flow.links.begin(), flow.links.end(), bottleneck) ==
-          flow.links.end())
-        continue;
-      flow.rate = best_share;
-      frozen.emplace(id, 1);
-      --remaining_flows;
-      for (net::LinkId l : flow.links) {
-        residual[l] -= best_share;
-        --active_count[l];
+    // Every subtraction in a round is of the same share, so the order in
+    // which flows freeze cannot change a residual by a bit.
+    ++round_;
+    touched_.clear();
+    for (FlowState* flow : link_flows_[bi]) {
+      if (flow->frozen) continue;
+      flow->frozen = true;
+      flow->rate = share;
+      --unfrozen_flows;
+      for (net::LinkId l : flow->links) {
+        const auto li = static_cast<std::size_t>(l);
+        residual_[li] -= share;
+        --unfrozen_[li];
+        if (round_of_[li] != round_) {
+          round_of_[li] = round_;
+          touched_.push_back(l);
+        }
       }
     }
+    // One fresh entry per link the round changed and left in play.
+    for (net::LinkId l : touched_) {
+      const auto li = static_cast<std::size_t>(l);
+      if (unfrozen_[li] == 0) continue;
+      heap_.emplace_back(residual_[li] / unfrozen_[li], l);
+      std::push_heap(heap_.begin(), heap_.end(), later);
+    }
   }
+  for (net::LinkId l : used_links_)
+    link_flows_[static_cast<std::size_t>(l)].clear();
 }
 
 }  // namespace hermes::sim

@@ -8,8 +8,10 @@
 // exact, not approximated.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/time.h"
@@ -64,15 +66,32 @@ class FluidNetwork {
     double remaining = 0;
     double rate = 0;  // bytes/s
     std::vector<net::LinkId> links;
+    bool frozen = false;  // progressive-filling scratch
   };
 
   void recompute_rates();
 
   const net::Topology* topology_;
   std::vector<double> link_capacity_;  // bytes/s per link
+  // Iteration order of flows_ is the summation order of
+  // all_link_utilization(), which the TE app compares against thresholds.
   std::unordered_map<FlowId, FlowState> flows_;
   FlowId next_id_ = 0;
   Time last_advance_ = 0;
+
+  // Progressive-filling scratch, sized per link and reused across
+  // recompute_rates() calls: the flows crossing each link (one entry per
+  // crossing), its residual capacity, unfrozen crossings and the last
+  // filling round that changed it; the links in use, the links the
+  // current round changed, and the lazy (fair share, link id) min-heap.
+  std::vector<std::vector<FlowState*>> link_flows_;
+  std::vector<double> residual_;
+  std::vector<int> unfrozen_;
+  std::vector<std::uint64_t> round_of_;
+  std::uint64_t round_ = 0;
+  std::vector<net::LinkId> used_links_;
+  std::vector<net::LinkId> touched_;
+  std::vector<std::pair<double, net::LinkId>> heap_;
 };
 
 }  // namespace hermes::sim

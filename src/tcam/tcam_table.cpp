@@ -16,9 +16,11 @@ constexpr auto kPriorityDescUpper = [](int priority, const net::Rule& r) {
 }  // namespace
 
 TcamTable::TcamTable(int capacity) : capacity_(capacity > 0 ? capacity : 0) {
+  // The slot arrays are reserved whole, so no insert splice reallocates.
+  // The id index grows with what it holds: reserving it to capacity
+  // zeroes a full bucket array in every small table.
   entries_.reserve(static_cast<std::size_t>(capacity_));
   stamps_.reserve(static_cast<std::size_t>(capacity_));
-  key_of_.reserve(static_cast<std::size_t>(capacity_));
 }
 
 std::size_t TcamTable::locate(net::RuleId id) const {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <span>
 #include <vector>
 
 namespace hermes::core {
@@ -195,6 +197,91 @@ TEST_P(PredictorRobustness, AdversarialInputsStaySane) {
 }
 
 INSTANTIATE_TEST_SUITE_P(All, PredictorRobustness,
+                         ::testing::Values("EWMA", "CubicSpline", "ARMA"));
+
+// The spline solver as written before it dropped its arrays: the full
+// Thomas algorithm, then one step past the last knot.
+double reference_spline(std::span<const double> history, std::size_t window) {
+  if (history.empty()) return 0;
+  auto clamp = [](double v) { return !std::isfinite(v) || v < 0 ? 0 : v; };
+  if (history.size() == 1) return clamp(history[0]);
+  std::size_t n = std::min(history.size(), window);
+  std::span<const double> y = history.subspan(history.size() - n);
+  if (n == 2) return clamp(y[1] + (y[1] - y[0]));
+  std::vector<double> m(n, 0.0);
+  std::size_t interior = n - 2;
+  std::vector<double> diag(interior, 4.0);
+  std::vector<double> rhs(interior);
+  for (std::size_t i = 0; i < interior; ++i)
+    rhs[i] = 6.0 * (y[i + 2] - 2 * y[i + 1] + y[i]);
+  for (std::size_t i = 1; i < interior; ++i) {
+    double w = 1.0 / diag[i - 1];
+    diag[i] -= w;
+    rhs[i] -= w * rhs[i - 1];
+  }
+  for (std::size_t i = interior; i-- > 0;) {
+    double upper = (i + 1 < interior) ? m[i + 2] : 0.0;
+    m[i + 1] = (rhs[i] - upper) / diag[i];
+  }
+  double y0 = y[n - 2], y1 = y[n - 1];
+  double m0 = m[n - 2], m1 = m[n - 1];
+  double t = 2.0;
+  double omt = 1.0 - t;
+  return clamp(y0 * omt + y1 * t +
+               (m0 * (omt * omt * omt - omt) + m1 * (t * t * t - t)) / 6.0);
+}
+
+TEST(CubicSpline, MatchesFullTridiagonalSolve) {
+  std::mt19937_64 rng(11);
+  std::vector<double> series;
+  for (int i = 0; i < 64; ++i) {
+    // Counts, fractions and huge values (whose spline terms overflow).
+    double v = i % 16 == 15 ? 1e307 * static_cast<double>(rng() % 9)
+                            : static_cast<double>(rng() % 5000) / 7.0;
+    series.push_back(v);
+    for (int window : {3, 4, 8, 13}) {
+      CubicSplinePredictor p(window);
+      EXPECT_EQ(p.predict(series),
+                reference_spline(series, static_cast<std::size_t>(window)))
+          << "n " << series.size() << " window " << window;
+    }
+  }
+}
+
+// The estimator's bounded window and its memoized forecast against a
+// fresh predictor run on a copy of the expected history.
+class GrowthEstimatorWindow
+    : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GrowthEstimatorWindow, MatchesFreshPredictorAfterEveryObserve) {
+  const std::size_t max_history = 24;
+  GrowthEstimator est(make_predictor(GetParam()),
+                      std::make_unique<SlackCorrector>(0.4), max_history);
+  auto fresh = make_predictor(GetParam());
+  SlackCorrector slack(0.4);
+  std::mt19937_64 rng(17);
+  std::vector<double> counts;
+  for (std::size_t i = 0; i < 3 * max_history; ++i) {
+    counts.push_back(static_cast<double>(1 + rng() % 400));
+    est.observe(counts.back());
+    const auto kept =
+        static_cast<std::ptrdiff_t>(std::min(counts.size(), max_history));
+    std::vector<double> expected(counts.end() - kept, counts.end());
+    std::vector<double> got(est.history().begin(), est.history().end());
+    ASSERT_EQ(got, expected) << "after " << counts.size() << " observes";
+    const double forecast = fresh->predict(expected);
+    EXPECT_EQ(est.raw_prediction(), forecast);
+    EXPECT_EQ(est.predicted_next(), slack.correct(forecast));
+    EXPECT_EQ(est.raw_prediction(), forecast);  // served from memory
+  }
+  ASSERT_GT(est.raw_prediction(), 0.0);
+  est.reset();
+  EXPECT_TRUE(est.history().empty());
+  EXPECT_EQ(est.raw_prediction(), 0.0);
+  EXPECT_EQ(est.predicted_next(), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(All, GrowthEstimatorWindow,
                          ::testing::Values("EWMA", "CubicSpline", "ARMA"));
 
 }  // namespace

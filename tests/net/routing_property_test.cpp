@@ -120,8 +120,57 @@ TEST_P(RoutingProperty, EcmpEnumeratesAllMinimumCostPaths) {
   EXPECT_EQ(got, expected);
 }
 
+// What PathDatabase serves for a pair: the ECMP set, then Yen's paths to
+// fill it up to `per_pair`, computed with the free functions.
+std::vector<Path> expected_candidates(const Topology& t, NodeId src,
+                                      NodeId dst, const LinkWeight& weight,
+                                      int per_pair) {
+  std::vector<Path> out = ecmp_paths(t, src, dst, weight, per_pair);
+  if (static_cast<int>(out.size()) < per_pair) {
+    for (Path& p : k_shortest_paths(t, src, dst, weight, per_pair)) {
+      if (std::find(out.begin(), out.end(), p) == out.end())
+        out.push_back(std::move(p));
+      if (static_cast<int>(out.size()) >= per_pair) break;
+    }
+  }
+  return out;
+}
+
+// Queries every ordered pair of `nodes` as (a, b), (b, a), then (a, c):
+// each endpoint's stored distance row serves later pairs in both roles.
+void check_database(const Topology& t, const std::vector<NodeId>& nodes,
+                    const LinkWeight& weight, int per_pair) {
+  PathDatabase db(t, per_pair, weight);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+      for (auto [src, dst] : {std::pair{nodes[i], nodes[j]},
+                              std::pair{nodes[j], nodes[i]}}) {
+        EXPECT_EQ(db.paths(src, dst),
+                  expected_candidates(t, src, dst, weight, per_pair))
+            << src << " -> " << dst;
+      }
+    }
+  }
+}
+
+TEST_P(RoutingProperty, DatabaseMatchesFreeFunctions) {
+  for (int per_pair : {1, 3}) {
+    std::mt19937_64 rng(GetParam() ^ 0x5555);
+    Topology t = random_graph(rng, 6, 0.4);
+    std::vector<NodeId> nodes;
+    for (NodeId n = 0; n < t.node_count(); ++n) nodes.push_back(n);
+    check_database(t, nodes, hop_count(), per_pair);
+    check_database(t, nodes, propagation_delay(), per_pair);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingProperty,
                          ::testing::Values(10, 20, 30, 40));
+
+TEST(PathDatabaseFatTree, EveryHostPairMatchesFreeFunctions) {
+  Topology t = fat_tree(4);
+  check_database(t, t.hosts(), hop_count(), 4);
+}
 
 TEST(PathDatabaseFatTree, ServesEcmpSpreadsForHostPairs) {
   Topology t = fat_tree(4);

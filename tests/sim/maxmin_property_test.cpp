@@ -1,8 +1,13 @@
 // Property tests of the max-min fair allocator against the defining
-// conditions of max-min fairness, on random topologies and flow sets.
+// conditions of max-min fairness, on random topologies and flow sets, and
+// bit for bit against the round-by-round filling it replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
 #include <random>
+#include <set>
 
 #include "net/routing.h"
 #include "sim/fluid_network.h"
@@ -122,6 +127,131 @@ TEST_P(MaxMinProperty, RatesAreScaleInvariantInBytes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaxMinProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+using FlowLinks = std::map<FlowId, std::vector<net::LinkId>>;
+
+// Reference: the progressive filling FluidNetwork ran before its
+// bottleneck heap. Every round rescans every link for the lowest fair
+// share (ties to the lowest link id), then every flow for the ones that
+// cross it. Flows are visited in id order here, not in the network's
+// hash order: within a round every subtraction is of the same share, so
+// the order must not change a bit.
+std::map<FlowId, double> reference_rates(const net::Topology& topo,
+                                         const FlowLinks& flows) {
+  std::map<net::LinkId, double> residual;
+  std::map<net::LinkId, int> active;
+  std::map<FlowId, double> rate;
+  for (const auto& [id, links] : flows) {
+    rate[id] = 0;
+    for (net::LinkId l : links) {
+      residual.emplace(l, topo.link(l).capacity_bps / 8.0);
+      ++active[l];
+    }
+  }
+  std::set<FlowId> frozen;
+  while (frozen.size() < flows.size()) {
+    net::LinkId bottleneck = net::kInvalidLink;
+    double best_share = std::numeric_limits<double>::infinity();
+    for (const auto& [l, count] : active) {
+      if (count <= 0) continue;
+      double share = residual.at(l) / count;
+      if (share < best_share || (share == best_share && l < bottleneck)) {
+        best_share = share;
+        bottleneck = l;
+      }
+    }
+    if (bottleneck == net::kInvalidLink) break;
+    for (const auto& [id, links] : flows) {
+      if (frozen.count(id) ||
+          std::find(links.begin(), links.end(), bottleneck) == links.end())
+        continue;
+      rate[id] = best_share;
+      frozen.insert(id);
+      for (net::LinkId l : links) {
+        residual[l] -= best_share;
+        --active[l];
+      }
+    }
+  }
+  return rate;
+}
+
+// Drives seeded add / remove / reroute sequences through a FluidNetwork
+// and checks every flow's rate against the reference after every
+// mutation, with EXPECT_EQ on the doubles. Flows take candidate paths
+// between random endpoints, so many cross the same links: shares tie
+// across links and freezing one bottleneck cascades into the next.
+void check_against_reference(const net::Topology& topo,
+                             const std::vector<net::NodeId>& endpoints,
+                             std::uint64_t seed, int steps) {
+  std::mt19937_64 rng(seed);
+  net::PathDatabase paths(topo, 4, net::hop_count());
+  auto random_links = [&] {
+    for (;;) {
+      net::NodeId a = endpoints[rng() % endpoints.size()];
+      net::NodeId b = endpoints[rng() % endpoints.size()];
+      if (a == b) continue;
+      const auto& candidates = paths.paths(a, b);
+      if (candidates.empty()) continue;
+      return net::path_links(topo, candidates[rng() % candidates.size()]);
+    }
+  };
+  FluidNetwork network(topo);
+  FlowLinks flows;
+  for (int step = 0; step < steps; ++step) {
+    const auto op = rng() % 10;
+    if (flows.size() < 4 || op < 5) {
+      auto links = random_links();
+      FlowId id = network.add_flow(1e9, links, 0);
+      flows.emplace(id, std::move(links));
+    } else {
+      auto victim = flows.begin();
+      std::advance(victim, static_cast<std::ptrdiff_t>(rng() % flows.size()));
+      if (op < 8) {
+        network.remove_flow(victim->first, 0);
+        flows.erase(victim);
+      } else {
+        victim->second = random_links();
+        network.reroute_flow(victim->first, victim->second, 0);
+      }
+    }
+    ASSERT_EQ(network.active_flow_count(), static_cast<int>(flows.size()));
+    for (const auto& [id, rate] : reference_rates(topo, flows))
+      EXPECT_EQ(network.rate_bytes_per_s(id), rate)
+          << "seed " << seed << " step " << step << " flow " << id;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+class FillingMatchesReference
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FillingMatchesReference, FatTreeUniformLinks) {
+  net::Topology topo = net::fat_tree(4);
+  check_against_reference(topo, topo.hosts(), GetParam(), 300);
+}
+
+TEST_P(FillingMatchesReference, MixedCapacityGraph) {
+  // A ring of ten switches plus chords, with capacities of 1, 2, 3 and
+  // 6 Gbps: a share on one link often equals a share on another.
+  std::mt19937_64 rng(GetParam() ^ 0xF111);
+  net::Topology topo;
+  const int n = 10;
+  for (int i = 0; i < n; ++i)
+    topo.add_node(net::NodeKind::kSwitch, "s" + std::to_string(i));
+  const double gbps[] = {1, 2, 3, 6};
+  for (int i = 0; i < n; ++i) {
+    topo.add_link(i, (i + 1) % n, gbps[rng() % 4] * 1e9, 1e-3);
+    if (i % 2 == 0 && topo.find_link(i, (i + 3) % n) == net::kInvalidLink)
+      topo.add_link(i, (i + 3) % n, gbps[rng() % 4] * 1e9, 1e-3);
+  }
+  std::vector<net::NodeId> endpoints;
+  for (int i = 0; i < n; ++i) endpoints.push_back(i);
+  check_against_reference(topo, endpoints, GetParam(), 300);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FillingMatchesReference,
+                         ::testing::Values(1, 7, 42));
 
 }  // namespace
 }  // namespace hermes::sim

@@ -22,9 +22,11 @@ The comparison has two scopes:
     baseline and non-numeric in the candidate -- always gates: a bench that
     silently stopped emitting a row is broken regardless of machine noise.
 
-Direction is inferred from the metric name: keys containing speedup /
-improvement / throughput / per_s / rate are higher-is-better; everything
-else is lower-is-better. A numeric baseline metric that is missing from the
+Direction is inferred from the metric name: keys ending in _scaling
+(host-time scaling ratios, cost at a large size / cost at a small one) are
+lower-is-better; otherwise keys containing speedup / improvement /
+throughput / per_s / rate are higher-is-better; everything else is
+lower-is-better. A numeric baseline metric that is missing from the
 candidate, or non-numeric there (e.g. a NaN serialized as null), is a
 gating failure in every scope (it catches silently renamed or broken keys).
 
@@ -55,6 +57,8 @@ if hasattr(signal, "SIGPIPE"):
 
 HIGHER_IS_BETTER_TOKENS = ("speedup", "improvement", "throughput", "per_s",
                            "rate")
+# Checked first, so rate_recompute_scaling is a scaling ratio, not a rate.
+LOWER_IS_BETTER_SUFFIX = "_scaling"
 # Baselines smaller than this are too noisy for a relative comparison.
 EPSILON = 1e-9
 
@@ -68,6 +72,8 @@ def usage_error(message):
 
 def higher_is_better(key):
     lowered = key.lower()
+    if lowered.endswith(LOWER_IS_BETTER_SUFFIX):
+        return False
     return any(token in lowered for token in HIGHER_IS_BETTER_TOKENS)
 
 

@@ -19,10 +19,10 @@ Why each gate reproduces on any machine:
   * hotpath, batchpath, lookup -- derived{} holds wall-clock ratios,
     both sides measured on the same machine in the same run. The
     committed baselines store each speedup's MINIMUM and each scaling
-    ratio's MAXIMUM (hotpath's closure_abort_scaling and
-    locate_run_scaling, lower-is-better) over 5 local smoke runs, the
-    conservative end of each: run-to-run noise (~+-20% on the ratios)
-    stays inside the 25% gate while a real regression trips it.
+    ratio's MAXIMUM (hotpath's closure_abort_scaling, locate_run_scaling
+    and rate_recompute_scaling, lower-is-better) over 5 local smoke runs,
+    the conservative end of each: run-to-run noise (~+-20% on the
+    ratios) stays inside the 25% gate while a real regression trips it.
   * faultpath -- runs entirely in virtual time, so its smoke ratios
     reproduce exactly.
   * update -- segway speedup, violation-free rate and two-phase loop rate
