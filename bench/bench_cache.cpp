@@ -154,7 +154,7 @@ PolicyRun run_policy(const workloads::ZipfConfig& wc,
 
 /// Offer `offered` disjoint flow rules to a backend with `capacity` TCAM
 /// entries and report what fraction got accepted and what fraction still
-/// answers on the data plane.
+/// answers on the data plane (read at the last insert's arrival time).
 template <typename InsertFn, typename LookupFn>
 void run_backend(const char* name, int offered, InsertFn&& insert,
                  LookupFn&& lookup) {
@@ -170,9 +170,9 @@ void run_backend(const char* name, int offered, InsertFn&& insert,
     if (insert(now, r)) ++accepted;
   }
   for (int i = 1; i <= offered; ++i) {
-    auto hit = lookup(
-        net::Ipv4Address(0x0A000000u | static_cast<std::uint32_t>(i)));
-    if (hit.has_value() && hit->id == static_cast<net::RuleId>(i))
+    const net::Rule* hit = lookup(
+        now, net::Ipv4Address(0x0A000000u | static_cast<std::uint32_t>(i)));
+    if (hit != nullptr && hit->id == static_cast<net::RuleId>(i))
       ++reachable;
   }
   const double accepted_fraction = static_cast<double>(accepted) / offered;
@@ -266,7 +266,9 @@ int main(int argc, char** argv) {
         agent.insert(now, r);
         return agent.stats().failed_ops == failed;
       },
-      [&](hermes::net::Ipv4Address addr) { return agent.lookup(addr); });
+      [&](hermes::Time now, hermes::net::Ipv4Address addr) {
+        return agent.lookup_ptr(now, addr);
+      });
 
   hermes::baselines::ShadowSwitchBackend shadow(hermes::tcam::pica8_p3290(),
                                                 capacity);
@@ -278,8 +280,8 @@ int main(int argc, char** argv) {
         shadow_now = now;
         return true;
       },
-      [&](hermes::net::Ipv4Address addr) {
-        return shadow.lookup(addr);
+      [&](hermes::Time now, hermes::net::Ipv4Address addr) {
+        return shadow.lookup_ptr(now, addr);
       });
   shadow.tick(shadow_now + hermes::from_millis(40));
 

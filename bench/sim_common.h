@@ -159,9 +159,6 @@ class RecordingBackend final : public baselines::SwitchBackend {
     return now;
   }
   void tick(Time) override {}
-  std::optional<net::Rule> lookup(net::Ipv4Address) override {
-    return std::nullopt;
-  }
   const net::Rule* lookup_ptr(Time, net::Ipv4Address) override {
     return nullptr;
   }

@@ -97,7 +97,8 @@ int main() {
                       1, agent.stats().worst_guaranteed_latency)));
 
   // 5. Lookups see one logical table.
-  auto hit = agent.lookup(*net::Ipv4Address::parse("10.0.7.1"));
+  const net::Rule* hit =
+      agent.lookup_ptr(now, *net::Ipv4Address::parse("10.0.7.1"));
   if (hit)
     std::printf("\nlookup 10.0.7.1 -> %s (rule #%llu)\n",
                 net::to_string(hit->action).c_str(),

@@ -70,10 +70,6 @@ Time EspresSwitch::flush(Time now) {
   return last;
 }
 
-std::optional<net::Rule> EspresSwitch::lookup(net::Ipv4Address addr) {
-  return asic_.lookup(addr);
-}
-
 const net::Rule* EspresSwitch::lookup_ptr(Time now, net::Ipv4Address addr) {
   return asic_.lookup_ptr(now, addr);
 }

@@ -10,7 +10,6 @@
 // fills (the Figure 11 divergence).
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,8 +29,6 @@ class EspresSwitch final : public SwitchBackend {
   /// deadline); deletes/modifies pass through at per-op cost.
   Time handle_batch(Time now, net::FlowModBatch& batch) override;
   void tick(Time now) override;
-  using SwitchBackend::lookup;
-  std::optional<net::Rule> lookup(net::Ipv4Address addr) override;
   const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr) override;
   std::string_view name() const override { return "ESPRES"; }
   const std::vector<Duration>& rit_samples() const override {

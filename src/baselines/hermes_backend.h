@@ -22,10 +22,6 @@ class HermesBackend final : public SwitchBackend {
   /// one partition-planning snapshot, one optimized shadow write.
   Time handle_batch(Time now, net::FlowModBatch& batch) override;
   void tick(Time now) override { agent_.tick(now); }
-  using SwitchBackend::lookup;
-  std::optional<net::Rule> lookup(net::Ipv4Address addr) override {
-    return agent_.lookup(addr);
-  }
   const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr) override {
     return agent_.lookup_ptr(now, addr);
   }

@@ -43,10 +43,6 @@ Time PlainSwitch::handle_batch(Time now, net::FlowModBatch& batch) {
   return barrier;
 }
 
-std::optional<net::Rule> PlainSwitch::lookup(net::Ipv4Address addr) {
-  return asic_.lookup(addr);
-}
-
 const net::Rule* PlainSwitch::lookup_ptr(Time now, net::Ipv4Address addr) {
   return asic_.lookup_ptr(now, addr);
 }

@@ -4,7 +4,6 @@
 // (occupancy-dependent insert latency, priority shifting) apply in full.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "baselines/switch_backend.h"
@@ -22,8 +21,6 @@ class PlainSwitch final : public SwitchBackend {
   /// each result slot gets the real per-op outcome.
   Time handle_batch(Time now, net::FlowModBatch& batch) override;
   void tick(Time /*now*/) override {}
-  using SwitchBackend::lookup;
-  std::optional<net::Rule> lookup(net::Ipv4Address addr) override;
   const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr) override;
   std::string_view name() const override { return name_; }
   const std::vector<Duration>& rit_samples() const override {

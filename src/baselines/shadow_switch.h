@@ -13,7 +13,6 @@
 // interface and RIT accounting.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,10 +33,6 @@ class ShadowSwitchBackend final : public SwitchBackend {
 
   Time handle(Time now, const net::FlowMod& mod) override;
   void tick(Time now) override { hierarchy_.tick(now); }
-  using SwitchBackend::lookup;
-  std::optional<net::Rule> lookup(net::Ipv4Address addr) override {
-    return hierarchy_.lookup(addr);
-  }
   const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr) override {
     return hierarchy_.lookup_ptr(now, addr);
   }

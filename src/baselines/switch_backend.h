@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -51,21 +52,18 @@ class SwitchBackend {
   /// Call with non-decreasing `now`.
   virtual void tick(Time now) = 0;
 
-  /// Data-plane lookup against the currently installed rules, as of the
-  /// backend's last activity (scheduled resets not applied). Copies the
-  /// rule; prefer the time-threaded zero-copy path below on hot paths.
-  virtual std::optional<net::Rule> lookup(net::Ipv4Address addr) = 0;
-
-  /// Zero-copy data-plane lookup at simulation time `now`: applies any
-  /// scheduled switch reset that fired at-or-before `now` first, so the
-  /// data plane observes a wipe immediately. The pointer is invalidated
-  /// by any subsequent control-plane activity; use it immediately.
+  /// The data-plane read at simulation time `now`: applies any scheduled
+  /// switch reset that fired at-or-before `now` first, so the data plane
+  /// observes a wipe immediately. Returns nullptr on a miss. The pointer
+  /// is invalidated by any subsequent control-plane activity; use it
+  /// immediately.
   virtual const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr) = 0;
 
-  /// Copying convenience over lookup_ptr(now, addr). (Derived classes
-  /// re-expose the whole overload set with `using SwitchBackend::lookup`.)
-  std::optional<net::Rule> lookup(Time now, net::Ipv4Address addr) {
-    const net::Rule* r = lookup_ptr(now, addr);
+  /// A copy of lookup_ptr at the earliest time, so no scheduled reset is
+  /// applied. Kept only because a benchmark backend overrides it; it goes
+  /// with the next change to the benchmark. Call lookup_ptr instead.
+  virtual std::optional<net::Rule> lookup(net::Ipv4Address addr) {
+    const net::Rule* r = lookup_ptr(std::numeric_limits<Time>::min(), addr);
     if (r == nullptr) return std::nullopt;
     return *r;
   }

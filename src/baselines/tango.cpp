@@ -194,10 +194,6 @@ Time TangoSwitch::erase_logical(Time now, net::RuleId id) {
   return last;
 }
 
-std::optional<net::Rule> TangoSwitch::lookup(net::Ipv4Address addr) {
-  return asic_.lookup(addr);
-}
-
 const net::Rule* TangoSwitch::lookup_ptr(Time now, net::Ipv4Address addr) {
   return asic_.lookup_ptr(now, addr);
 }

@@ -13,7 +13,6 @@
 // inserted but the insert still pays occupancy-dependent shifting.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -35,8 +34,6 @@ class TangoSwitch final : public SwitchBackend {
   /// (completing at the window deadline); deletes/modifies pass through.
   Time handle_batch(Time now, net::FlowModBatch& batch) override;
   void tick(Time now) override;
-  using SwitchBackend::lookup;
-  std::optional<net::Rule> lookup(net::Ipv4Address addr) override;
   const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr) override;
   std::string_view name() const override { return "Tango"; }
   const std::vector<Duration>& rit_samples() const override {

@@ -11,6 +11,10 @@ namespace hermes::cache {
 namespace {
 constexpr int kMinPriority = std::numeric_limits<int>::min();
 constexpr int kMaxPriority = std::numeric_limits<int>::max();
+/// kCache: max rules installed per promotion round (one tick()).
+constexpr int kPromotionBatchMax = 64;
+/// kCache: pending promotion candidates beyond this are dropped.
+constexpr int kPromotionQueueMax = 4096;
 }  // namespace
 
 CacheHierarchy::CacheHierarchy(const tcam::SwitchModel& model,
@@ -197,14 +201,13 @@ void CacheHierarchy::note_reset_if_any(Time now) {
 
 void CacheHierarchy::enqueue_promotion(net::RuleId id) {
   if (in_queue_.count(id)) return;
-  if (static_cast<int>(promo_queue_.size()) >= config_.promotion_queue_max)
-    return;
+  if (static_cast<int>(promo_queue_.size()) >= kPromotionQueueMax) return;
   promo_queue_.push_back(id);
   in_queue_.insert(id);
 }
 
 void CacheHierarchy::promote_round(Time now) {
-  int budget = config_.promotion_batch_max;
+  int budget = kPromotionBatchMax;
   std::unordered_set<net::RuleId> pinned;
   int installed_total = 0;
   while (budget > 0 && !promo_queue_.empty()) {
@@ -435,16 +438,6 @@ CacheHierarchy::LookupResult CacheHierarchy::classify(
     }
   }
   return res;
-}
-
-std::optional<net::Rule> CacheHierarchy::lookup(net::Ipv4Address addr) {
-  auto hw = asic_.lookup(addr);
-  if (config_.mode == Mode::kCache && hw) return hw;
-  const net::Rule* sw = sw_engine_.lookup(addr);
-  if (hw && sw) return hw->priority >= sw->priority ? *hw : *sw;
-  if (hw) return hw;
-  if (sw) return *sw;
-  return std::nullopt;
 }
 
 const net::Rule* CacheHierarchy::lookup_ptr(Time now,

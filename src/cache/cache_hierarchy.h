@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -74,10 +73,6 @@ struct CacheConfig {
   /// kWriteBack: background flush cadence.
   Duration flush_period = from_millis(20);
 
-  /// kCache: max rules installed per promotion round (one tick()).
-  int promotion_batch_max = 64;
-  /// kCache: pending promotion candidates beyond this are dropped.
-  int promotion_queue_max = 4096;
   /// kCache: promotion closures / demotion cascades larger than this
   /// abort (closure) or pin (cascade) instead of churning the TCAM.
   int closure_limit = 16;
@@ -111,10 +106,9 @@ class CacheHierarchy {
   /// feedback. The pointer is invalidated by the next mutation.
   LookupResult classify(Time now, net::Ipv4Address addr);
 
-  /// Timeless lookup (state as of last channel activity), kWriteBack
-  /// compatible: both tiers, hardware wins priority ties.
-  std::optional<net::Rule> lookup(net::Ipv4Address addr);
-  /// Time-threaded zero-copy lookup (applies pending ASIC resets).
+  /// The data-plane read at `now` (applies pending ASIC resets). kCache:
+  /// classify(now, addr).rule, with its hit/miss accounting and policy
+  /// feedback. kWriteBack: both tiers, hardware wins priority ties.
   const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr);
 
   // --- Introspection -------------------------------------------------------

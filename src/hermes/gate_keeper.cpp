@@ -76,29 +76,30 @@ void GateKeeper::note_route(Time now, Route route) {
       obs::admission_event(now, static_cast<std::uint8_t>(route)));
 }
 
+template <typename TakeToken>
+Route GateKeeper::admit(const net::Rule& rule, const RouteContext& ctx,
+                        int shadow_free, TakeToken&& take_token) const {
+  if (config_->predicate && !config_->predicate(rule))
+    return Route::kMainUnmatched;
+  // Section 4.2: a rule at or below the bottom of the main table appends
+  // without shifting — inserting it into the shadow table would only
+  // waste guaranteed capacity and maximize partitioning.
+  if (config_->lowest_priority_optimization && !ctx.main_full &&
+      (ctx.main_empty || rule.priority <= ctx.main_min_priority))
+    return Route::kMainLowestPrio;
+  // Shadow-capacity check BEFORE the token bucket: a shadow-full
+  // rejection takes the main-table path and must not burn admitted-rate
+  // budget — tokens pay only for shadow capacity actually consumed.
+  // (Consuming first would silently under-admit subsequent guaranteed
+  // inserts and skew the Equation 2 admitted-rate accounting.)
+  if (ctx.pieces_needed > shadow_free) return Route::kMainShadowFull;
+  return take_token() ? Route::kGuaranteed : Route::kMainOverRate;
+}
+
 Route GateKeeper::route_insert(Time now, const net::Rule& rule,
                                const RouteContext& ctx) {
-  Route route;
-  if (config_->predicate && !config_->predicate(rule)) {
-    route = Route::kMainUnmatched;
-  } else if (config_->lowest_priority_optimization && !ctx.main_full &&
-             (ctx.main_empty || rule.priority <= ctx.main_min_priority)) {
-    // Section 4.2: a rule at or below the bottom of the main table appends
-    // without shifting — inserting it into the shadow table would only
-    // waste guaranteed capacity and maximize partitioning.
-    route = Route::kMainLowestPrio;
-  } else if (ctx.pieces_needed > ctx.shadow_free) {
-    // Shadow-capacity check BEFORE the token bucket: a shadow-full
-    // rejection takes the main-table path and must not burn admitted-rate
-    // budget — tokens pay only for shadow capacity actually consumed.
-    // (Consuming first would silently under-admit subsequent guaranteed
-    // inserts and skew the Equation 2 admitted-rate accounting.)
-    route = Route::kMainShadowFull;
-  } else if (!bucket_.try_take(now)) {
-    route = Route::kMainOverRate;
-  } else {
-    route = Route::kGuaranteed;
-  }
+  Route route = admit(rule, ctx, ctx.shadow_free,
+                      [&] { return bucket_.try_take(now); });
   note_route(now, route);
   return route;
 }
@@ -128,21 +129,12 @@ std::vector<Route> GateKeeper::route_insert_batch(
   int shadow_free = ctx.shadow_free;
   int taken = 0;
   for (std::size_t i = 0; i < rules.size(); ++i) {
-    const net::Rule& rule = rules[i];
-    if (config_->predicate && !config_->predicate(rule)) {
-      routes[i] = Route::kMainUnmatched;
-    } else if (config_->lowest_priority_optimization && !ctx.main_full &&
-               (ctx.main_empty || rule.priority <= ctx.main_min_priority)) {
-      routes[i] = Route::kMainLowestPrio;
-    } else if (ctx.pieces_needed > shadow_free) {
-      routes[i] = Route::kMainShadowFull;
-    } else if (taken >= budget) {
-      routes[i] = Route::kMainOverRate;
-    } else {
+    routes[i] = admit(rules[i], ctx, shadow_free, [&] {
+      if (taken >= budget) return false;
       shadow_free -= ctx.pieces_needed;
       ++taken;
-      routes[i] = Route::kGuaranteed;
-    }
+      return true;
+    });
   }
   // ONE token-bucket debit for the transaction (the bucket is consulted
   // last in the per-op path too: rules rejected for other reasons burn no

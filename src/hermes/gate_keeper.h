@@ -112,6 +112,14 @@ class GateKeeper {
   const TokenBucket& bucket() const { return bucket_; }
 
  private:
+  /// The admission chain, in order: the guarantee predicate, the §4.2
+  /// lowest-priority append, shadow capacity against `shadow_free`, and
+  /// last `take_token()` — so a rule rejected for any other reason burns
+  /// no admitted-rate budget.
+  template <typename TakeToken>
+  Route admit(const net::Rule& rule, const RouteContext& ctx,
+              int shadow_free, TakeToken&& take_token) const;
+
   /// Counts one routing decision under its reason and traces it.
   void note_route(Time now, Route route);
 

@@ -635,7 +635,7 @@ void HermesAgent::repartition_logical(Time now, net::RuleId logical_id) {
     }
   }
   for (net::RuleId pid : old_pieces) {
-    if (auto rule = asic_.slice(slice).find(pid)) {
+    if (const net::Rule* rule = asic_.slice(slice).find_ptr(pid)) {
       if (placement == Placement::kShadow) {
         submit_shadow_delete(now, pid, rule->match);
       } else {

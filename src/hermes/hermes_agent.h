@@ -18,7 +18,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "hermes/config.h"
@@ -115,18 +114,10 @@ class HermesAgent {
   const MigrationPolicy& migration_policy() const { return *policy_; }
 
   // --- Data plane ---------------------------------------------------------
-  /// Timeless lookup: state as of the last channel activity. Copies.
-  std::optional<net::Rule> lookup(net::Ipv4Address addr) {
-    return asic_.lookup(addr);
-  }
-  /// Zero-copy timeless lookup; the pointer is invalidated by any
-  /// subsequent control-plane activity.
-  const net::Rule* lookup_ptr(net::Ipv4Address addr) {
-    return asic_.lookup_ptr(addr);
-  }
-  /// Time-threaded zero-copy lookup: applies any scheduled reset that
-  /// fired at-or-before `now` before matching (the data plane observes a
-  /// wipe immediately).
+  /// The data-plane read at `now`: applies any scheduled reset that fired
+  /// at-or-before `now`, then matches shadow before main (the data plane
+  /// observes a wipe immediately). Returns nullptr on a miss; the pointer
+  /// is invalidated by any subsequent control-plane activity.
   const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr) {
     return asic_.lookup_ptr(now, addr);
   }

@@ -45,6 +45,14 @@ class EwmaPredictor final : public Predictor {
 
 /// Natural cubic spline through the last `window` samples, extrapolated
 /// one step past the end using the final polynomial segment.
+///
+/// That forecast is a linear extrapolation of the last two samples,
+/// exactly max(0, 2*y[n-1] - y[n-2]): at the extrapolation point t = 2
+/// the weight of the second derivative M_{n-2}, (1-t)^3 - (1-t), is 0,
+/// and the natural end condition makes M_{n-1} = 0. So whenever the
+/// tridiagonal solve stays finite (every integer-valued count history
+/// the Rule Manager feeds it), neither it nor the window changes the
+/// forecast; CubicSpline.ForecastIsLinearExtrapolation pins this.
 class CubicSplinePredictor final : public Predictor {
  public:
   explicit CubicSplinePredictor(int window = 8);

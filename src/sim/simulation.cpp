@@ -9,6 +9,18 @@ namespace hermes::sim {
 
 namespace {
 
+/// Utilization headroom a TE move must gain over the flow's current
+/// bottleneck.
+constexpr double kImprovementMargin = 0.1;
+/// Candidate paths per (src, dst) pair.
+constexpr int kPathsPerPair = 4;
+/// Priority band of the TE app's per-flow rules. A narrow band above the
+/// switch's steady-state rules: per-flow rules outrank the baseline FIB,
+/// while same-priority rules are common enough for aggregation-style
+/// optimizers to find structure.
+constexpr int kRulePriorityMin = 100;
+constexpr int kRulePriorityMax = 104;
+
 /// Every flow gets a unique virtual /32 so its per-flow rules are distinct
 /// match keys on every switch (the flow-level analogue of 5-tuple rules).
 net::Prefix flow_match(int flow_idx) {
@@ -24,7 +36,7 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
     : topology_(&topology),
       config_(std::move(config)),
       network_(topology),
-      paths_(topology, config_.paths_per_pair, net::hop_count()),
+      paths_(topology, kPathsPerPair, net::hop_count()),
       rng_(config_.seed) {
   if (config_.controller_threads != 1)
     throw std::invalid_argument("SimConfig::controller_threads must be 1");
@@ -49,10 +61,10 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
   // Consistent-update coordinator for TE moves. Operations route through
   // the same backend paths as every other flow-mod: per-switch batches
   // through handle_batch, and fire-and-forget deletes through
-  // dispatch_mod.
+  // dispatch_mod. Release signals between switches take no time (the
+  // default signal_delay of 0, the data-center approximation).
   update::CoordinatorConfig uc;
   uc.strategy = update::Strategy::kSegway;
-  uc.signal_delay = config_.update_signal_delay;
   coordinator_ = std::make_unique<update::UpdateCoordinator>(
       events_,
       [this](Time now, net::NodeId sw, net::FlowModBatch& batch) {
@@ -284,7 +296,7 @@ void Simulation::te_cycle(Time now) {
     const auto& candidates =
         paths_.paths(flow.path.front(), flow.path.back());
     const net::Path* best = nullptr;
-    double best_max_util = current_max - config_.improvement_margin;
+    double best_max_util = current_max - kImprovementMargin;
     for (const net::Path& candidate : candidates) {
       if (candidate == flow.path) continue;
       double max_util = path_max_util(candidate);
@@ -313,8 +325,7 @@ void Simulation::install_moves(Time now,
   // immediately (the new switches are unreachable until their segment
   // entry flips), flips when the segment's agent releases them, removals
   // once their gating entries flipped.
-  std::uniform_int_distribution<int> prio(config_.rule_priority_min,
-                                          config_.rule_priority_max);
+  std::uniform_int_distribution<int> prio(kRulePriorityMin, kRulePriorityMax);
   for (const PlannedMove& move : moves) {
     ActiveFlow& flow = flows_[static_cast<std::size_t>(move.flow_idx)];
     flow.move_in_progress = true;

@@ -40,17 +40,6 @@ struct SimConfig {
   Duration te_period = from_millis(100);
   double congestion_threshold = 0.75;  ///< link utilization trigger
   int max_moves_per_cycle = 32;
-  double improvement_margin = 0.1;  ///< required utilization headroom
-
-  // Routing.
-  int paths_per_pair = 4;
-
-  // Flow rules issued by the TE app. A narrow band above the switch's
-  // steady-state rules: per-flow rules outrank the baseline FIB, while
-  // same-priority rules are common enough for aggregation-style
-  // optimizers to find structure.
-  int rule_priority_min = 100;
-  int rule_priority_max = 104;
 
   /// Add the path's one-way propagation delay to each flow's completion
   /// time (data must still traverse the wire after the last byte leaves).
@@ -66,12 +55,6 @@ struct SimConfig {
   /// other value. Kept only for existing callers that set it; it goes
   /// with the next change to the benchmark.
   int controller_threads = 1;
-
-  /// Switch-to-switch release latency for the consistent-update
-  /// coordinator (ez-Segway signaling between per-switch agents). Zero =
-  /// same-instant release (data-center approximation); raise it to model
-  /// WAN reroutes where the signal itself takes propagation time.
-  Duration update_signal_delay = 0;
 
   std::uint64_t seed = 1;
 

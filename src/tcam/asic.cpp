@@ -96,28 +96,28 @@ ApplyResult Asic::apply(int slice_idx, const net::FlowMod& mod,
   return {false, 0, 0};
 }
 
-std::optional<net::Rule> Asic::lookup(net::Ipv4Address addr) {
-  const net::Rule* r = lookup_ptr(addr);
-  if (r == nullptr) return std::nullopt;
-  return *r;
-}
-
-const net::Rule* Asic::lookup_ptr(net::Ipv4Address addr) {
+const net::Rule* Asic::lookup_ptr(Time now, net::Ipv4Address addr) {
+  apply_pending_resets(now);
   for (TcamTable& t : slices_) {
     if (const net::Rule* r = t.lookup_ptr(addr)) return r;
   }
   return nullptr;
 }
 
-std::optional<net::Rule> Asic::lookup(Time now, net::Ipv4Address addr) {
-  const net::Rule* r = lookup_ptr(now, addr);
-  if (r == nullptr) return std::nullopt;
-  return *r;
-}
-
-const net::Rule* Asic::lookup_ptr(Time now, net::Ipv4Address addr) {
-  apply_pending_resets(now);
-  return lookup_ptr(addr);
+Time Asic::occupy_channel(Time now, int slice_idx, Duration& latency,
+                          bool injected_failure) {
+  ChannelStats& cs = channel_stats_[static_cast<std::size_t>(slice_idx)];
+  if (injected_failure) ++cs.injected_failures;
+  if (fault_plan_ != nullptr) {
+    Duration stall = fault_plan_->stall(now, slice_idx);
+    latency += stall;
+    cs.stall_ns += stall;
+  }
+  Time& channel = busy_until_[static_cast<std::size_t>(slice_idx)];
+  channel = std::max(now, channel) + latency;
+  ++cs.ops;
+  cs.busy_ns += latency;
+  return channel;
 }
 
 Time Asic::submit_batch_insert(Time now, int slice_idx,
@@ -129,7 +129,6 @@ Time Asic::submit_batch_insert(Time now, int slice_idx,
     if (result) *result = {0, 0};
     return now;
   }
-  ChannelStats& cs = channel_stats_[static_cast<std::size_t>(slice_idx)];
   TcamTable& table = slice(slice_idx);
   int occupancy_before = table.occupancy();
   // Fault injection keeps the sequential prefix contract: draw a failure
@@ -143,7 +142,6 @@ Time Asic::submit_batch_insert(Time now, int slice_idx,
       if (fault_plan_->fail_write(now, slice_idx)) {
         attempt = i;
         injected = true;
-        ++cs.injected_failures;
         break;
       }
     }
@@ -166,17 +164,7 @@ Time Asic::submit_batch_insert(Time now, int slice_idx,
       model_->batch_insert_latency(occupancy_before, inserted);
   // The failed attempt still burned a wasted control-channel round.
   if (injected) latency += model_->base_latency();
-  if (fault_plan_ != nullptr) {
-    Duration stall = fault_plan_->stall(now, slice_idx);
-    latency += stall;
-    cs.stall_ns += stall;
-  }
-  Time& channel = busy_until_[static_cast<std::size_t>(slice_idx)];
-  Time start = std::max(now, channel);
-  Time done = start + latency;
-  channel = done;
-  ++cs.ops;
-  cs.busy_ns += latency;
+  Time done = occupy_channel(now, slice_idx, latency, injected);
   obs_batch_ops_.inc();
   obs_batch_rules_.inc(static_cast<std::uint64_t>(inserted));
   obs_batch_latency_.record(static_cast<std::uint64_t>(latency));
@@ -193,23 +181,13 @@ Time Asic::submit_batch_delete(Time now, int slice_idx,
     if (result) *result = {0, 0};
     return now;
   }
-  ChannelStats& cs = channel_stats_[static_cast<std::size_t>(slice_idx)];
   int removed = slice(slice_idx).erase_batch(ids);
   Duration latency = model_->batch_delete_latency(removed);
   // Deletes never fail under the fault model (a delete on a rebooted
   // switch is a harmless no-op), but they do ride the same stalled
   // channel.
-  if (fault_plan_ != nullptr) {
-    Duration stall = fault_plan_->stall(now, slice_idx);
-    latency += stall;
-    cs.stall_ns += stall;
-  }
-  Time& channel = busy_until_[static_cast<std::size_t>(slice_idx)];
-  Time start = std::max(now, channel);
-  Time done = start + latency;
-  channel = done;
-  ++cs.ops;
-  cs.busy_ns += latency;
+  Time done = occupy_channel(now, slice_idx, latency,
+                             /*injected_failure=*/false);
   obs_batch_ops_.inc();
   obs_batch_rules_.inc(static_cast<std::uint64_t>(removed));
   obs_batch_latency_.record(static_cast<std::uint64_t>(latency));
@@ -220,7 +198,6 @@ Time Asic::submit_batch_delete(Time now, int slice_idx,
 Time Asic::submit(Time now, int slice_idx, const net::FlowMod& mod,
                   ApplyResult* result) {
   apply_pending_resets(now);
-  ChannelStats& cs = channel_stats_[static_cast<std::size_t>(slice_idx)];
   ApplyResult r;
   // A write-failure draw is burned only for ops that reach the TCAM
   // insert step: every insert (as before) and a priority-changing modify
@@ -232,7 +209,6 @@ Time Asic::submit(Time now, int slice_idx, const net::FlowMod& mod,
        (mod.type == net::FlowModType::kModify &&
         modify_changes_priority(slice_idx, mod))) &&
       fault_plan_->fail_write(now, slice_idx);
-  if (inject) ++cs.injected_failures;
   if (inject && mod.type == net::FlowModType::kInsert) {
     // Injected write failure: the attempt still costs a wasted
     // control-channel round, same as an organic rejection.
@@ -242,17 +218,7 @@ Time Asic::submit(Time now, int slice_idx, const net::FlowMod& mod,
     // which rolls the original rule back.
     r = apply(slice_idx, mod, /*inject_insert_failure=*/inject);
   }
-  if (fault_plan_ != nullptr) {
-    Duration stall = fault_plan_->stall(now, slice_idx);
-    r.latency += stall;
-    cs.stall_ns += stall;
-  }
-  Time& channel = busy_until_[static_cast<std::size_t>(slice_idx)];
-  Time start = std::max(now, channel);
-  Time done = start + r.latency;
-  channel = done;
-  ++cs.ops;
-  cs.busy_ns += r.latency;
+  Time done = occupy_channel(now, slice_idx, r.latency, inject);
   obs_op_latency_.record(static_cast<std::uint64_t>(r.latency));
   if (r.ok && r.shifts > 0)
     obs::trace_event(

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -73,22 +72,14 @@ class Asic {
   ApplyResult apply(int slice_idx, const net::FlowMod& mod,
                     bool inject_insert_failure = false);
 
-  /// Data-plane lookup at simulation time `now`: applies any scheduled
+  /// The data-plane read, at simulation time `now`: applies any scheduled
   /// reset that has already fired (the data plane observes the wipe
   /// immediately, not at the next control-plane op), then looks up
   /// parallel across slices with precedence by slice index (slice 0
-  /// wins — how the hardware resolves shadow-vs-main).
-  std::optional<net::Rule> lookup(Time now, net::Ipv4Address addr);
-  /// Zero-copy variant of the time-threaded lookup. The pointer is
-  /// invalidated by any subsequent table mutation; use it immediately.
+  /// wins — how the hardware resolves shadow-vs-main). Returns nullptr
+  /// on a miss. The pointer is invalidated by any subsequent table
+  /// mutation; use it immediately.
   const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr);
-
-  /// Timeless lookup: state as of the last channel activity (scheduled
-  /// resets NOT applied). Kept for callers that carry no clock; prefer
-  /// the time-threaded overloads on any data-plane path.
-  std::optional<net::Rule> lookup(net::Ipv4Address addr);
-  /// Zero-copy timeless lookup (same reset caveat as above).
-  const net::Rule* lookup_ptr(net::Ipv4Address addr);
 
   /// Serialized control channel: each slice is a separate logical group in
   /// the SDK with its own update engine, so updates serialize per slice.
@@ -164,17 +155,24 @@ class Asic {
   fault::FaultPlan* fault_plan() const { return fault_plan_; }
 
   /// Scheduled resets apply LAZILY: the wipe happens at the first channel
-  /// OR data-plane activity (submit/batch/poll/time-threaded lookup)
-  /// at-or-after the reset time, wiping every slice and freeing the
-  /// channels from the reset instant. Each applied reset bumps
-  /// `reset_epoch()` — agents poll it to trigger reconciliation. Only the
-  /// timeless lookup(addr) overloads still see pre-reset state between
-  /// the reset time and the next activity (they carry no clock).
+  /// OR data-plane activity (submit/batch/poll/lookup_ptr) at-or-after
+  /// the reset time, wiping every slice and freeing the channels from the
+  /// reset instant. Each applied reset bumps `reset_epoch()` — agents
+  /// poll it to trigger reconciliation. Every read takes a clock, so no
+  /// read sees a slice that a fired reset has wiped.
   void poll(Time now) { apply_pending_resets(now); }
   int reset_epoch() const { return reset_epoch_; }
 
  private:
   void apply_pending_resets(Time now);
+  /// Occupies slice `slice_idx`'s control channel for `latency` plus the
+  /// fault plan's stall draw, starting at max(now, busy_until): serializes
+  /// the op behind the slice's earlier ones and accounts it (and an
+  /// `injected_failure`) in ChannelStats. Callers draw their write-failure
+  /// verdicts first, so the stall stays the op's last draw. Adds the
+  /// stall to `latency` and returns the completion time.
+  Time occupy_channel(Time now, int slice_idx, Duration& latency,
+                      bool injected_failure);
   /// True iff `mod` is a modify of a resident rule to a different
   /// priority — the only modify shape that reaches the TCAM insert step
   /// (and hence the only one that burns a write-failure draw).

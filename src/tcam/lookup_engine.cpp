@@ -128,8 +128,6 @@ void LookupEngine::insert_node(int length, std::uint32_t key,
     }
   }
   ++b.entries;
-  if (b.entries == 1 || n.rule.priority > b.max_priority)
-    b.max_priority = n.rule.priority;
   nonempty_lengths_ |= std::uint64_t{1} << length;
   ++size_;
 }
@@ -161,10 +159,7 @@ std::uint32_t LookupEngine::remove_node(int length, std::uint32_t key,
     pool_[prev].next = pool_[cur].next;
   }
   --b.entries;
-  if (b.entries == 0) {
-    b.max_priority = 0;
-    nonempty_lengths_ &= ~(std::uint64_t{1} << length);
-  }
+  if (b.entries == 0) nonempty_lengths_ &= ~(std::uint64_t{1} << length);
   --size_;
   return cur;
 }
@@ -331,7 +326,6 @@ bool LookupEngine::check_invariant() const {
         std::uint32_t k =
             masked_key(n.rule.match.address(), n.rule.match.length());
         if (n.rule.match.length() != length || k != c.key) return false;
-        if (n.rule.priority > b.max_priority) return false;
         if (prev != nullptr &&
             (prev->rule.priority < n.rule.priority ||
              (prev->rule.priority == n.rule.priority && prev->seq > n.seq)))

@@ -91,9 +91,9 @@ class LookupEngine {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Structural self-check, for tests: chain ordering, cell/occupancy
-  /// accounting, the non-empty-length bitmap, and the per-bucket
-  /// max-priority bound. O(size).
+  /// Structural self-check, for tests: chain keys and ordering, each
+  /// cell's cached head key, cell/occupancy accounting, the non-empty-
+  /// length bitmap and the node pool's size. O(size).
   bool check_invariant() const;
 
  private:
@@ -125,12 +125,6 @@ class LookupEngine {
     std::uint32_t keys = 0;   ///< live cells (distinct masked keys)
     std::uint32_t used = 0;   ///< live cells + tombstones
     std::uint32_t entries = 0;  ///< rules (chain nodes) in this bucket
-    /// Upper bound on any resident priority; raised on insert, NOT
-    /// lowered on erase, reset when the bucket empties. Structural
-    /// metadata (checked by check_invariant): lookup() deliberately does
-    /// not prune on it — a running-best comparison serializes the
-    /// per-bucket cell loads and costs more than the probes it saves.
-    int max_priority = 0;
   };
 
   static std::uint32_t hash(std::uint32_t key) {

@@ -256,12 +256,6 @@ OpResult TcamTable::modify_match(net::RuleId id, const net::Prefix& match) {
   return {true, 0};
 }
 
-std::optional<net::Rule> TcamTable::lookup(net::Ipv4Address addr) {
-  const net::Rule* r = lookup_ptr(addr);
-  if (r == nullptr) return std::nullopt;
-  return *r;
-}
-
 const net::Rule* TcamTable::lookup_ptr(net::Ipv4Address addr) {
   ++stats_.lookups;
   obs_lookups_.inc();
@@ -287,18 +281,10 @@ bool TcamTable::contains(net::RuleId id) const {
   return key_of_.count(id) > 0;
 }
 
-std::optional<net::Rule> TcamTable::find(net::RuleId id) const {
-  const net::Rule* r = find_ptr(id);
-  if (!r) return std::nullopt;
-  return *r;
-}
-
 const net::Rule* TcamTable::find_ptr(net::RuleId id) const {
   std::size_t slot = locate(id);
   return slot == kNoSlot ? nullptr : &entries_[slot];
 }
-
-std::vector<net::Rule> TcamTable::rules() const { return entries_; }
 
 void TcamTable::clear() {
   entries_.clear();

@@ -13,7 +13,7 @@
 // Bookkeeping cost model: the priority-ordered `entries_` array is the
 // ground truth for shift counts (the hardware mechanics), while an id
 // index replaces full-array scans in the agent-side bookkeeping
-// operations (`contains`/`find`/`erase`/`modify_*`). Each slot also
+// operations (`contains`/`find_ptr`/`erase`/`modify_*`). Each slot also
 // carries a 32-bit arrival stamp, in `stamps_` beside `entries_`, and the
 // index maps id -> {priority, stamp}. Every insert and batch lands below
 // the equal-priority residents with fresh, rising stamps, so slot order
@@ -136,13 +136,10 @@ class TcamTable {
 
   /// First-match lookup (what the hardware does). Returns the matching
   /// rule closest to the top, which by the invariant is a highest-priority
-  /// match. Served by the tuple-space LookupEngine (maintained
-  /// incrementally by every mutation — never rebuilt); copies the rule.
-  /// Counts toward stats and the tcam.lookup.* metrics.
-  std::optional<net::Rule> lookup(net::Ipv4Address addr);
-  /// Zero-copy first-match lookup: same semantics and accounting as
-  /// lookup(), without the per-packet Rule copy. The pointer is
-  /// invalidated by any table mutation; use it immediately.
+  /// match, or nullptr. Served by the tuple-space LookupEngine (maintained
+  /// incrementally by every mutation — never rebuilt). Counts toward
+  /// stats and the tcam.lookup.* metrics. The pointer is invalidated by
+  /// any table mutation; use it immediately.
   const net::Rule* lookup_ptr(net::Ipv4Address addr);
   /// Linear first-match scan without statistics side effects — the
   /// frozen reference semantics, kept as the differential-test oracle
@@ -151,10 +148,8 @@ class TcamTable {
 
   /// O(1) id membership test via the id index.
   bool contains(net::RuleId id) const;
-  /// Indexed id lookup (O(log n)); copies the rule.
-  std::optional<net::Rule> find(net::RuleId id) const;
-  /// Zero-copy indexed id lookup. The pointer is invalidated by any table
-  /// mutation; use it immediately.
+  /// Indexed id lookup (O(log n)), or nullptr. The pointer is invalidated
+  /// by any table mutation; use it immediately.
   const net::Rule* find_ptr(net::RuleId id) const;
 
   /// Highest resident priority (first slot); 0 when empty.
@@ -165,9 +160,6 @@ class TcamTable {
   int min_priority() const {
     return entries_.empty() ? 0 : entries_.back().priority;
   }
-
-  /// All rules, top-to-bottom physical order (copies; prefer rules_view).
-  std::vector<net::Rule> rules() const;
 
   /// Zero-copy view of the table, top-to-bottom physical order. The
   /// reference is invalidated by any table mutation.
@@ -184,7 +176,7 @@ class TcamTable {
   /// array agreement; used by tests.
   bool check_invariant() const;
 
-  /// The classification engine backing lookup()/lookup_ptr() (exposed
+  /// The classification engine backing lookup_ptr() (exposed
   /// read-only for tests and benches).
   const LookupEngine& engine() const { return engine_; }
 

@@ -118,8 +118,8 @@ TEST(BackendBatch, HermesBackendDelegatesToAgent) {
   EXPECT_EQ(batch.barrier(), barrier);
   EXPECT_EQ(sw.agent().store().size(), 12u);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    auto hit = sw.lookup(batch.mod(i).rule.match.address());
-    ASSERT_TRUE(hit.has_value()) << "mod " << i;
+    const Rule* hit = sw.lookup_ptr(barrier, batch.mod(i).rule.match.address());
+    ASSERT_NE(hit, nullptr) << "mod " << i;
     EXPECT_EQ(hit->action.port, batch.mod(i).rule.action.port)
         << "mod " << i;
   }

@@ -28,6 +28,10 @@ FlowMod del(net::RuleId id) {
   return {FlowModType::kDelete, Rule{id, 0, {}, {}}};
 }
 
+const Rule* lookup_at(SwitchBackend& sw, Time now, std::string_view addr) {
+  return sw.lookup_ptr(now, *net::Ipv4Address::parse(addr));
+}
+
 // --- PlainSwitch -------------------------------------------------------------
 
 TEST(PlainSwitch, RecordsRitPerInsert) {
@@ -95,10 +99,10 @@ TEST(Espres, DeletesPassThroughImmediately) {
 TEST(Espres, LookupSeesOnlyFlushedRules) {
   EspresSwitch sw(tcam::pica8_p3290(), 2000, from_millis(10));
   sw.handle(0, ins(make_rule(1, 1, "10.0.0.0/8", 7)));
-  EXPECT_FALSE(sw.lookup(*net::Ipv4Address::parse("10.1.1.1")).has_value());
+  EXPECT_EQ(lookup_at(sw, 0, "10.1.1.1"), nullptr);
   sw.flush(from_millis(10));
-  auto hit = sw.lookup(*net::Ipv4Address::parse("10.1.1.1"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = lookup_at(sw, from_millis(10), "10.1.1.1");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 7);
 }
 
@@ -116,8 +120,8 @@ TEST(Tango, AggregatesSiblingPrefixes) {
   sw.flush(from_millis(1));
   EXPECT_EQ(sw.occupancy(), 1);
   EXPECT_EQ(sw.rules_saved_by_aggregation(), 3u);
-  auto hit = sw.lookup(*net::Ipv4Address::parse("10.0.200.1"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = lookup_at(sw, from_millis(1), "10.0.200.1");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 3);
 }
 
@@ -127,9 +131,8 @@ TEST(Tango, DoesNotAggregateAcrossActions) {
   sw.handle(0, ins(make_rule(2, 5, "10.0.128.0/17", 2)));
   sw.flush(from_millis(1));
   EXPECT_EQ(sw.occupancy(), 2);
-  EXPECT_EQ(sw.lookup(*net::Ipv4Address::parse("10.0.1.1"))->action.port, 1);
-  EXPECT_EQ(sw.lookup(*net::Ipv4Address::parse("10.0.200.1"))->action.port,
-            2);
+  EXPECT_EQ(lookup_at(sw, from_millis(1), "10.0.1.1")->action.port, 1);
+  EXPECT_EQ(lookup_at(sw, from_millis(1), "10.0.200.1")->action.port, 2);
 }
 
 TEST(Tango, DeleteSplitsAggregate) {
@@ -140,9 +143,9 @@ TEST(Tango, DeleteSplitsAggregate) {
   ASSERT_EQ(sw.occupancy(), 1);  // aggregated to /16
   sw.handle(from_millis(2), del(1));
   EXPECT_EQ(sw.occupancy(), 1);  // survivor reinstated as /17
-  EXPECT_FALSE(sw.lookup(*net::Ipv4Address::parse("10.0.1.1")).has_value());
-  auto hit = sw.lookup(*net::Ipv4Address::parse("10.0.200.1"));
-  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(lookup_at(sw, from_millis(2), "10.0.1.1"), nullptr);
+  const Rule* hit = lookup_at(sw, from_millis(2), "10.0.200.1");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 3);
 }
 
@@ -160,8 +163,8 @@ TEST(Tango, ModifyReinstallsDirectly) {
   sw.flush(from_millis(1));
   sw.handle(from_millis(2),
             {FlowModType::kModify, make_rule(1, 5, "10.0.0.0/8", 9)});
-  auto hit = sw.lookup(*net::Ipv4Address::parse("10.1.1.1"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = lookup_at(sw, from_millis(2), "10.1.1.1");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 9);
 }
 
@@ -195,8 +198,8 @@ TEST(HermesBackend, AdaptsAgentInterface) {
   Time done = sw.handle(0, ins(make_rule(1, 5, "10.0.0.0/8", 4)));
   EXPECT_GE(done, 0);
   sw.tick(from_millis(10));
-  auto hit = sw.lookup(*net::Ipv4Address::parse("10.1.1.1"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = lookup_at(sw, from_millis(10), "10.1.1.1");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 4);
   EXPECT_EQ(sw.rit_samples().size(), 1u);
   sw.clear_rit_samples();
@@ -237,14 +240,15 @@ TEST(AllBackends, AgreeOnDisjointRuleSets) {
            net::forward_to(i)};
     for (auto& sw : switches) sw->handle(0, ins(r));
   }
-  for (auto& sw : switches) sw->tick(from_millis(100));
+  const Time now = from_millis(100);
+  for (auto& sw : switches) sw->tick(now);
   std::mt19937_64 rng(7);
   for (int s = 0; s < 200; ++s) {
     net::Ipv4Address addr(static_cast<std::uint32_t>(rng()));
-    auto expect = switches[0]->lookup(addr);
+    const Rule* expect = switches[0]->lookup_ptr(now, addr);
     for (std::size_t k = 1; k < switches.size(); ++k) {
-      auto got = switches[k]->lookup(addr);
-      ASSERT_EQ(expect.has_value(), got.has_value())
+      const Rule* got = switches[k]->lookup_ptr(now, addr);
+      ASSERT_EQ(expect != nullptr, got != nullptr)
           << switches[k]->name() << " " << addr.to_string();
       if (expect) {
         EXPECT_EQ(expect->action.port, got->action.port)

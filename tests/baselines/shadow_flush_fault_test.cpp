@@ -26,12 +26,12 @@ Rule flow_rule(net::RuleId id, int priority) {
               net::forward_to(static_cast<int>(id % 16))};
 }
 
-void expect_no_rule_lost(ShadowSwitchBackend& sw, net::RuleId first,
+void expect_no_rule_lost(ShadowSwitchBackend& sw, Time now, net::RuleId first,
                          net::RuleId last) {
   for (net::RuleId id = first; id <= last; ++id) {
-    auto hit = sw.lookup(
-        net::Ipv4Address(0x0A000000u | static_cast<std::uint32_t>(id)));
-    ASSERT_TRUE(hit.has_value()) << "rule " << id << " lost from BOTH tiers";
+    const Rule* hit = sw.lookup_ptr(
+        now, net::Ipv4Address(0x0A000000u | static_cast<std::uint32_t>(id)));
+    ASSERT_NE(hit, nullptr) << "rule " << id << " lost from BOTH tiers";
     EXPECT_EQ(hit->id, id);
   }
 }
@@ -56,7 +56,7 @@ TEST(ShadowFlushFault, TruncatedFlushKeepsEveryRuleInSomeTier) {
     now += from_millis(20);
     sw.flush(now);
     EXPECT_EQ(sw.tcam_occupancy() + sw.software_resident(), 64);
-    expect_no_rule_lost(sw, 1, 64);
+    expect_no_rule_lost(sw, now, 1, 64);
   }
   EXPECT_EQ(sw.hierarchy().flush_orphans(), 0u);
   EXPECT_TRUE(sw.asic().slice(0).check_invariant());
@@ -90,11 +90,14 @@ TEST(ShadowFlushFault, InterleavedChurnAndFaultyFlushes) {
     if (round % 3 == 2 && next_id > 4) {
       // Delete a rule from whatever tier it currently occupies.
       net::RuleId victim = 1 + rng() % (next_id - 1);
-      auto before = sw.lookup(net::Ipv4Address(
-          0x0A000000u | static_cast<std::uint32_t>(victim)));
+      // Read before the delete invalidates the pointer.
+      const Rule* before = sw.lookup_ptr(
+          now,
+          net::Ipv4Address(0x0A000000u | static_cast<std::uint32_t>(victim)));
+      const bool was_live = before != nullptr && before->id == victim;
       now += from_micros(100);
       sw.handle(now, {FlowModType::kDelete, Rule{victim, 0, {}, {}}});
-      if (before.has_value() && before->id == victim) --live;
+      if (was_live) --live;
     }
     now += from_millis(20);
     sw.tick(now);

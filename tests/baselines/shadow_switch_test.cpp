@@ -47,12 +47,12 @@ TEST(ShadowSwitch, LookupCoversBothTablesWithPriority) {
   sw.flush(0);  // rule 1 now in TCAM
   sw.handle(0, {FlowModType::kInsert, make_rule(2, 9, "10.1.0.0/16", 2)});
   // Rule 2 is software-only but higher priority: it must win.
-  auto hit = sw.lookup(*net::Ipv4Address::parse("10.1.2.3"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = sw.lookup_ptr(0, *net::Ipv4Address::parse("10.1.2.3"));
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 2);
   // Outside rule 2: the TCAM rule answers.
-  hit = sw.lookup(*net::Ipv4Address::parse("10.2.0.1"));
-  ASSERT_TRUE(hit.has_value());
+  hit = sw.lookup_ptr(0, *net::Ipv4Address::parse("10.2.0.1"));
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 1);
 }
 
@@ -67,9 +67,10 @@ TEST(ShadowSwitch, DeleteFromEitherResidence) {
   sw.handle(from_millis(1), {FlowModType::kDelete, Rule{3, 0, {}, {}}});
   EXPECT_EQ(sw.tcam_occupancy(), 1);
   EXPECT_EQ(sw.software_resident(), 0);
-  EXPECT_FALSE(sw.lookup(*net::Ipv4Address::parse("10.1.1.1")).has_value());
-  EXPECT_FALSE(sw.lookup(*net::Ipv4Address::parse("12.1.1.1")).has_value());
-  EXPECT_TRUE(sw.lookup(*net::Ipv4Address::parse("11.1.1.1")).has_value());
+  const Time now = from_millis(1);
+  EXPECT_EQ(sw.lookup_ptr(now, *net::Ipv4Address::parse("10.1.1.1")), nullptr);
+  EXPECT_EQ(sw.lookup_ptr(now, *net::Ipv4Address::parse("12.1.1.1")), nullptr);
+  EXPECT_NE(sw.lookup_ptr(now, *net::Ipv4Address::parse("11.1.1.1")), nullptr);
 }
 
 TEST(ShadowSwitch, ModifyInSoftwareIsFast) {
@@ -78,7 +79,9 @@ TEST(ShadowSwitch, ModifyInSoftwareIsFast) {
   Time done = sw.handle(
       from_millis(1), {FlowModType::kModify, make_rule(1, 5, "10.0.0.0/8", 8)});
   EXPECT_LE(done - from_millis(1), from_micros(50));
-  EXPECT_EQ(sw.lookup(*net::Ipv4Address::parse("10.1.1.1"))->action.port, 8);
+  const Rule* hit = sw.lookup_ptr(done, *net::Ipv4Address::parse("10.1.1.1"));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->action.port, 8);
 }
 
 TEST(ShadowSwitch, FlushRespectsTcamCapacity) {

@@ -77,7 +77,7 @@ RunRecord drive_asic(std::uint64_t op_seed) {
         asic.submit_batch_insert(t, slice, batch, &result));
     rec.completions.push_back(static_cast<Time>(result.inserted));
   }
-  for (int s = 0; s < 2; ++s) rec.slices.push_back(asic.slice(s).rules());
+  for (int s = 0; s < 2; ++s) rec.slices.push_back(asic.slice(s).rules_view());
   rec.plan_failures = plan.write_failures();
   rec.plan_resets = plan.resets_fired();
   rec.plan_stall = plan.total_stall();
@@ -125,7 +125,7 @@ RunRecord drive_agent(std::uint64_t op_seed) {
       static_cast<Time>(stats.reconcile_rules_reinstalled));
   rec.completions.push_back(static_cast<Time>(stats.failed_ops));
   for (int s = 0; s < 2; ++s)
-    rec.slices.push_back(sw.agent().asic().slice(s).rules());
+    rec.slices.push_back(sw.agent().asic().slice(s).rules_view());
   rec.plan_failures = plan.write_failures();
   rec.plan_resets = plan.resets_fired();
   rec.plan_stall = plan.total_stall();
@@ -155,7 +155,7 @@ TEST(FaultDeterminism, PlainBackendRunsAreBitIdentical) {
       rec.completions.push_back(
           sw.handle(t, {net::FlowModType::kInsert, synth_rule(id, rng)}));
     }
-    rec.slices.push_back(sw.asic().slice(0).rules());
+    rec.slices.push_back(sw.asic().slice(0).rules_view());
     rec.plan_failures = plan.write_failures();
     rec.plan_stall = plan.total_stall();
     return rec;

@@ -35,8 +35,9 @@ HermesConfig test_config() {
   return config;
 }
 
-int port_at(HermesAgent& agent, std::string_view addr) {
-  auto hit = agent.lookup(*net::Ipv4Address::parse(addr));
+int port_at(HermesAgent& agent, Time now, std::string_view addr) {
+  const net::Rule* hit =
+      agent.lookup_ptr(now, *net::Ipv4Address::parse(addr));
   return hit ? hit->action.port : -1;
 }
 
@@ -67,7 +68,9 @@ TEST(AgentRecovery, RetriesRecoverFlakyShadowWrites) {
   EXPECT_GT(agent.stats().retries, 0u);
   EXPECT_GT(plan.write_failures(), 0u);
   for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(port_at(agent, std::to_string(10 + i) + ".0.0.1"), i % 8)
+    EXPECT_EQ(port_at(agent, n * from_millis(1),
+                      std::to_string(10 + i) + ".0.0.1"),
+              i % 8)
         << "rule " << 1 + i;
   }
 }
@@ -94,7 +97,8 @@ TEST(AgentRecovery, ExhaustionFallsThroughToMain) {
     ASSERT_NE(agent.store().find(1 + i), nullptr);
     EXPECT_EQ(agent.store().find(1 + i)->placement, Placement::kMain);
   }
-  EXPECT_EQ(port_at(agent, "10.1.2.3"), 3);
+  EXPECT_EQ(port_at(agent, static_cast<Time>(n) * from_millis(1), "10.1.2.3"),
+            3);
 }
 
 TEST(AgentRecovery, BatchExhaustionFallsThroughAfterTheLastAttempt) {
@@ -124,8 +128,8 @@ TEST(AgentRecovery, BatchExhaustionFallsThroughAfterTheLastAttempt) {
     EXPECT_EQ(agent.rit_samples()[i], batch.result(i).completion)
         << "mod " << i;
   }
-  EXPECT_EQ(port_at(agent, "10.1.2.3"), 1);
-  EXPECT_EQ(port_at(agent, "11.1.2.3"), 2);
+  EXPECT_EQ(port_at(agent, gave_up, "10.1.2.3"), 1);
+  EXPECT_EQ(port_at(agent, gave_up, "11.1.2.3"), 2);
 }
 
 TEST(AgentRecovery, MigrationRequeuesAndLaterSucceeds) {
@@ -147,7 +151,7 @@ TEST(AgentRecovery, MigrationRequeuesAndLaterSucceeds) {
   EXPECT_GT(agent.stats().migration_piece_failures, 0u);
   EXPECT_EQ(agent.stats().migration_requeues, 1u);
   EXPECT_EQ(agent.store().find(1)->placement, Placement::kShadow);
-  EXPECT_EQ(port_at(agent, "10.1.2.3"), 1);
+  EXPECT_EQ(port_at(agent, t, "10.1.2.3"), 1);
 
   // The switch heals (detach the plan); the re-queued run fires on the
   // next tick past its backoff deadline and drains the shadow.
@@ -157,8 +161,8 @@ TEST(AgentRecovery, MigrationRequeuesAndLaterSucceeds) {
   EXPECT_EQ(agent.store().find(1)->placement, Placement::kMain);
   EXPECT_EQ(agent.store().find(2)->placement, Placement::kMain);
   EXPECT_EQ(agent.shadow_occupancy(), 0);
-  EXPECT_EQ(port_at(agent, "10.1.2.3"), 1);
-  EXPECT_EQ(port_at(agent, "11.1.2.3"), 2);
+  EXPECT_EQ(port_at(agent, t + from_millis(100), "10.1.2.3"), 1);
+  EXPECT_EQ(port_at(agent, t + from_millis(100), "11.1.2.3"), 2);
 }
 
 TEST(AgentRecovery, ReconcileAfterResetRestoresBothSlices) {
@@ -192,14 +196,14 @@ TEST(AgentRecovery, ReconcileAfterResetRestoresBothSlices) {
   EXPECT_EQ(agent.store().find(1)->placement, Placement::kMain);
   EXPECT_EQ(agent.store().find(2)->placement, Placement::kShadow);
   EXPECT_EQ(agent.store().find(3)->placement, Placement::kShadow);
-  EXPECT_EQ(port_at(agent, "10.64.0.1"), 5);
-  EXPECT_EQ(port_at(agent, "10.1.2.3"), 1);
-  EXPECT_EQ(port_at(agent, "10.200.0.1"), 1);
-  EXPECT_EQ(port_at(agent, "11.1.2.3"), 2);
+  EXPECT_EQ(port_at(agent, from_millis(60), "10.64.0.1"), 5);
+  EXPECT_EQ(port_at(agent, from_millis(60), "10.1.2.3"), 1);
+  EXPECT_EQ(port_at(agent, from_millis(60), "10.200.0.1"), 1);
+  EXPECT_EQ(port_at(agent, from_millis(60), "11.1.2.3"), 2);
 
   // Reconciliation leaves live state: later ops behave normally.
   agent.insert(from_millis(70), make_rule(4, 10, "12.0.0.0/8", 4));
-  EXPECT_EQ(port_at(agent, "12.1.2.3"), 4);
+  EXPECT_EQ(port_at(agent, from_millis(70), "12.1.2.3"), 4);
 }
 
 TEST(PlainRecovery, InlineRetriesLandFlakyInserts) {

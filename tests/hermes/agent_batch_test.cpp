@@ -4,7 +4,6 @@
 // under one Gate Keeper decision and one shadow ASIC batch.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <random>
 #include <vector>
 
@@ -33,14 +32,14 @@ HermesConfig test_config() {
   return config;
 }
 
-/// Same forwarding behavior at `addr` on both agents. Either agent may
-/// serve the packet from a partition piece (piece ids differ), so the
-/// comparison is on the action, which pieces preserve.
-void expect_same_lookup(HermesAgent& a, HermesAgent& b,
+/// Same forwarding behavior at `addr` on both agents at `now`. Either
+/// agent may serve the packet from a partition piece (piece ids differ),
+/// so the comparison is on the action, which pieces preserve.
+void expect_same_lookup(HermesAgent& a, HermesAgent& b, Time now,
                         net::Ipv4Address addr, std::uint64_t seed) {
-  std::optional<Rule> ra = a.lookup(addr);
-  std::optional<Rule> rb = b.lookup(addr);
-  ASSERT_EQ(ra.has_value(), rb.has_value())
+  const Rule* ra = a.lookup_ptr(now, addr);
+  const Rule* rb = b.lookup_ptr(now, addr);
+  ASSERT_EQ(ra != nullptr, rb != nullptr)
       << "seed " << seed << " addr " << addr.to_string();
   if (ra) {
     EXPECT_EQ(ra->action.port, rb->action.port)
@@ -106,7 +105,7 @@ TEST(AgentBatch, FreshInsertRunIsOneShadowBatch) {
   EXPECT_EQ(batched.shadow_occupancy(), sequential.shadow_occupancy());
   EXPECT_EQ(batched.stats().guaranteed_inserts, 16u);
   for (const Rule& r : rules)
-    expect_same_lookup(batched, sequential, r.match.address(), 0);
+    expect_same_lookup(batched, sequential, 0, r.match.address(), 0);
   obs::attach(nullptr);
   // One batch decision and one shadow batch in the metrics.
   EXPECT_EQ(attached.histogram_summary("gate.batch_admitted").count, 1u);
@@ -171,7 +170,7 @@ TEST(AgentBatch, RunBreaksOnDeletesModifiesAndDuplicates) {
   EXPECT_EQ(batched.stats().modifies, sequential.stats().modifies);
   for (std::string_view addr :
        {"10.1.1.1", "10.2.1.1", "10.3.1.1", "10.4.1.1"}) {
-    expect_same_lookup(batched, sequential, *net::Ipv4Address::parse(addr),
+    expect_same_lookup(batched, sequential, 0, *net::Ipv4Address::parse(addr),
                        0);
   }
 }
@@ -230,7 +229,7 @@ TEST(AgentBatch, RandomizedMixedBatchesMatchPerOpLookups) {
         << "seed " << seed;
     for (int o = 0; o < 20; ++o) {
       expect_same_lookup(
-          batched, sequential,
+          batched, sequential, now,
           net::Ipv4Address(0x0A000000u |
                            (static_cast<std::uint32_t>(o) << 16) | 0x0101u),
           seed);

@@ -29,8 +29,9 @@ HermesConfig test_config() {
   return config;
 }
 
-int port_at(HermesAgent& agent, std::string_view addr) {
-  auto hit = agent.lookup(*net::Ipv4Address::parse(addr));
+int port_at(HermesAgent& agent, Time now, std::string_view addr) {
+  const net::Rule* hit =
+      agent.lookup_ptr(now, *net::Ipv4Address::parse(addr));
   return hit ? hit->action.port : -1;
 }
 
@@ -47,22 +48,26 @@ TEST(AgentEdge, UnpartitionChainAcrossPriorityLevels) {
   agent.insert(0, make_rule(3, 10, "192.168.0.0/16", 3));
   agent.migrate_now(0);
 
-  EXPECT_EQ(port_at(agent, "192.168.1.5"), 1);     // A
-  EXPECT_EQ(port_at(agent, "192.168.1.200"), 2);   // B's remainder
-  EXPECT_EQ(port_at(agent, "192.168.7.1"), 3);     // C's remainder
+  Time now = 0;
+  EXPECT_EQ(port_at(agent, now, "192.168.1.5"), 1);     // A
+  EXPECT_EQ(port_at(agent, now, "192.168.1.200"), 2);   // B's remainder
+  EXPECT_EQ(port_at(agent, now, "192.168.7.1"), 3);     // C's remainder
 
-  agent.erase(from_millis(1), 1);  // delete A
-  EXPECT_EQ(port_at(agent, "192.168.1.5"), 2);     // B reclaims the /26
-  EXPECT_EQ(port_at(agent, "192.168.7.1"), 3);
-  EXPECT_EQ(port_at(agent, "192.168.1.200"), 2);
+  now = from_millis(1);
+  agent.erase(now, 1);  // delete A
+  EXPECT_EQ(port_at(agent, now, "192.168.1.5"), 2);     // B reclaims the /26
+  EXPECT_EQ(port_at(agent, now, "192.168.7.1"), 3);
+  EXPECT_EQ(port_at(agent, now, "192.168.1.200"), 2);
 
-  agent.erase(from_millis(2), 2);  // delete B
-  EXPECT_EQ(port_at(agent, "192.168.1.5"), 3);     // C reclaims everything
-  EXPECT_EQ(port_at(agent, "192.168.1.200"), 3);
-  EXPECT_EQ(port_at(agent, "10.1.1.1"), -1);
+  now = from_millis(2);
+  agent.erase(now, 2);  // delete B
+  EXPECT_EQ(port_at(agent, now, "192.168.1.5"), 3);     // C reclaims everything
+  EXPECT_EQ(port_at(agent, now, "192.168.1.200"), 3);
+  EXPECT_EQ(port_at(agent, now, "10.1.1.1"), -1);
 
-  agent.erase(from_millis(3), 3);
-  EXPECT_EQ(port_at(agent, "192.168.1.5"), -1);
+  now = from_millis(3);
+  agent.erase(now, 3);
+  EXPECT_EQ(port_at(agent, now, "192.168.1.5"), -1);
   EXPECT_EQ(agent.shadow_occupancy() + agent.main_occupancy(), 0);
 }
 
@@ -78,8 +83,8 @@ TEST(AgentEdge, DeletePartitionedRuleAfterMigration) {
   ASSERT_GT(agent.main_occupancy(), 2);  // blocker + >1 pieces
   agent.erase(from_millis(2), 2);
   EXPECT_EQ(agent.main_occupancy(), 1);  // only the blocker remains
-  EXPECT_EQ(port_at(agent, "10.0.0.200"), -1);
-  EXPECT_EQ(port_at(agent, "10.0.0.5"), 1);
+  EXPECT_EQ(port_at(agent, from_millis(2), "10.0.0.200"), -1);
+  EXPECT_EQ(port_at(agent, from_millis(2), "10.0.0.5"), 1);
 }
 
 TEST(AgentEdge, RedundantRuleMaterializesAndCanBeDeleted) {
@@ -95,9 +100,9 @@ TEST(AgentEdge, RedundantRuleMaterializesAndCanBeDeleted) {
   // Re-insert, materialize by deleting the blocker, then delete it.
   agent.insert(from_millis(2), make_rule(3, 10, "10.1.0.0/16", 3));
   agent.erase(from_millis(3), 1);
-  EXPECT_EQ(port_at(agent, "10.1.2.3"), 3);
+  EXPECT_EQ(port_at(agent, from_millis(3), "10.1.2.3"), 3);
   agent.erase(from_millis(4), 3);
-  EXPECT_EQ(port_at(agent, "10.1.2.3"), -1);
+  EXPECT_EQ(port_at(agent, from_millis(4), "10.1.2.3"), -1);
   EXPECT_EQ(agent.shadow_occupancy() + agent.main_occupancy(), 0);
 }
 
@@ -111,11 +116,11 @@ TEST(AgentEdge, ChainedRedundancy) {
   agent.insert(0, make_rule(3, 20, "10.1.1.0/24", 3));  // redundant under 1
   agent.erase(from_millis(1), 1);
   // Now 2 beats 3 inside 10.1.1.0/24 (higher priority).
-  EXPECT_EQ(port_at(agent, "10.1.1.9"), 2);
-  EXPECT_EQ(port_at(agent, "10.1.2.9"), 2);
+  EXPECT_EQ(port_at(agent, from_millis(1), "10.1.1.9"), 2);
+  EXPECT_EQ(port_at(agent, from_millis(1), "10.1.2.9"), 2);
   agent.erase(from_millis(2), 2);
-  EXPECT_EQ(port_at(agent, "10.1.1.9"), 3);
-  EXPECT_EQ(port_at(agent, "10.1.2.9"), -1);
+  EXPECT_EQ(port_at(agent, from_millis(2), "10.1.1.9"), 3);
+  EXPECT_EQ(port_at(agent, from_millis(2), "10.1.2.9"), -1);
 }
 
 TEST(AgentEdge, AdmittedRateIsSustainableWithoutViolations) {
@@ -177,9 +182,9 @@ TEST(AgentEdge, ModifyActionOnPartitionedRuleUpdatesAllPieces) {
   agent.migrate_now(0);
   agent.insert(0, make_rule(2, 10, "10.0.0.0/24", 2));  // pieces in shadow
   agent.modify(from_millis(1), make_rule(2, 10, "10.0.0.0/24", 9));
-  EXPECT_EQ(port_at(agent, "10.0.0.200"), 9);
-  EXPECT_EQ(port_at(agent, "10.0.0.128"), 9);
-  EXPECT_EQ(port_at(agent, "10.0.0.5"), 1);  // blocker untouched
+  EXPECT_EQ(port_at(agent, from_millis(1), "10.0.0.200"), 9);
+  EXPECT_EQ(port_at(agent, from_millis(1), "10.0.0.128"), 9);
+  EXPECT_EQ(port_at(agent, from_millis(1), "10.0.0.5"), 1);  // blocker kept
 }
 
 TEST(AgentEdge, EraseIsIdempotentOnTables) {
@@ -203,7 +208,7 @@ TEST(AgentEdge, StatsPiecesSavedByMergeAccumulates) {
   agent.erase(from_millis(1), 1);  // blocker gone; un-partition restores
   agent.migrate_now(from_millis(2));
   EXPECT_EQ(agent.main_occupancy(), 1);  // single consolidated rule
-  EXPECT_EQ(port_at(agent, "10.0.0.70"), 2);
+  EXPECT_EQ(port_at(agent, from_millis(2), "10.0.0.70"), 2);
 }
 
 TEST(AgentEdge, LookupAcrossSlicesAfterPartialMigration) {
@@ -224,7 +229,9 @@ TEST(AgentEdge, LookupAcrossSlicesAfterPartialMigration) {
   ASSERT_GT(agent.shadow_occupancy(), 0);
   ASSERT_GT(agent.main_occupancy(), 0);
   for (int i = 0; i < 40; ++i) {
-    EXPECT_EQ(port_at(agent, "10." + std::to_string(i) + ".1.1"), i + 1);
+    EXPECT_EQ(
+        port_at(agent, from_millis(2), "10." + std::to_string(i) + ".1.1"),
+        i + 1);
   }
 }
 
@@ -247,16 +254,17 @@ TEST(AgentEdge, RepartitionIntoAFullShadowMovesTheRuleToMain) {
   EXPECT_EQ(agent.store().find(1)->physical_ids.size(), 2u);
   EXPECT_EQ(agent.shadow_occupancy(), 3);
   EXPECT_EQ(agent.stats().failed_ops, 0u);
-  EXPECT_EQ(port_at(agent, "10.1.2.3"), 1);
-  EXPECT_EQ(port_at(agent, "10.200.0.1"), 1);
-  EXPECT_EQ(port_at(agent, "10.64.0.1"), 5);
+  EXPECT_EQ(port_at(agent, from_millis(1), "10.1.2.3"), 1);
+  EXPECT_EQ(port_at(agent, from_millis(1), "10.200.0.1"), 1);
+  EXPECT_EQ(port_at(agent, from_millis(1), "10.64.0.1"), 5);
   for (int i = 2; i <= 4; ++i)
-    EXPECT_EQ(port_at(agent, std::to_string(9 + i) + ".1.2.3"), i);
+    EXPECT_EQ(
+        port_at(agent, from_millis(1), std::to_string(9 + i) + ".1.2.3"), i);
 
   // The blocker was recorded: deleting it un-partitions rule 1 in main.
   agent.erase(from_millis(2), 5);
   EXPECT_EQ(agent.store().find(1)->physical_ids.size(), 1u);
-  EXPECT_EQ(port_at(agent, "10.64.0.1"), 1);
+  EXPECT_EQ(port_at(agent, from_millis(2), "10.64.0.1"), 1);
 }
 
 }  // namespace

@@ -29,6 +29,10 @@ HermesConfig test_config() {
   return config;
 }
 
+const Rule* lookup_at(HermesAgent& agent, Time now, std::string_view addr) {
+  return agent.lookup_ptr(now, *net::Ipv4Address::parse(addr));
+}
+
 TEST(HermesAgent, DerivesShadowSizeFromGuarantee) {
   HermesAgent agent(tcam::pica8_p3290(), 2000, test_config());
   int shadow = agent.shadow_capacity();
@@ -94,11 +98,11 @@ TEST(HermesAgent, Figure4EndToEnd) {
   agent.insert(0, make_rule(2, 5, "192.168.1.0/24", 2));
   ASSERT_GE(agent.shadow_occupancy(), 2);  // partitioned pieces
 
-  auto hit = agent.lookup(*net::Ipv4Address::parse("192.168.1.5"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = lookup_at(agent, 0, "192.168.1.5");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 1);  // the /26 must win
-  hit = agent.lookup(*net::Ipv4Address::parse("192.168.1.200"));
-  ASSERT_TRUE(hit.has_value());
+  hit = lookup_at(agent, 0, "192.168.1.200");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 2);  // outside the /26: /24 wins
 }
 
@@ -111,8 +115,8 @@ TEST(HermesAgent, RedundantInsertIsDropped) {
   agent.insert(0, make_rule(2, 5, "10.1.0.0/16", 2));  // fully covered
   EXPECT_EQ(agent.stats().redundant_inserts, 1u);
   EXPECT_EQ(agent.shadow_occupancy(), 0);
-  auto hit = agent.lookup(*net::Ipv4Address::parse("10.1.2.3"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = lookup_at(agent, 0, "10.1.2.3");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 1);
 }
 
@@ -127,8 +131,8 @@ TEST(HermesAgent, DeleteBlockerUnpartitions) {
   agent.insert(0, make_rule(2, 5, "192.168.1.0/24", 2));
   agent.erase(0, 1);  // delete the blocker
   EXPECT_GE(agent.stats().unpartitions, 1u);
-  auto hit = agent.lookup(*net::Ipv4Address::parse("192.168.1.5"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = lookup_at(agent, 0, "192.168.1.5");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 2);  // /24 now owns the whole range
 }
 
@@ -139,14 +143,12 @@ TEST(HermesAgent, DeleteBlockerMaterializesRedundantRule) {
   agent.insert(0, make_rule(1, 10, "10.0.0.0/8", 1));
   agent.migrate_now(0);
   agent.insert(0, make_rule(2, 5, "10.1.0.0/16", 2));  // redundant
-  EXPECT_FALSE(agent.lookup(*net::Ipv4Address::parse("10.1.9.9"))
-                   ->action.port == 2);
+  EXPECT_FALSE(lookup_at(agent, 0, "10.1.9.9")->action.port == 2);
   agent.erase(0, 1);
-  auto hit = agent.lookup(*net::Ipv4Address::parse("10.1.9.9"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = lookup_at(agent, 0, "10.1.9.9");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 2);  // materialized
-  EXPECT_FALSE(
-      agent.lookup(*net::Ipv4Address::parse("10.2.0.1")).has_value());
+  EXPECT_EQ(lookup_at(agent, 0, "10.2.0.1"), nullptr);
 }
 
 TEST(HermesAgent, MainInsertRepartitionsShadowResidents) {
@@ -164,11 +166,11 @@ TEST(HermesAgent, MainInsertRepartitionsShadowResidents) {
   agent.insert(0, make_rule(2, 9, "192.168.2.0/24", 2));  // over-rate: main
   ASSERT_GE(agent.main_occupancy(), 1);
   EXPECT_GE(agent.stats().repartitions, 1u);
-  auto hit = agent.lookup(*net::Ipv4Address::parse("192.168.2.7"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = lookup_at(agent, 0, "192.168.2.7");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 2);  // higher-priority main rule wins
-  hit = agent.lookup(*net::Ipv4Address::parse("192.168.3.7"));
-  ASSERT_TRUE(hit.has_value());
+  hit = lookup_at(agent, 0, "192.168.3.7");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 1);  // untouched remainder of the /16
 }
 
@@ -187,9 +189,9 @@ TEST(HermesAgent, MigrationEmptiesShadowAndPreservesLookups) {
   EXPECT_EQ(agent.stats().migrations, 1u);
   EXPECT_EQ(agent.stats().rules_migrated, 20u);
   for (net::RuleId id = 1; id <= 20; ++id) {
-    auto hit = agent.lookup(
-        *net::Ipv4Address::parse("10." + std::to_string(id) + ".1.1"));
-    ASSERT_TRUE(hit.has_value());
+    const Rule* hit =
+        lookup_at(agent, from_millis(1), "10." + std::to_string(id) + ".1.1");
+    ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->action.port, static_cast<int>(id));
   }
 }
@@ -253,8 +255,8 @@ TEST(HermesAgent, ActionOnlyModifyIsCheapAndCorrect) {
   Time start = from_millis(100);
   Time done = agent.modify(start, make_rule(1, 5, "10.0.0.0/8", 7));
   EXPECT_LE(done - start, from_millis(1));
-  auto hit = agent.lookup(*net::Ipv4Address::parse("10.1.1.1"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = lookup_at(agent, done, "10.1.1.1");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 7);
 }
 
@@ -264,8 +266,8 @@ TEST(HermesAgent, PriorityModifyBecomesDeleteInsert) {
   std::uint64_t deletes_before = agent.stats().deletes;
   agent.modify(from_millis(1), make_rule(1, 9, "10.0.0.0/8", 1));
   EXPECT_EQ(agent.stats().deletes, deletes_before + 1);
-  auto hit = agent.lookup(*net::Ipv4Address::parse("10.1.1.1"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = lookup_at(agent, from_millis(1), "10.1.1.1");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->priority, 9);
 }
 
@@ -278,13 +280,13 @@ TEST(HermesAgent, MatchModifyRepartitionsCorrectly) {
   agent.insert(0, make_rule(2, 5, "10.0.0.0/8", 2));
   // Move rule 2 onto the blocker's turf: it must get partitioned.
   agent.modify(from_millis(1), make_rule(2, 5, "192.168.1.0/24", 2));
-  auto hit = agent.lookup(*net::Ipv4Address::parse("192.168.1.5"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = lookup_at(agent, from_millis(1), "192.168.1.5");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 1);
-  hit = agent.lookup(*net::Ipv4Address::parse("192.168.1.200"));
-  ASSERT_TRUE(hit.has_value());
+  hit = lookup_at(agent, from_millis(1), "192.168.1.200");
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 2);
-  EXPECT_FALSE(agent.lookup(*net::Ipv4Address::parse("10.1.1.1")));
+  EXPECT_EQ(lookup_at(agent, from_millis(1), "10.1.1.1"), nullptr);
 }
 
 TEST(HermesAgent, EraseMissingFails) {
@@ -317,12 +319,13 @@ TEST(HermesAgent, MainTableOverflowFailsTheOp) {
   EXPECT_EQ(agent.stats().failed_ops, 4u);
   EXPECT_EQ(agent.store().size(), 8u);
   for (net::RuleId id = 1; id <= 8; ++id) {
-    auto hit = agent.lookup(addr_of(id));
-    ASSERT_TRUE(hit.has_value()) << "rule " << id;
+    const Rule* hit = agent.lookup_ptr(from_millis(12), addr_of(id));
+    ASSERT_NE(hit, nullptr) << "rule " << id;
     EXPECT_EQ(hit->id, id);
   }
   for (net::RuleId id = 9; id <= 12; ++id)
-    EXPECT_FALSE(agent.lookup(addr_of(id)).has_value()) << "rule " << id;
+    EXPECT_EQ(agent.lookup_ptr(from_millis(12), addr_of(id)), nullptr)
+        << "rule " << id;
 }
 
 // An unknown name must fail construction in every build type: the
@@ -346,8 +349,7 @@ TEST(HermesAgent, DuplicateInsertActsAsModify) {
   agent.insert(0, make_rule(1, 5, "10.0.0.0/8", 1));
   agent.insert(from_millis(1), make_rule(1, 5, "10.0.0.0/8", 9));
   EXPECT_EQ(agent.stats().modifies, 1u);
-  EXPECT_EQ(agent.lookup(*net::Ipv4Address::parse("10.1.1.1"))->action.port,
-            9);
+  EXPECT_EQ(lookup_at(agent, from_millis(1), "10.1.1.1")->action.port, 9);
 }
 
 TEST(HermesAgent, RitSamplesRecorded) {
@@ -441,11 +443,11 @@ TEST_P(AgentEquivalence, MatchesMonolithicOracle) {
         if (!r.match.contains(addr)) continue;
         if (!best || r.priority > best->priority) best = &r;
       }
-      auto got = agent.lookup(addr);
+      const Rule* got = agent.lookup_ptr(now, addr);
       if (!best) {
-        EXPECT_FALSE(got.has_value()) << addr.to_string();
+        EXPECT_EQ(got, nullptr) << addr.to_string();
       } else {
-        ASSERT_TRUE(got.has_value()) << addr.to_string();
+        ASSERT_NE(got, nullptr) << addr.to_string();
         EXPECT_EQ(got->action.port, best->action.port)
             << addr.to_string() << " want rule " << best->id;
       }

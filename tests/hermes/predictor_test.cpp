@@ -248,6 +248,24 @@ TEST(CubicSpline, MatchesFullTridiagonalSolve) {
   }
 }
 
+// The spline's one-step forecast is the linear extrapolation of its last
+// two samples: at t = 2 the M_{n-2} term is multiplied by
+// (1-t)^3 - (1-t) = 0, and M_{n-1} = 0. Pinned on integer-valued
+// histories, the epoch arrival counts the Rule Manager feeds it.
+TEST(CubicSpline, ForecastIsLinearExtrapolation) {
+  std::mt19937_64 rng(20);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> history(2 + rng() % 19);  // length 2..20
+    for (double& v : history) v = static_cast<double>(rng() % 5000);
+    const std::size_t n = history.size();
+    const double linear = std::max(0.0, 2 * history[n - 1] - history[n - 2]);
+    for (int window : {3, 8, 13}) {
+      EXPECT_EQ(CubicSplinePredictor(window).predict(history), linear)
+          << "n " << n << " window " << window;
+    }
+  }
+}
+
 // The estimator's bounded window and its memoized forecast against a
 // fresh predictor run on a copy of the expected history.
 class GrowthEstimatorWindow

@@ -92,9 +92,9 @@ TEST_F(QoSApiTest, ModQoSConfigResizesAndPreservesRules) {
   EXPECT_LT(updated->shadow_capacity, shadow_before);
   EXPECT_EQ(updated->guarantee, from_millis(1));
   // Rule survived the re-carve.
-  auto hit = manager_.agent(desc->id)->lookup(
-      *net::Ipv4Address::parse("10.1.1.1"));
-  ASSERT_TRUE(hit.has_value());
+  const net::Rule* hit = manager_.agent(desc->id)->lookup_ptr(
+      0, *net::Ipv4Address::parse("10.1.1.1"));
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 3);
 }
 

@@ -57,8 +57,9 @@ HermesConfig test_config() {
   return config;
 }
 
-int port_at(HermesAgent& agent, std::string_view addr) {
-  auto hit = agent.lookup(*net::Ipv4Address::parse(addr));
+int port_at(HermesAgent& agent, Time now, std::string_view addr) {
+  const net::Rule* hit =
+      agent.lookup_ptr(now, *net::Ipv4Address::parse(addr));
   return hit ? hit->action.port : -1;
 }
 
@@ -90,7 +91,7 @@ TEST(MigrationFailure, RejectedPieceIsNotIndexedOrRebound) {
   EXPECT_EQ(agent.shadow_occupancy(), 1);
   ASSERT_NE(agent.store().find(1), nullptr);
   EXPECT_EQ(agent.store().find(1)->placement, Placement::kShadow);
-  EXPECT_EQ(port_at(agent, "10.1.2.3"), 1);
+  EXPECT_EQ(port_at(agent, from_millis(1), "10.1.2.3"), 1);
 }
 
 TEST(MigrationFailure, PrefixOfBatchLandsRestStaysInShadow) {
@@ -111,8 +112,8 @@ TEST(MigrationFailure, PrefixOfBatchLandsRestStaysInShadow) {
   EXPECT_EQ(agent.store().find(1)->placement, Placement::kMain);
   EXPECT_EQ(agent.store().find(2)->placement, Placement::kShadow);
   // Both rules keep serving traffic, from their respective tables.
-  EXPECT_EQ(port_at(agent, "10.1.2.3"), 1);
-  EXPECT_EQ(port_at(agent, "11.1.2.3"), 2);
+  EXPECT_EQ(port_at(agent, from_millis(1), "10.1.2.3"), 1);
+  EXPECT_EQ(port_at(agent, from_millis(1), "11.1.2.3"), 2);
 }
 
 TEST(MigrationFailure, LandedSiblingPiecesAreRolledBack) {
@@ -144,9 +145,9 @@ TEST(MigrationFailure, LandedSiblingPiecesAreRolledBack) {
   ASSERT_NE(agent.store().find(1), nullptr);
   EXPECT_EQ(agent.store().find(1)->placement, Placement::kShadow);
   // Full coverage of the /8 remains: inside and outside the blocker.
-  EXPECT_EQ(port_at(agent, "10.64.0.1"), 5);
-  EXPECT_EQ(port_at(agent, "10.1.2.3"), 1);
-  EXPECT_EQ(port_at(agent, "10.200.0.1"), 1);
+  EXPECT_EQ(port_at(agent, from_millis(1), "10.64.0.1"), 5);
+  EXPECT_EQ(port_at(agent, from_millis(1), "10.1.2.3"), 1);
+  EXPECT_EQ(port_at(agent, from_millis(1), "10.200.0.1"), 1);
 }
 
 TEST(MergeSavings, NotCountedForRulesThatFailToMigrate) {

@@ -19,8 +19,9 @@
 namespace hermes {
 namespace {
 
-// Replays `trace` through a backend with periodic ticks.
-void replay(baselines::SwitchBackend& sw, const workloads::RuleTrace& trace) {
+// Replays `trace` through a backend with periodic ticks; returns the time
+// of the final tick.
+Time replay(baselines::SwitchBackend& sw, const workloads::RuleTrace& trace) {
   Time tick = from_millis(1);
   for (const auto& event : trace) {
     while (tick <= event.time) {
@@ -30,6 +31,7 @@ void replay(baselines::SwitchBackend& sw, const workloads::RuleTrace& trace) {
     sw.handle(event.time, event.mod);
   }
   sw.tick(tick + from_millis(100));
+  return tick + from_millis(100);
 }
 
 TEST(EndToEnd, MicrobenchThroughHermesMatchesMonolithicSemantics) {
@@ -46,7 +48,7 @@ TEST(EndToEnd, MicrobenchThroughHermesMatchesMonolithicSemantics) {
   config.token_rate = 1e9;
   config.token_burst = 1e9;
   baselines::HermesBackend hermes_sw(tcam::pica8_p3290(), 32768, config);
-  replay(hermes_sw, trace);
+  const Time end = replay(hermes_sw, trace);
 
   // Reference: logical rules, highest priority wins; ties broken by the
   // physical table are acceptable, so compare priorities.
@@ -60,11 +62,11 @@ TEST(EndToEnd, MicrobenchThroughHermesMatchesMonolithicSemantics) {
       if (!r.match.contains(addr)) continue;
       if (!best || r.priority > best->priority) best = &r;
     }
-    auto got = hermes_sw.lookup(addr);
+    const net::Rule* got = hermes_sw.lookup_ptr(end, addr);
     if (!best) {
-      EXPECT_FALSE(got.has_value()) << addr.to_string();
+      EXPECT_EQ(got, nullptr) << addr.to_string();
     } else {
-      ASSERT_TRUE(got.has_value()) << addr.to_string();
+      ASSERT_NE(got, nullptr) << addr.to_string();
       EXPECT_EQ(got->priority, best->priority) << addr.to_string();
     }
   }
@@ -112,8 +114,8 @@ TEST(EndToEnd, BgpPipelineFibMatchesRibBestPaths) {
         best_peer = other_peer;
       }
     }
-    auto hit = router.lookup(probe);
-    ASSERT_TRUE(hit.has_value()) << prefix_str;
+    const net::Rule* hit = router.lookup_ptr(tick, probe);
+    ASSERT_NE(hit, nullptr) << prefix_str;
     EXPECT_EQ(hit->action.port, best_peer) << prefix_str;
     ++checked;
   }
@@ -211,15 +213,15 @@ TEST(EndToEnd, HermesAndPlainAgreeAfterMixedWorkloadWithDeletes) {
   config.token_burst = 1e9;
   baselines::HermesBackend hermes_sw(tcam::pica8_p3290(), 32768, config);
   baselines::PlainSwitch plain_sw(tcam::pica8_p3290(), 32768);
-  replay(hermes_sw, trace);
+  const Time end = replay(hermes_sw, trace);
   replay(plain_sw, trace);
 
   std::mt19937_64 probe_rng(23);
   for (int s = 0; s < 2000; ++s) {
     net::Ipv4Address addr(static_cast<std::uint32_t>(probe_rng()));
-    auto h = hermes_sw.lookup(addr);
-    auto p = plain_sw.lookup(addr);
-    ASSERT_EQ(h.has_value(), p.has_value()) << addr.to_string();
+    const net::Rule* h = hermes_sw.lookup_ptr(end, addr);
+    const net::Rule* p = plain_sw.lookup_ptr(end, addr);
+    ASSERT_EQ(h != nullptr, p != nullptr) << addr.to_string();
     if (h) {
       EXPECT_EQ(h->priority, p->priority) << addr.to_string();
     }

@@ -8,6 +8,8 @@
 // still reports successful moves, while the fixed app aborts every one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/plain_switch.h"
 #include "obs/metrics.h"
 #include "sim/simulation.h"
@@ -94,13 +96,16 @@ TEST(MoveAbort, PartialFailureRetiresInstalledSiblings) {
   // code reports moves_aborted() == 0 because every move "committed".
   EXPECT_GT(sim.total_moves(), 0);
   EXPECT_GT(sim.moves_aborted(), 0);
+  Time end = 0;
+  for (const FlowResult& f : sim.flow_results())
+    end = std::max(end, f.completion);
   for (net::NodeId sw : topo.switches()) {
     baselines::SwitchBackend* backend = sim.backend(sw);
     ASSERT_NE(backend, nullptr);
     for (std::uint32_t flow = 0; flow < 12; ++flow) {
-      auto leftover =
-          backend->lookup(net::Ipv4Address(0x0A000000u + flow + 1));
-      EXPECT_FALSE(leftover.has_value())
+      EXPECT_EQ(
+          backend->lookup_ptr(end, net::Ipv4Address(0x0A000000u + flow + 1)),
+          nullptr)
           << "leaked rule on switch " << sw << " for flow " << flow;
     }
   }

@@ -6,10 +6,10 @@
 //     original rule and counts `asic.modify_rollbacks`.
 //  2. Data-plane lookups never applied pending scheduled resets, so a
 //     lookup between the reset time and the next control-plane op
-//     returned pre-reset rules. Time-threaded lookups now wipe first.
+//     returned pre-reset rules. Every lookup now takes a clock and
+//     applies the resets due by then first.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <string>
 
 #include "fault/fault_plan.h"
@@ -103,8 +103,9 @@ TEST(AsicModifyRollback, RollbackKeepsTableInvariantAndLookupSemantics) {
   // had the failed modify dropped it, the /24 would win here instead.
   ASSERT_TRUE(asic.apply(0, {FlowModType::kDelete,
                              make_rule(1, 0, "0.0.0.0/0")}).ok);
-  auto hit = asic.lookup(net::Ipv4Address::from_octets(10, 1, 2, 5));
-  ASSERT_TRUE(hit.has_value());
+  const net::Rule* hit =
+      asic.lookup_ptr(0, net::Ipv4Address::from_octets(10, 1, 2, 5));
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->id, 2u);
   EXPECT_EQ(hit->priority, 5);
 }
@@ -182,15 +183,15 @@ TEST(AsicResetVisibility, TimeThreadedLookupAppliesPendingResets) {
 
   net::Ipv4Address addr = net::Ipv4Address::from_octets(10, 1, 2, 3);
   // Before the reset time the rule is visible.
-  auto before = asic.lookup(from_micros(500), addr);
-  ASSERT_TRUE(before.has_value());
+  const net::Rule* before = asic.lookup_ptr(from_micros(500), addr);
+  ASSERT_NE(before, nullptr);
   EXPECT_EQ(before->id, 1u);
   EXPECT_EQ(asic.reset_epoch(), 0);
 
   // Pre-fix behavior: a data-plane lookup after the scheduled reset —
   // with NO intervening control-plane op — still returned the rule.
   // Post-fix: the wipe is observed by the lookup itself.
-  EXPECT_EQ(asic.lookup(from_millis(2), addr), std::nullopt);
+  EXPECT_EQ(asic.lookup_ptr(from_millis(2), addr), nullptr);
   EXPECT_EQ(asic.reset_epoch(), 1);
   EXPECT_EQ(asic.total_occupancy(), 0);
 }

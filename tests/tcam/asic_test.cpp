@@ -66,7 +66,7 @@ TEST(Asic, ModifySamePriorityIsConstant) {
       0, {FlowModType::kModify, make_rule(1, 5, "10.0.0.0/8", 7)});
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.latency, dell_8132f().modify_latency());
-  EXPECT_EQ(asic.slice(0).find(1)->action.port, 7);
+  EXPECT_EQ(asic.slice(0).find_ptr(1)->action.port, 7);
 }
 
 TEST(Asic, ModifyPriorityChangeBecomesDeleteInsert) {
@@ -79,7 +79,7 @@ TEST(Asic, ModifyPriorityChangeBecomesDeleteInsert) {
   EXPECT_TRUE(r.ok);
   EXPECT_GE(r.latency,
             dell_8132f().delete_latency() + dell_8132f().base_latency());
-  EXPECT_EQ(asic.slice(0).find(5)->priority, 20);
+  EXPECT_EQ(asic.slice(0).find_ptr(5)->priority, 20);
 }
 
 TEST(Asic, ModifyPriorityChangeKeepsIndexConsistent) {
@@ -99,8 +99,8 @@ TEST(Asic, ModifyPriorityChangeKeepsIndexConsistent) {
                        make_rule(5, priority, "10.0.0.0/8", 3)})
             .ok);
     EXPECT_TRUE(asic.slice(0).check_invariant());
-    ASSERT_TRUE(asic.slice(0).find(5).has_value());
-    EXPECT_EQ(asic.slice(0).find(5)->priority, priority);
+    ASSERT_NE(asic.slice(0).find_ptr(5), nullptr);
+    EXPECT_EQ(asic.slice(0).find_ptr(5)->priority, priority);
     for (net::RuleId id = 1; id <= 10; ++id)
       EXPECT_TRUE(asic.slice(0).contains(id)) << "id " << id;
   }
@@ -121,18 +121,18 @@ TEST(Asic, LookupPrecedenceAcrossSlices) {
   // whose correctness implications Section 4 addresses.
   asic.apply(1, {FlowModType::kInsert, make_rule(1, 10, "192.168.1.0/26", 1)});
   asic.apply(0, {FlowModType::kInsert, make_rule(2, 5, "192.168.1.0/24", 2)});
-  auto hit = asic.lookup(*net::Ipv4Address::parse("192.168.1.5"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = asic.lookup_ptr(0, *net::Ipv4Address::parse("192.168.1.5"));
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 2);  // slice precedence, NOT priority
 }
 
 TEST(Asic, LookupFallsThroughToMain) {
   Asic asic(pica8_p3290(), {8, 8});
   asic.apply(1, {FlowModType::kInsert, make_rule(1, 1, "10.0.0.0/8", 4)});
-  auto hit = asic.lookup(*net::Ipv4Address::parse("10.1.1.1"));
-  ASSERT_TRUE(hit.has_value());
+  const Rule* hit = asic.lookup_ptr(0, *net::Ipv4Address::parse("10.1.1.1"));
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 4);
-  EXPECT_FALSE(asic.lookup(*net::Ipv4Address::parse("8.8.8.8")).has_value());
+  EXPECT_EQ(asic.lookup_ptr(0, *net::Ipv4Address::parse("8.8.8.8")), nullptr);
 }
 
 TEST(Asic, SubmitSerializesControlChannel) {

@@ -102,7 +102,8 @@ struct ResetHarness {
 
   /// The flow's next hop at `sw` per the data plane at `now` (-1 = none).
   int next_hop(net::NodeId sw, Time now) {
-    auto hit = backends[static_cast<std::size_t>(sw)]->lookup(now, kFlowAddr);
+    const net::Rule* hit =
+        backends[static_cast<std::size_t>(sw)]->lookup_ptr(now, kFlowAddr);
     return hit ? hit->action.port : -1;
   }
 
