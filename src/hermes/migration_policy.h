@@ -45,6 +45,9 @@ struct PolicyState {
   int shadow_occupancy = 0;
   int shadow_capacity = 0;
   /// Corrected forecast of next epoch's arrivals (GrowthEstimator).
+  /// Filled only when the shadow holds rules, and 0 otherwise: the
+  /// threshold rule holds on an empty shadow without reading it, and
+  /// QPolicy never reads it.
   double predicted_next = 0;
   /// Last closed epoch's arrivals minus the epoch before (rising
   /// arrival rate shows up here before occupancy reflects it).

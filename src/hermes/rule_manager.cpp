@@ -72,7 +72,8 @@ PolicyState HermesAgent::policy_state(Time now) const {
   state.now = now;
   state.shadow_occupancy = shadow_occupancy();
   state.shadow_capacity = shadow_capacity();
-  state.predicted_next = estimator_->predicted_next();
+  if (state.shadow_occupancy > 0)
+    state.predicted_next = estimator_->predicted_next();
   std::span<const double> history = estimator_->history();
   if (history.size() >= 2) {
     state.arrival_trend =
@@ -86,9 +87,10 @@ PolicyState HermesAgent::policy_state(Time now) const {
 
 void HermesAgent::apply_policy_action(MigrationAction action, Time now) {
   obs_policy_decisions_.inc();
-  obs::trace_event(obs::policy_decision_event(
-      now, static_cast<std::uint8_t>(action), shadow_occupancy(),
-      shadow_capacity()));
+  if (obs::attached())
+    obs::trace_event(obs::policy_decision_event(
+        now, static_cast<std::uint8_t>(action), shadow_occupancy(),
+        shadow_capacity()));
   switch (action) {
     case MigrationAction::kHold:
       obs_policy_holds_.inc();

@@ -262,6 +262,13 @@ PathDatabase::PathDatabase(const Topology& topo, int paths_per_pair,
       weights_(link_weights(topo, weight)),
       rows_(static_cast<std::size_t>(topo.node_count())) {}
 
+NodeId PathDatabase::anchor(NodeId node, NodeId other) const {
+  const std::vector<LinkId>& links = topo_.links_of(node);
+  if (node == other || links.size() != 1) return node;
+  NodeId neighbour = topo_.link(links.front()).other(node);
+  return neighbour == other ? node : neighbour;
+}
+
 const std::vector<double>& PathDatabase::row(NodeId node) {
   std::vector<double>& r = rows_[static_cast<std::size_t>(node)];
   if (r.empty()) r = dijkstra(topo_, weights_, node).dist;
@@ -274,8 +281,15 @@ const std::vector<Path>& PathDatabase::paths(NodeId src, NodeId dst) {
       static_cast<std::uint32_t>(dst);
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
-  std::vector<Path> paths = ecmp_from_rows(topo_, weights_, src, dst, row(src),
-                                           row(dst), paths_per_pair_);
+  const NodeId from = anchor(src, dst);
+  const NodeId to = anchor(dst, src);
+  std::vector<Path> paths = ecmp_from_rows(topo_, weights_, from, to,
+                                           row(from), row(to),
+                                           paths_per_pair_);
+  for (Path& p : paths) {
+    if (from != src) p.insert(p.begin(), src);
+    if (to != dst) p.push_back(dst);
+  }
   if (static_cast<int>(paths.size()) < paths_per_pair_) {
     for (Path& p : yen(topo_, weights_, src, dst, paths_per_pair_)) {
       if (std::find(paths.begin(), paths.end(), p) == paths.end())

@@ -46,11 +46,19 @@ std::vector<Path> k_shortest_paths(const Topology& topo, NodeId src,
 /// Large topologies (a k=16 fat-tree has ~1M host pairs) make eager
 /// all-pairs computation wasteful; the TE app only ever asks about pairs
 /// that carry flows. Link weights are evaluated once, at construction.
-/// The first pair that names an endpoint computes that endpoint's
-/// single-source distance row (node_count doubles); every later pair
-/// with that endpoint derives its ECMP set from the stored row, so a
-/// new pair costs at most two Dijkstras and usually none. The answers
-/// equal ecmp_paths() plus the k_shortest_paths() fill exactly.
+///
+/// Each endpoint of a pair has an anchor. A stub (a node with exactly
+/// one link, such as a host) reaches every other node through its one
+/// neighbour, so its anchor is that neighbour, unless the neighbour is
+/// the pair's other endpoint; any other endpoint anchors itself. A
+/// pair's ECMP set is enumerated between its two anchors, from their
+/// single-source distance rows (node_count doubles each, computed on an
+/// anchor's first use), and each stub endpoint is then put back at its
+/// end of every path. Only anchors get rows: on a fat-tree, one per edge
+/// switch instead of one per host. The answers equal ecmp_paths() plus
+/// the k_shortest_paths() fill exactly under hop counts; under real
+/// weights the two sums differ only by rounding, far inside the ECMP
+/// tie tolerance.
 class PathDatabase {
  public:
   /// Serves up to `paths_per_pair` candidate paths per pair. ECMP
@@ -65,6 +73,10 @@ class PathDatabase {
   int paths_per_pair() const { return paths_per_pair_; }
 
  private:
+  /// Where `node`'s paths to `other` are enumerated from: its neighbour
+  /// when it is a stub whose neighbour is not `other`, else itself.
+  NodeId anchor(NodeId node, NodeId other) const;
+
   /// The single-source distance row of `node`, computed on first use.
   const std::vector<double>& row(NodeId node);
 

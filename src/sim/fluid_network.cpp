@@ -19,15 +19,23 @@ FluidNetwork::FluidNetwork(const net::Topology& topology)
   round_of_.resize(links);
 }
 
+FlowId FluidNetwork::add_flows(std::vector<NewFlow> flows,
+                               [[maybe_unused]] Time now) {
+  assert(now == last_advance_ && "advance_to(now) before mutating");
+  const FlowId first = next_id_;
+  for (NewFlow& flow : flows) {
+    assert(flow.bytes > 0 && !flow.links.empty());
+    flows_.emplace(next_id_++,
+                   FlowState{flow.bytes, 0, std::move(flow.links)});
+  }
+  recompute_rates();
+  return first;
+}
+
 FlowId FluidNetwork::add_flow(double bytes,
                               const std::vector<net::LinkId>& links,
-                              [[maybe_unused]] Time now) {
-  assert(now == last_advance_ && "advance_to(now) before mutating");
-  assert(bytes > 0 && !links.empty());
-  FlowId id = next_id_++;
-  flows_.emplace(id, FlowState{bytes, 0, links});
-  recompute_rates();
-  return id;
+                              Time now) {
+  return add_flows({{bytes, links}}, now);
 }
 
 void FluidNetwork::remove_flow(FlowId id, [[maybe_unused]] Time now) {

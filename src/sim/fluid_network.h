@@ -26,8 +26,18 @@ class FluidNetwork {
  public:
   explicit FluidNetwork(const net::Topology& topology);
 
-  /// Registers a flow of `bytes` over the links of `path`. The caller must
-  /// have advanced the network to `now` (all mutators require it).
+  /// A flow to register: its volume and the links of its path.
+  struct NewFlow {
+    double bytes = 0;
+    std::vector<net::LinkId> links;
+  };
+
+  /// Registers `flows` at one instant with one rate recomputation. They
+  /// get consecutive ids in input order; returns the first. The caller
+  /// must have advanced the network to `now` (all mutators require it).
+  FlowId add_flows(std::vector<NewFlow> flows, Time now);
+
+  /// add_flows() of one flow of `bytes` over `links`.
   FlowId add_flow(double bytes, const std::vector<net::LinkId>& links,
                   Time now);
 

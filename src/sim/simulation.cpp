@@ -92,12 +92,12 @@ void Simulation::add_jobs(const std::vector<workloads::Job>& jobs) {
     tracker.spec = job;
     tracker.outstanding = static_cast<int>(job.flows.size());
     jobs_.emplace(job.id, std::move(tracker));
-    for (const workloads::FlowSpec& spec : job.flows) {
-      ++outstanding_flows_;
-      events_.schedule(job.arrival, [this, id = job.id, spec](Time now) {
-        start_flow(now, id, spec);
-      });
-    }
+    if (job.flows.empty()) continue;
+    outstanding_flows_ += static_cast<int>(job.flows.size());
+    events_.schedule(job.arrival,
+                     [this, id = job.id, specs = job.flows](Time now) {
+                       start_flows(now, id, specs);
+                     });
   }
 }
 
@@ -105,7 +105,7 @@ void Simulation::add_flows(const std::vector<workloads::FlowArrival>& flows) {
   for (const workloads::FlowArrival& arrival : flows) {
     ++outstanding_flows_;
     events_.schedule(arrival.time, [this, spec = arrival.flow](Time now) {
-      start_flow(now, -1, spec);
+      start_flows(now, -1, {&spec, 1});
     });
   }
 }
@@ -162,20 +162,31 @@ net::Path Simulation::initial_path(net::NodeId src, net::NodeId dst,
   return candidates[salt % candidates.size()];
 }
 
-void Simulation::start_flow(Time now, int job_id,
-                            const workloads::FlowSpec& spec) {
+void Simulation::start_flows(Time now, int job_id,
+                             std::span<const workloads::FlowSpec> specs) {
   network_.advance_to(now);
-  int flow_idx = static_cast<int>(flows_.size());
-  ActiveFlow flow;
-  flow.job_id = job_id;
-  flow.bytes = spec.bytes;
-  flow.arrival = now;
-  flow.path = initial_path(spec.src, spec.dst,
-                           static_cast<std::uint64_t>(flow_idx) * 2654435761u);
-  auto links = net::path_links(*topology_, flow.path);
-  flow.fluid_id = network_.add_flow(spec.bytes, links, now);
-  fluid_to_idx_.emplace(flow.fluid_id, flow_idx);
-  flows_.push_back(std::move(flow));
+  const int first_idx = static_cast<int>(flows_.size());
+  std::vector<FluidNetwork::NewFlow> fluid;
+  fluid.reserve(specs.size());
+  for (const workloads::FlowSpec& spec : specs) {
+    int flow_idx = static_cast<int>(flows_.size());
+    ActiveFlow flow;
+    flow.job_id = job_id;
+    flow.bytes = spec.bytes;
+    flow.arrival = now;
+    flow.path =
+        initial_path(spec.src, spec.dst,
+                     static_cast<std::uint64_t>(flow_idx) * 2654435761u);
+    fluid.push_back({spec.bytes, net::path_links(*topology_, flow.path)});
+    flows_.push_back(std::move(flow));
+  }
+  // One filling for the whole set: the rates it settles on depend only on
+  // the flow set, and the ids come out consecutive in input order.
+  const FlowId first_id = network_.add_flows(std::move(fluid), now);
+  for (int i = 0; i < static_cast<int>(specs.size()); ++i) {
+    flows_[static_cast<std::size_t>(first_idx + i)].fluid_id = first_id + i;
+    fluid_to_idx_.emplace(first_id + i, first_idx + i);
+  }
   schedule_next_completion();
 }
 

@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -142,7 +143,10 @@ class Simulation {
     net::Path path;
   };
 
-  void start_flow(Time now, int job_id, const workloads::FlowSpec& spec);
+  /// Routes `specs` in order and registers them with one FluidNetwork
+  /// filling: the start of a job's flows, or of one ISP flow.
+  void start_flows(Time now, int job_id,
+                   std::span<const workloads::FlowSpec> specs);
   void complete_flow(Time now, FlowId fluid_id);
   void schedule_next_completion();
   void te_cycle(Time now);

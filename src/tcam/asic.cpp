@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 namespace hermes::tcam {
 
@@ -146,20 +147,11 @@ Time Asic::submit_batch_insert(Time now, int slice_idx,
       }
     }
   }
-  int inserted = 0;
-  if (attempt == rules.size()) {
-    inserted = table
-                   .insert_batch(rules, /*per_op=*/nullptr,
-                                 /*stop_at_first_failure=*/true)
-                   .inserted;
-  } else if (attempt > 0) {
-    std::vector<net::Rule> prefix(rules.begin(),
-                                  rules.begin() + static_cast<long>(attempt));
-    inserted = table
-                   .insert_batch(prefix, /*per_op=*/nullptr,
-                                 /*stop_at_first_failure=*/true)
-                   .inserted;
-  }
+  const int inserted =
+      table
+          .insert_batch(std::span<const net::Rule>(rules).first(attempt),
+                        /*per_op=*/nullptr, /*stop_at_first_failure=*/true)
+          .inserted;
   Duration latency =
       model_->batch_insert_latency(occupancy_before, inserted);
   // The failed attempt still burned a wasted control-channel round.

@@ -164,8 +164,72 @@ TEST_P(RoutingProperty, DatabaseMatchesFreeFunctions) {
   }
 }
 
+// Every ordered pair of `t`'s nodes, and every node to itself, through one
+// database per (weight, per_pair): stub endpoints route from their
+// neighbour's row, shared by every stub on that neighbour.
+void check_every_pair(const Topology& t) {
+  std::vector<NodeId> nodes;
+  for (NodeId n = 0; n < t.node_count(); ++n) nodes.push_back(n);
+  for (int per_pair : {1, 3, 4}) {
+    for (const LinkWeight& weight : {hop_count(), propagation_delay()}) {
+      check_database(t, nodes, weight, per_pair);
+      PathDatabase db(t, per_pair, weight);
+      for (NodeId n : nodes)
+        EXPECT_EQ(db.paths(n, n), expected_candidates(t, n, n, weight,
+                                                      per_pair))
+            << n << " -> " << n;
+    }
+  }
+}
+
+TEST_P(RoutingProperty, DatabaseMatchesFreeFunctionsWithStubHosts) {
+  // A random switch graph with 1-4 hosts of one link each, hung off
+  // random switches; from two hosts on, the first two share a switch.
+  std::mt19937_64 rng(GetParam() ^ 0x57AB);
+  Topology t = random_graph(rng, 6, 0.4);
+  const int switches = t.node_count();
+  const int hosts = 1 + static_cast<int>(rng() % 4);
+  const auto shared = static_cast<NodeId>(rng() % switches);
+  for (int h = 0; h < hosts; ++h) {
+    NodeId host = t.add_node(NodeKind::kHost, "h" + std::to_string(h));
+    NodeId sw = h < 2 ? shared : static_cast<NodeId>(rng() % switches);
+    t.add_link(host, sw, 1e9, 1e-3 * (1 + static_cast<double>(rng() % 9)));
+  }
+  check_every_pair(t);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingProperty,
                          ::testing::Values(10, 20, 30, 40));
+
+TEST(PathDatabaseStubs, TwoStubsJoinedByOneLink) {
+  // Each endpoint's one neighbour is the other endpoint, so neither is
+  // replaced by its neighbour.
+  Topology t;
+  NodeId a = t.add_node(NodeKind::kHost, "a");
+  NodeId b = t.add_node(NodeKind::kHost, "b");
+  t.add_link(a, b, 1e9, 2e-3);
+  check_every_pair(t);
+  PathDatabase db(t, 4, hop_count());
+  EXPECT_EQ(db.paths(a, b), (std::vector<Path>{{a, b}}));
+}
+
+TEST(PathDatabaseStubs, StubToItsOwnNeighbour) {
+  // A host on s0 of a switch triangle: the pair (host, s0) routes from
+  // the host itself, and Yen fills the way around the triangle.
+  Topology t;
+  NodeId s0 = t.add_node(NodeKind::kSwitch, "s0");
+  NodeId s1 = t.add_node(NodeKind::kSwitch, "s1");
+  NodeId s2 = t.add_node(NodeKind::kSwitch, "s2");
+  NodeId h = t.add_node(NodeKind::kHost, "h");
+  t.add_link(s0, s1, 1e9, 1e-3);
+  t.add_link(s1, s2, 1e9, 1e-3);
+  t.add_link(s2, s0, 1e9, 1e-3);
+  t.add_link(h, s0, 1e9, 1e-3);
+  check_every_pair(t);
+  PathDatabase db(t, 4, hop_count());
+  EXPECT_EQ(db.paths(h, s0), (std::vector<Path>{{h, s0}}));
+  EXPECT_EQ(db.paths(s1, h), (std::vector<Path>{{s1, s0, h}, {s1, s2, s0, h}}));
+}
 
 TEST(PathDatabaseFatTree, EveryHostPairMatchesFreeFunctions) {
   Topology t = fat_tree(4);

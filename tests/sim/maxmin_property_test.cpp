@@ -176,32 +176,61 @@ std::map<FlowId, double> reference_rates(const net::Topology& topo,
   return rate;
 }
 
+// The links of a random candidate path between two distinct endpoints.
+// Flows drawn this way cross the same links often: shares tie across
+// links and freezing one bottleneck cascades into the next.
+std::vector<net::LinkId> random_links(const net::Topology& topo,
+                                      const std::vector<net::NodeId>& endpoints,
+                                      net::PathDatabase& paths,
+                                      std::mt19937_64& rng) {
+  for (;;) {
+    net::NodeId a = endpoints[rng() % endpoints.size()];
+    net::NodeId b = endpoints[rng() % endpoints.size()];
+    if (a == b) continue;
+    const auto& candidates = paths.paths(a, b);
+    if (candidates.empty()) continue;
+    return net::path_links(topo, candidates[rng() % candidates.size()]);
+  }
+}
+
+// A ring of ten switches plus chords, with capacities of 1, 2, 3 and
+// 6 Gbps: a share on one link often equals a share on another.
+net::Topology mixed_capacity_graph(std::uint64_t seed) {
+  std::mt19937_64 rng(seed ^ 0xF111);
+  net::Topology topo;
+  const int n = 10;
+  for (int i = 0; i < n; ++i)
+    topo.add_node(net::NodeKind::kSwitch, "s" + std::to_string(i));
+  const double gbps[] = {1, 2, 3, 6};
+  for (int i = 0; i < n; ++i) {
+    topo.add_link(i, (i + 1) % n, gbps[rng() % 4] * 1e9, 1e-3);
+    if (i % 2 == 0 && topo.find_link(i, (i + 3) % n) == net::kInvalidLink)
+      topo.add_link(i, (i + 3) % n, gbps[rng() % 4] * 1e9, 1e-3);
+  }
+  return topo;
+}
+
+std::vector<net::NodeId> every_node(const net::Topology& topo) {
+  std::vector<net::NodeId> nodes;
+  for (net::NodeId n = 0; n < topo.node_count(); ++n) nodes.push_back(n);
+  return nodes;
+}
+
 // Drives seeded add / remove / reroute sequences through a FluidNetwork
 // and checks every flow's rate against the reference after every
-// mutation, with EXPECT_EQ on the doubles. Flows take candidate paths
-// between random endpoints, so many cross the same links: shares tie
-// across links and freezing one bottleneck cascades into the next.
+// mutation, with EXPECT_EQ on the doubles.
 void check_against_reference(const net::Topology& topo,
                              const std::vector<net::NodeId>& endpoints,
                              std::uint64_t seed, int steps) {
   std::mt19937_64 rng(seed);
   net::PathDatabase paths(topo, 4, net::hop_count());
-  auto random_links = [&] {
-    for (;;) {
-      net::NodeId a = endpoints[rng() % endpoints.size()];
-      net::NodeId b = endpoints[rng() % endpoints.size()];
-      if (a == b) continue;
-      const auto& candidates = paths.paths(a, b);
-      if (candidates.empty()) continue;
-      return net::path_links(topo, candidates[rng() % candidates.size()]);
-    }
-  };
+  auto draw_links = [&] { return random_links(topo, endpoints, paths, rng); };
   FluidNetwork network(topo);
   FlowLinks flows;
   for (int step = 0; step < steps; ++step) {
     const auto op = rng() % 10;
     if (flows.size() < 4 || op < 5) {
-      auto links = random_links();
+      auto links = draw_links();
       FlowId id = network.add_flow(1e9, links, 0);
       flows.emplace(id, std::move(links));
     } else {
@@ -211,7 +240,7 @@ void check_against_reference(const net::Topology& topo,
         network.remove_flow(victim->first, 0);
         flows.erase(victim);
       } else {
-        victim->second = random_links();
+        victim->second = draw_links();
         network.reroute_flow(victim->first, victim->second, 0);
       }
     }
@@ -232,26 +261,75 @@ TEST_P(FillingMatchesReference, FatTreeUniformLinks) {
 }
 
 TEST_P(FillingMatchesReference, MixedCapacityGraph) {
-  // A ring of ten switches plus chords, with capacities of 1, 2, 3 and
-  // 6 Gbps: a share on one link often equals a share on another.
-  std::mt19937_64 rng(GetParam() ^ 0xF111);
-  net::Topology topo;
-  const int n = 10;
-  for (int i = 0; i < n; ++i)
-    topo.add_node(net::NodeKind::kSwitch, "s" + std::to_string(i));
-  const double gbps[] = {1, 2, 3, 6};
-  for (int i = 0; i < n; ++i) {
-    topo.add_link(i, (i + 1) % n, gbps[rng() % 4] * 1e9, 1e-3);
-    if (i % 2 == 0 && topo.find_link(i, (i + 3) % n) == net::kInvalidLink)
-      topo.add_link(i, (i + 3) % n, gbps[rng() % 4] * 1e9, 1e-3);
-  }
-  std::vector<net::NodeId> endpoints;
-  for (int i = 0; i < n; ++i) endpoints.push_back(i);
-  check_against_reference(topo, endpoints, GetParam(), 300);
+  net::Topology topo = mixed_capacity_graph(GetParam());
+  check_against_reference(topo, every_node(topo), GetParam(), 300);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FillingMatchesReference,
                          ::testing::Values(1, 7, 42));
+
+// Starts groups of 1-8 flows at one instant, as one add_flows() call in
+// one network and as one add_flow() call per flow in another, with
+// random removals and time steps between groups. Every flow's id, rate
+// and remaining volume must match bit for bit: the final filling of a
+// flow set does not depend on how the set was built.
+void check_group_start(const net::Topology& topo,
+                       const std::vector<net::NodeId>& endpoints,
+                       std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  net::PathDatabase paths(topo, 4, net::hop_count());
+  FluidNetwork grouped(topo);
+  FluidNetwork one_by_one(topo);
+  std::vector<FlowId> live;
+  Time now = 0;
+  for (int group = 0; group < 40; ++group) {
+    now += from_millis(static_cast<double>(rng() % 5));
+    grouped.advance_to(now);
+    one_by_one.advance_to(now);
+    if (!live.empty() && rng() % 3 == 0) {
+      auto victim = live.begin() + static_cast<std::ptrdiff_t>(
+                                       rng() % live.size());
+      grouped.remove_flow(*victim, now);
+      one_by_one.remove_flow(*victim, now);
+      live.erase(victim);
+    }
+    std::vector<FluidNetwork::NewFlow> flows(1 + rng() % 8);
+    for (FluidNetwork::NewFlow& flow : flows) {
+      flow.bytes = 1e8 * static_cast<double>(1 + rng() % 50);
+      flow.links = random_links(topo, endpoints, paths, rng);
+    }
+    const FlowId first = grouped.add_flows(flows, now);
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      const FlowId id = first + static_cast<FlowId>(i);
+      ASSERT_EQ(one_by_one.add_flow(flows[i].bytes, flows[i].links, now),
+                id);
+      live.push_back(id);
+    }
+    ASSERT_EQ(grouped.active_flow_count(), one_by_one.active_flow_count());
+    for (FlowId id : live) {
+      EXPECT_EQ(grouped.rate_bytes_per_s(id),
+                one_by_one.rate_bytes_per_s(id))
+          << "seed " << seed << " group " << group << " flow " << id;
+      EXPECT_EQ(grouped.remaining_bytes(id), one_by_one.remaining_bytes(id))
+          << "seed " << seed << " group " << group << " flow " << id;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+class GroupStart : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GroupStart, FatTreeMatchesOneAddPerFlow) {
+  net::Topology topo = net::fat_tree(4);
+  check_group_start(topo, topo.hosts(), GetParam());
+}
+
+TEST_P(GroupStart, MixedCapacityGraphMatchesOneAddPerFlow) {
+  net::Topology topo = mixed_capacity_graph(GetParam());
+  check_group_start(topo, every_node(topo), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GroupStart, ::testing::Values(1, 7, 42));
 
 }  // namespace
 }  // namespace hermes::sim

@@ -224,5 +224,52 @@ TEST(Simulation, FacebookWorkloadEndToEnd) {
   }
 }
 
+TEST(Simulation, JobStartMatchesFlowArrivalsAtItsArrival) {
+  // A job's flows start in one event with one filling. Starting each of
+  // them as its own arrival, at the job's arrival and in job order, must
+  // give the same run: same completions, same TE moves, same RIT samples.
+  for (std::uint64_t seed : {2, 3}) {
+    net::Topology topo = net::fat_tree(4, 1e9);
+    workloads::FacebookConfig fb;
+    fb.job_count = 60;  // 266 and 366 flows; 131 and 296 TE moves
+    fb.duration_s = 5;
+    fb.seed = seed;
+    auto jobs = workloads::facebook_jobs(fb, topo.hosts());
+    SimConfig config = perfect_config();
+    config.backend_factory = hermes_factory(tcam::pica8_p3290());
+    config.congestion_threshold = 0.3;
+
+    Simulation by_job(topo, config);
+    by_job.add_jobs(jobs);
+    by_job.run();
+
+    std::vector<workloads::FlowArrival> arrivals;
+    for (const Job& job : jobs)
+      for (const FlowSpec& spec : job.flows)
+        arrivals.push_back({job.arrival, spec});
+    Simulation by_flow(topo, config);
+    by_flow.add_flows(arrivals);
+    by_flow.run();
+
+    const auto& a = by_job.flow_results();
+    const auto& b = by_flow.flow_results();
+    ASSERT_EQ(a.size(), arrivals.size()) << "seed " << seed;
+    ASSERT_EQ(b.size(), a.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].bytes, b[i].bytes) << "seed " << seed << " flow " << i;
+      EXPECT_EQ(a[i].arrival, b[i].arrival)
+          << "seed " << seed << " flow " << i;
+      EXPECT_EQ(a[i].completion, b[i].completion)
+          << "seed " << seed << " flow " << i;
+      EXPECT_EQ(a[i].moves, b[i].moves) << "seed " << seed << " flow " << i;
+    }
+    EXPECT_GT(by_job.total_moves(), 0) << "seed " << seed;
+    EXPECT_EQ(by_job.total_moves(), by_flow.total_moves())
+        << "seed " << seed;
+    EXPECT_EQ(by_job.all_rit_samples(), by_flow.all_rit_samples())
+        << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace hermes::sim

@@ -6,7 +6,9 @@ bench_compare.py, and a stand-in bench binary that writes a fixed JSON)
 and calls gate(root) directly, checking its exit code per outcome.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 import shutil
 import sys
@@ -60,8 +62,23 @@ class BenchGateTest(unittest.TestCase):
     def test_regression_fails(self):
         self.assertEqual(self.gate_tree(emitted_speedup=2.0), 1)
 
+    def test_summary_names_regressed_metric(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(self.gate_tree(emitted_speedup=2.0), 1)
+        summary = out.getvalue().split("bench_gate summary:")[1]
+        self.assertIn("x: FAIL (exit 1)", summary)
+        self.assertIn("derived x_speedup: 4 -> 2", summary)
+
     def test_failing_bench_fails(self):
         self.assertEqual(self.gate_tree(exit_code=3), 1)
+
+    def test_summary_names_bench_exit_code(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(self.gate_tree(exit_code=3), 1)
+        summary = out.getvalue().split("bench_gate summary:")[1]
+        self.assertIn("bench_x exited 3", summary)
 
     def test_missing_binary_is_load_error(self):
         self.assertEqual(

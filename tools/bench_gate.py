@@ -38,6 +38,10 @@ Why each gate reproduces on any machine:
     scenario, fails to beat the EWMA threshold by >=1.2x p99 somewhere,
     or replays non-deterministically.
 
+The summary lists, under each failed gate, the derived metrics that
+regressed (bench_compare.py's failure lines), the bench's exit code or
+the missing binary.
+
 Exit codes: 0 every gate passed, 1 a bench exited non-zero or
 bench_compare.py found a regression, 2 usage/load error (no baselines, a
 bench binary missing, or bench_compare.py could not load a file).
@@ -57,6 +61,7 @@ def gate(root: Path) -> int:
               file=sys.stderr)
         return 2
     status = {}
+    why = {}  # per failed gate: what the summary names as the cause
     for baseline in baselines:
         name = baseline.stem.removeprefix("BENCH_")
         binary = root / "build" / "bench" / f"bench_{name}"
@@ -64,6 +69,7 @@ def gate(root: Path) -> int:
             print(f"bench_gate: {binary} missing (build it first)",
                   file=sys.stderr)
             status[name] = 2
+            why[name] = [f"{binary} missing"]
             continue
         output = f"BENCH_{name}.json"
         print(f"== bench_{name} --smoke", flush=True)
@@ -72,15 +78,35 @@ def gate(root: Path) -> int:
             print(f"bench_gate: bench_{name} exited {run.returncode}",
                   file=sys.stderr)
             status[name] = 1
+            why[name] = [f"bench_{name} exited {run.returncode}"]
             continue
         compare = subprocess.run(
             [sys.executable, str(root / "tools" / "bench_compare.py"),
-             str(baseline), output], cwd=root)
+             str(baseline), output], cwd=root, stderr=subprocess.PIPE,
+            text=True)
+        sys.stderr.write(compare.stderr)
         status[name] = compare.returncode
+        why[name] = failure_lines(compare.stderr)
     print("\nbench_gate summary:")
     for name, code in status.items():
-        print(f"  {name}: {'ok' if code == 0 else f'FAIL (exit {code})'}")
+        if code == 0:
+            print(f"  {name}: ok")
+            continue
+        print(f"  {name}: FAIL (exit {code})")
+        for line in why.get(name, []):
+            print(f"    {line}")
     return max(status.values())
+
+
+def failure_lines(stderr: str) -> list:
+    """What bench_compare.py names as failed: the regression lines under
+    its FAIL header, or its error line."""
+    lines = stderr.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("FAIL:"):
+            return [failure.strip() for failure in lines[i + 1:]
+                    if failure.strip()]
+    return [line.strip() for line in lines if line.startswith("error:")]
 
 
 if __name__ == "__main__":
