@@ -536,7 +536,8 @@ Time HermesAgent::modify(Time now, const net::Rule& rule) {
   if (rule.priority == lr->original.priority &&
       rule.match == lr->original.match) {
     // Action-only change: constant-time in-place rewrite of every piece
-    // (Section 2.1.1 / 4.1), in the table and in its overlap index.
+    // (Section 2.1.1 / 4.1), in the table and in its overlap index. Each
+    // piece is searched for once; the ASIC writes the slot found.
     Time completion = now;
     int slice_idx = lr->placement == Placement::kShadow ? kShadow : kMain;
     OverlapIndex& index =
@@ -544,11 +545,9 @@ Time HermesAgent::modify(Time now, const net::Rule& rule) {
     for (net::RuleId pid : lr->physical_ids) {
       const net::Rule* piece = asic_.slice(slice_idx).find_ptr(pid);
       if (!piece) continue;
-      net::Rule updated = *piece;
-      updated.action = rule.action;
-      completion =
-          asic_.submit(now, slice_idx, {net::FlowModType::kModify, updated});
-      index.set_action(pid, updated.match, rule.action);
+      const net::Prefix match = piece->match;
+      completion = asic_.submit_action(now, slice_idx, *piece, rule.action);
+      index.set_action(pid, match, rule.action);
     }
     store_.set_action(rule.id, rule.action);
     return completion;

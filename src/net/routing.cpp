@@ -37,8 +37,27 @@ struct SsspResult {
   std::vector<LinkId> pred_link;
 };
 
+// Whether some link of `node` is neither banned nor leads to a banned
+// node: the only ways a search can reach `node`.
+bool has_open_link(const Topology& topo, NodeId node,
+                   const std::vector<char>* banned_nodes,
+                   const std::set<LinkId>* banned_links) {
+  for (LinkId lid : topo.links_of(node)) {
+    if (banned_links && banned_links->count(lid)) continue;
+    NodeId v = topo.link(lid).other(node);
+    if (banned_nodes && (*banned_nodes)[static_cast<std::size_t>(v)])
+      continue;
+    return true;
+  }
+  return false;
+}
+
+// With a `target`, the search answers for the target alone: it returns
+// once the target is settled, when (weights being non-negative) its
+// distance and predecessor chain are final, and returns at once when no
+// open link leads to the target. Other nodes' entries are then partial.
 SsspResult dijkstra(const Topology& topo, const std::vector<double>& weights,
-                    NodeId src,
+                    NodeId src, NodeId target = kInvalidNode,
                     const std::vector<char>* banned_nodes = nullptr,
                     const std::set<LinkId>* banned_links = nullptr) {
   auto n = static_cast<std::size_t>(topo.node_count());
@@ -48,11 +67,15 @@ SsspResult dijkstra(const Topology& topo, const std::vector<double>& weights,
                       std::greater<QueueEntry>>
       pq;
   r.dist[static_cast<std::size_t>(src)] = 0;
+  if (target != kInvalidNode && target != src &&
+      !has_open_link(topo, target, banned_nodes, banned_links))
+    return r;
   pq.push({0, src});
   while (!pq.empty()) {
     auto [d, u] = pq.top();
     pq.pop();
     if (d > r.dist[static_cast<std::size_t>(u)]) continue;
+    if (u == target) break;
     for (LinkId lid : topo.links_of(u)) {
       if (banned_links && banned_links->count(lid)) continue;
       NodeId v = topo.link(lid).other(u);
@@ -164,7 +187,8 @@ std::vector<Path> yen(const Topology& topo, const std::vector<double>& weights,
                       NodeId src, NodeId dst, int k) {
   std::vector<Path> result;
   if (k <= 0) return result;
-  auto first = extract_path(topo, dijkstra(topo, weights, src), src, dst);
+  auto first =
+      extract_path(topo, dijkstra(topo, weights, src, dst), src, dst);
   if (!first) return result;
   result.push_back(*first);
 
@@ -199,7 +223,7 @@ std::vector<Path> yen(const Topology& topo, const std::vector<double>& weights,
       for (std::size_t j = 0; j < i; ++j)
         banned_nodes[static_cast<std::size_t>(root[j])] = 1;
 
-      auto sssp = dijkstra(topo, weights, spur_node, &banned_nodes,
+      auto sssp = dijkstra(topo, weights, spur_node, dst, &banned_nodes,
                            &banned_links);
       auto spur = extract_path(topo, sssp, spur_node, dst);
       if (!spur) continue;
@@ -232,7 +256,7 @@ LinkWeight propagation_delay() {
 std::optional<Path> shortest_path(const Topology& topo, NodeId src,
                                   NodeId dst, const LinkWeight& weight) {
   if (src == dst) return Path{src};
-  auto r = dijkstra(topo, link_weights(topo, weight), src);
+  auto r = dijkstra(topo, link_weights(topo, weight), src, dst);
   return extract_path(topo, r, src, dst);
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 
 namespace hermes::sim {
 
@@ -17,6 +16,7 @@ FluidNetwork::FluidNetwork(const net::Topology& topology)
   residual_.resize(links);
   unfrozen_.resize(links);
   round_of_.resize(links);
+  live_.resize(links);
 }
 
 FlowId FluidNetwork::add_flows(std::vector<NewFlow> flows,
@@ -151,25 +151,19 @@ void FluidNetwork::recompute_rates() {
       link_flows_[li].push_back(&flow);
     }
   }
-  // The heap holds an entry for every link's current (share, link id),
-  // plus superseded entries that are skipped when they surface. Filling
-  // stops once every flow is frozen; the leftovers are cleared next call.
-  heap_.clear();
+  // The heap holds exactly the live links, each keyed on its current
+  // (share, link id), so its top is the bottleneck: every round pops only
+  // that. A link leaves when its last flow freezes, so the heap empties
+  // exactly when every flow is frozen.
+  live_.clear();
   for (net::LinkId l : used_links_) {
     const auto li = static_cast<std::size_t>(l);
     unfrozen_[li] = static_cast<int>(link_flows_[li].size());
-    heap_.emplace_back(residual_[li] / unfrozen_[li], l);
+    live_.push({residual_[li] / unfrozen_[li], l});
   }
-  const auto later = std::greater<std::pair<double, net::LinkId>>();
-  std::make_heap(heap_.begin(), heap_.end(), later);
-  std::size_t unfrozen_flows = flows_.size();
-  while (unfrozen_flows > 0 && !heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    const auto [share, bottleneck] = heap_.back();
-    heap_.pop_back();
+  while (!live_.empty()) {
+    const auto [share, bottleneck] = live_.top();
     const auto bi = static_cast<std::size_t>(bottleneck);
-    if (unfrozen_[bi] == 0 || share != residual_[bi] / unfrozen_[bi])
-      continue;  // superseded
 
     // Freeze every unfrozen flow crossing the bottleneck at the share.
     // Every subtraction in a round is of the same share, so the order in
@@ -180,7 +174,6 @@ void FluidNetwork::recompute_rates() {
       if (flow->frozen) continue;
       flow->frozen = true;
       flow->rate = share;
-      --unfrozen_flows;
       for (net::LinkId l : flow->links) {
         const auto li = static_cast<std::size_t>(l);
         residual_[li] -= share;
@@ -191,16 +184,101 @@ void FluidNetwork::recompute_rates() {
         }
       }
     }
-    // One fresh entry per link the round changed and left in play.
+    // Re-key every link the round changed; the bottleneck itself, and any
+    // link whose last flow froze, leave the heap.
     for (net::LinkId l : touched_) {
       const auto li = static_cast<std::size_t>(l);
-      if (unfrozen_[li] == 0) continue;
-      heap_.emplace_back(residual_[li] / unfrozen_[li], l);
-      std::push_heap(heap_.begin(), heap_.end(), later);
+      if (unfrozen_[li] == 0) {
+        live_.erase(l);
+      } else {
+        live_.update(l, residual_[li] / unfrozen_[li]);
+      }
     }
   }
   for (net::LinkId l : used_links_)
     link_flows_[static_cast<std::size_t>(l)].clear();
+}
+
+// --- LinkHeap: 4-ary, children of slot i at 4i+1 .. 4i+4 ---------------------
+
+namespace {
+
+// (share, link id) order, evaluated without branches: which of four
+// children is least is data-dependent and defeats a branch predictor.
+bool before(const std::pair<double, net::LinkId>& a,
+            const std::pair<double, net::LinkId>& b) {
+  return (a.first < b.first) | ((a.first == b.first) & (a.second < b.second));
+}
+
+}  // namespace
+
+void FluidNetwork::LinkHeap::place(std::size_t i, const Entry& e) {
+  heap_[i] = e;
+  pos_[static_cast<std::size_t>(e.second)] = i;
+}
+
+void FluidNetwork::LinkHeap::sift_up(std::size_t i) {
+  const Entry e = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!before(e, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, e);
+}
+
+void FluidNetwork::LinkHeap::sift_down(std::size_t i) {
+  const Entry e = heap_[i];
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    std::size_t least = first;
+    const std::size_t last = std::min(first + 4, n);
+    for (std::size_t c = first + 1; c < last; ++c)
+      least = before(heap_[c], heap_[least]) ? c : least;
+    if (!before(heap_[least], e)) break;
+    place(i, heap_[least]);
+    i = least;
+  }
+  place(i, e);
+}
+
+void FluidNetwork::LinkHeap::clear() {
+  for (const Entry& e : heap_)
+    pos_[static_cast<std::size_t>(e.second)] = kAbsent;
+  heap_.clear();
+}
+
+void FluidNetwork::LinkHeap::push(const Entry& e) {
+  assert(pos_[static_cast<std::size_t>(e.second)] == kAbsent);
+  heap_.push_back(e);
+  sift_up(heap_.size() - 1);
+}
+
+void FluidNetwork::LinkHeap::update(net::LinkId link, double share) {
+  const std::size_t i = pos_[static_cast<std::size_t>(link)];
+  assert(i != kAbsent);
+  const bool lower = share < heap_[i].first;
+  heap_[i].first = share;
+  if (lower) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
+}
+
+void FluidNetwork::LinkHeap::erase(net::LinkId link) {
+  const std::size_t i = pos_[static_cast<std::size_t>(link)];
+  assert(i != kAbsent);
+  pos_[static_cast<std::size_t>(link)] = kAbsent;
+  const Entry moved = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  place(i, moved);
+  sift_up(i);
+  sift_down(pos_[static_cast<std::size_t>(moved.second)]);
 }
 
 }  // namespace hermes::sim

@@ -81,6 +81,36 @@ class FluidNetwork {
 
   void recompute_rates();
 
+  /// Indexed 4-ary min-heap of the live links of a filling (links with
+  /// unfrozen crossings), one entry each, keyed on (fair share, link id).
+  class LinkHeap {
+   public:
+    using Entry = std::pair<double, net::LinkId>;
+
+    /// Sizes the position index for link ids in [0, links).
+    void resize(std::size_t links) { pos_.assign(links, kAbsent); }
+    /// Empties the heap.
+    void clear();
+    /// Adds a link that is not in the heap.
+    void push(const Entry& e);
+    bool empty() const { return heap_.empty(); }
+    /// The least (share, link id).
+    const Entry& top() const { return heap_.front(); }
+    /// Re-keys a link in the heap to `share`.
+    void update(net::LinkId link, double share);
+    /// Takes a link out of the heap.
+    void erase(net::LinkId link);
+
+   private:
+    static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+    void place(std::size_t i, const Entry& e);
+    void sift_up(std::size_t i);
+    void sift_down(std::size_t i);
+
+    std::vector<Entry> heap_;
+    std::vector<std::size_t> pos_;  // by LinkId; kAbsent when not in heap_
+  };
+
   const net::Topology* topology_;
   std::vector<double> link_capacity_;  // bytes/s per link
   // Iteration order of flows_ is the summation order of
@@ -93,7 +123,7 @@ class FluidNetwork {
   // recompute_rates() calls: the flows crossing each link (one entry per
   // crossing), its residual capacity, unfrozen crossings and the last
   // filling round that changed it; the links in use, the links the
-  // current round changed, and the lazy (fair share, link id) min-heap.
+  // current round changed, and the live links.
   std::vector<std::vector<FlowState*>> link_flows_;
   std::vector<double> residual_;
   std::vector<int> unfrozen_;
@@ -101,7 +131,7 @@ class FluidNetwork {
   std::uint64_t round_ = 0;
   std::vector<net::LinkId> used_links_;
   std::vector<net::LinkId> touched_;
-  std::vector<std::pair<double, net::LinkId>> heap_;
+  LinkHeap live_;
 };
 
 }  // namespace hermes::sim

@@ -55,7 +55,7 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
         fault_plans_.push_back(std::make_unique<fault::FaultPlan>(fc));
         backend->set_fault_plan(fault_plans_.back().get());
       }
-      backends_.emplace(sw, std::move(backend));
+      backends_.emplace(sw, Switch{std::move(backend)});
     }
   }
   // Consistent-update coordinator for TE moves. Operations route through
@@ -76,7 +76,8 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
           return;
         }
         obs_app_batch_size_.record(batch.size());
-        it->second->handle_batch(now, batch);
+        catch_up(it->second);
+        it->second.backend->handle_batch(now, batch);
       },
       [this](Time now, net::NodeId sw, const net::FlowMod& mod) {
         dispatch_mod(now, sw, mod);
@@ -116,7 +117,7 @@ void Simulation::run() {
   // reschedules itself while flows remain outstanding.
   events_.schedule(config_.te_period, [this](Time now) { te_cycle(now); });
   events_.schedule(from_millis(10),
-                   [this](Time t) { tick_backends_and_reschedule(t); });
+                   [this](Time t) { tick_and_reschedule(t); });
   // Dispatch loop (the former events_.run_all), instrumented: count every
   // event and sample queue depth every 64. The wall clock is only read
   // when a registry is collecting.
@@ -131,6 +132,8 @@ void Simulation::run() {
     if ((processed & 63u) == 0)
       obs_queue_depth_.record(events_.size());
   }
+  // Every backend has received every fired tick when run() returns.
+  for (auto& [id, sw] : backends_) catch_up(sw);
   if (collecting) {
     obs_events_.inc(processed);
     obs_virtual_time_ns_.set(events_.now());
@@ -144,14 +147,24 @@ void Simulation::run() {
 void Simulation::dispatch_mod(Time now, net::NodeId sw,
                               const net::FlowMod& mod) {
   auto it = backends_.find(sw);
-  if (it != backends_.end()) it->second->handle(now, mod);
+  if (it == backends_.end()) return;
+  catch_up(it->second);
+  it->second.backend->handle(now, mod);
 }
 
-void Simulation::tick_backends_and_reschedule(Time now) {
-  for (auto& [sw, backend] : backends_) backend->tick(now);
+void Simulation::catch_up(Switch& sw) {
+  for (; sw.ticks_seen < tick_times_.size(); ++sw.ticks_seen)
+    sw.backend->tick(tick_times_[sw.ticks_seen]);
+}
+
+void Simulation::tick_and_reschedule(Time now) {
+  // A tick is due at every backend now, but a backend sees nothing of it
+  // until its next request or the end of run(): catch_up() delivers it
+  // then, while that switch's state is in cache.
+  tick_times_.push_back(now);
   if (outstanding_flows_ > 0)
     events_.schedule(now + from_millis(10),
-                     [this](Time t) { tick_backends_and_reschedule(t); });
+                     [this](Time t) { tick_and_reschedule(t); });
 }
 
 net::Path Simulation::initial_path(net::NodeId src, net::NodeId dst,
@@ -442,8 +455,8 @@ std::vector<JobResult> Simulation::job_results() const {
 
 std::vector<Duration> Simulation::all_rit_samples() const {
   std::vector<Duration> out;
-  for (const auto& [sw, backend] : backends_) {
-    const auto& samples = backend->rit_samples();
+  for (const auto& [id, sw] : backends_) {
+    const auto& samples = sw.backend->rit_samples();
     out.insert(out.end(), samples.begin(), samples.end());
   }
   return out;
@@ -451,7 +464,7 @@ std::vector<Duration> Simulation::all_rit_samples() const {
 
 baselines::SwitchBackend* Simulation::backend(net::NodeId switch_id) {
   auto it = backends_.find(switch_id);
-  return it == backends_.end() ? nullptr : it->second.get();
+  return it == backends_.end() ? nullptr : it->second.backend.get();
 }
 
 }  // namespace hermes::sim

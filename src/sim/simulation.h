@@ -109,7 +109,8 @@ class Simulation {
   /// Rule-installation samples aggregated across all switch backends.
   std::vector<Duration> all_rit_samples() const;
 
-  /// Per-backend access (e.g. for Hermes stats).
+  /// Per-backend access (e.g. for Hermes stats). During run() a backend
+  /// may not have received every fired tick yet; after it, every one.
   baselines::SwitchBackend* backend(net::NodeId switch_id);
 
   int total_moves() const { return total_moves_; }
@@ -168,7 +169,21 @@ class Simulation {
   net::Path initial_path(net::NodeId src, net::NodeId dst,
                          std::uint64_t salt);
   net::RuleId next_rule_id() { return rule_id_counter_++; }
-  void tick_backends_and_reschedule(Time now);
+  /// The 10 ms maintenance tick: records its time for catch-up delivery
+  /// and reschedules itself while flows remain outstanding.
+  void tick_and_reschedule(Time now);
+  /// A switch's backend and how many of the fired ticks it has received.
+  struct Switch {
+    std::unique_ptr<baselines::SwitchBackend> backend;
+    std::size_t ticks_seen = 0;
+  };
+  /// Catch-up delivery: hands `sw` every fired tick it has not received
+  /// yet, in firing order, as one tick() call each. Called just before
+  /// each handle()/handle_batch() into the backend, never inside one, and
+  /// for every backend before run() returns, so each backend's call
+  /// sequence is exactly that of ticking every backend when the tick
+  /// fires; only the interleaving across switches differs.
+  void catch_up(Switch& sw);
   /// Routes one flow-mod to its backend. No-op for switches without a
   /// backend (perfect control plane).
   void dispatch_mod(Time now, net::NodeId sw, const net::FlowMod& mod);
@@ -180,8 +195,9 @@ class Simulation {
   net::PathDatabase paths_;
   std::mt19937_64 rng_;
 
-  std::unordered_map<net::NodeId, std::unique_ptr<baselines::SwitchBackend>>
-      backends_;
+  std::unordered_map<net::NodeId, Switch> backends_;
+  /// Virtual time of every tick fired so far, in firing order.
+  std::vector<Time> tick_times_;
   std::vector<std::unique_ptr<fault::FaultPlan>> fault_plans_;
 
   /// Consistent-update transaction coordinator for TE moves.

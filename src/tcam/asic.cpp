@@ -68,7 +68,7 @@ ApplyResult Asic::apply(int slice_idx, const net::FlowMod& mod,
         // modify leaves the engine's match key alone.
         if (existing->match != mod.rule.match)
           table.modify_match(mod.rule.id, mod.rule.match);
-        table.modify_action(mod.rule.id, mod.rule.action);
+        table.modify_action(*existing, mod.rule.action);
         return {true, model_->modify_latency(), 0};
       }
       // Priority change: delete + insert (Section 4.1). The delete always
@@ -216,6 +216,23 @@ Time Asic::submit(Time now, int slice_idx, const net::FlowMod& mod,
     obs::trace_event(
         obs::tcam_shift_event(now, slice_idx, r.shifts, r.latency));
   if (result) *result = r;
+  return done;
+}
+
+Time Asic::submit_action(Time now, int slice_idx, const net::Rule& entry,
+                         const net::Action& action) {
+  const int epoch = reset_epoch_;
+  apply_pending_resets(now);
+  // A reset that fired just now cleared `entry` with its slice: the
+  // modify finds nothing, as apply() would.
+  ApplyResult r{false, model_->base_latency(), 0};
+  if (reset_epoch_ == epoch) {
+    slice(slice_idx).modify_action(entry, action);
+    r = {true, model_->modify_latency(), 0};
+  }
+  Time done = occupy_channel(now, slice_idx, r.latency,
+                             /*injected_failure=*/false);
+  obs_op_latency_.record(static_cast<std::uint64_t>(r.latency));
   return done;
 }
 

@@ -90,6 +90,15 @@ class Asic {
   Time submit(Time now, int slice_idx, const net::FlowMod& mod,
               ApplyResult* result = nullptr);
 
+  /// submit() of an action-only modify of `entry`, a resident rule of
+  /// slice `slice_idx` as returned by find_ptr() with no table mutation
+  /// since, without searching for it again: the same outcome, latency,
+  /// channel occupation and fault draws (an in-place modify burns no
+  /// write-failure draw). A reset firing at `now` wipes the slice first,
+  /// and the modify then fails as submit()'s would.
+  Time submit_action(Time now, int slice_idx, const net::Rule& entry,
+                     const net::Action& action);
+
   /// Outcome of a batched insert.
   struct BatchResult {
     int inserted = 0;      ///< rules that fit (prefix of the span)

@@ -1,6 +1,7 @@
 #include "tcam/tcam_table.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <numeric>
 #include <unordered_set>
@@ -234,14 +235,14 @@ int TcamTable::erase_batch(std::span<const net::RuleId> ids) {
   return static_cast<int>(slots.size());
 }
 
-OpResult TcamTable::modify_action(net::RuleId id, const net::Action& action) {
-  std::size_t slot = locate(id);
-  if (slot == kNoSlot) return {false, 0};
+void TcamTable::modify_action(const net::Rule& entry,
+                              const net::Action& action) {
+  const auto slot = static_cast<std::size_t>(&entry - entries_.data());
+  assert(slot < entries_.size());
   engine_.modify_action(entries_[slot], action);
   entries_[slot].action = action;
   ++stats_.modifies;
   obs_modifies_.inc();
-  return {true, 0};
 }
 
 OpResult TcamTable::modify_match(net::RuleId id, const net::Prefix& match) {

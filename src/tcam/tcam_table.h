@@ -13,7 +13,7 @@
 // Bookkeeping cost model: the priority-ordered `entries_` array is the
 // ground truth for shift counts (the hardware mechanics), while an id
 // index replaces full-array scans in the agent-side bookkeeping
-// operations (`contains`/`find_ptr`/`erase`/`modify_*`). Each slot also
+// operations (`contains`/`find_ptr`/`erase`/`modify_match`). Each slot also
 // carries a 32-bit arrival stamp, in `stamps_` beside `entries_`, and the
 // index maps id -> {priority, stamp}. Every insert and batch lands below
 // the equal-priority residents with fresh, rising stamps, so slot order
@@ -127,8 +127,10 @@ class TcamTable {
   /// entry moves at most once whatever the order of `ids`.
   int erase_batch(std::span<const net::RuleId> ids);
 
-  /// In-place modification of action (indexed lookup). Fails if absent.
-  OpResult modify_action(net::RuleId id, const net::Action& action);
+  /// In-place modification of the action of `entry`, a resident rule as
+  /// returned by find_ptr() (or rules_view()) with no table mutation
+  /// since: the slot is written directly, with no second search.
+  void modify_action(const net::Rule& entry, const net::Action& action);
 
   /// In-place modification of the match without priority change
   /// (indexed lookup, Section 2.1.1). Fails if absent.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <queue>
 #include <random>
 #include <set>
 
@@ -196,6 +198,127 @@ TEST_P(RoutingProperty, DatabaseMatchesFreeFunctionsWithStubHosts) {
     t.add_link(host, sw, 1e9, 1e-3 * (1 + static_cast<double>(rng() % 9)));
   }
   check_every_pair(t);
+}
+
+// Reference: Yen's algorithm as it ran before its searches stopped at the
+// destination. Every Dijkstra, the first and each spur's, settles every
+// node it can reach; the path is then read back from the destination.
+Path full_search_path(const Topology& t, const std::vector<double>& w,
+                      NodeId src, NodeId dst,
+                      const std::vector<char>& banned_nodes,
+                      const std::set<LinkId>& banned_links) {
+  const auto n = static_cast<std::size_t>(t.node_count());
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> dist(n, inf);
+  std::vector<LinkId> pred(n, kInvalidLink);
+  using Entry = std::pair<double, NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> pq;
+  dist[static_cast<std::size_t>(src)] = 0;
+  pq.push({0, src});
+  while (!pq.empty()) {
+    auto [d, u] = pq.top();
+    pq.pop();
+    if (d > dist[static_cast<std::size_t>(u)]) continue;
+    for (LinkId l : t.links_of(u)) {
+      if (banned_links.count(l)) continue;
+      NodeId v = t.link(l).other(u);
+      if (banned_nodes[static_cast<std::size_t>(v)]) continue;
+      double nd = d + w[static_cast<std::size_t>(l)];
+      if (nd < dist[static_cast<std::size_t>(v)]) {
+        dist[static_cast<std::size_t>(v)] = nd;
+        pred[static_cast<std::size_t>(v)] = l;
+        pq.push({nd, v});
+      }
+    }
+  }
+  if (dist[static_cast<std::size_t>(dst)] == inf) return {};
+  Path path;
+  for (NodeId cur = dst; cur != src;
+       cur = t.link(pred[static_cast<std::size_t>(cur)]).other(cur))
+    path.push_back(cur);
+  path.push_back(src);
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+std::vector<Path> full_search_yen(const Topology& t, const LinkWeight& weight,
+                                  NodeId src, NodeId dst, int k) {
+  std::vector<double> w;
+  for (const Link& l : t.links()) w.push_back(weight(l));
+  auto cost = [&](const Path& p) {
+    double total = 0;
+    for (std::size_t i = 0; i + 1 < p.size(); ++i)
+      total += w[static_cast<std::size_t>(t.find_link(p[i], p[i + 1]))];
+    return total;
+  };
+  const std::vector<char> none(static_cast<std::size_t>(t.node_count()), 0);
+  std::vector<Path> result;
+  Path first = full_search_path(t, w, src, dst, none, {});
+  if (first.empty()) return result;
+  result.push_back(first);
+  std::vector<Path> candidates;
+  while (static_cast<int>(result.size()) < k) {
+    const Path prev = result.back();
+    for (std::size_t i = 0; i + 1 < prev.size(); ++i) {
+      Path root(prev.begin(), prev.begin() + static_cast<std::ptrdiff_t>(i + 1));
+      std::set<LinkId> banned_links;
+      for (const Path& p : result)
+        if (p.size() > i + 1 && std::equal(root.begin(), root.end(), p.begin()))
+          banned_links.insert(t.find_link(p[i], p[i + 1]));
+      std::vector<char> banned_nodes = none;
+      for (std::size_t j = 0; j < i; ++j)
+        banned_nodes[static_cast<std::size_t>(root[j])] = 1;
+      Path spur = full_search_path(t, w, prev[i], dst, banned_nodes,
+                                   banned_links);
+      if (spur.empty()) continue;
+      Path total = root;
+      total.insert(total.end(), spur.begin() + 1, spur.end());
+      if (std::find(candidates.begin(), candidates.end(), total) ==
+              candidates.end() &&
+          std::find(result.begin(), result.end(), total) == result.end())
+        candidates.push_back(std::move(total));
+    }
+    if (candidates.empty()) break;
+    auto best = std::min_element(
+        candidates.begin(), candidates.end(), [&](const Path& a, const Path& b) {
+          double ca = cost(a), cb = cost(b);
+          if (ca != cb) return ca < cb;
+          return a < b;
+        });
+    result.push_back(*best);
+    candidates.erase(best);
+  }
+  return result;
+}
+
+TEST_P(RoutingProperty, YenMatchesFullSearchReference) {
+  // Random switch graphs with 2-5 stub hosts, the first two on one switch
+  // (the pair Yen finds nothing beyond one path for): every ordered pair
+  // and k, under hop counts and real weights, path for path.
+  std::mt19937_64 rng(GetParam() ^ 0x9E11);
+  for (int graph = 0; graph < 4; ++graph) {
+    Topology t = random_graph(rng, 5 + static_cast<int>(rng() % 4), 0.35);
+    const int switches = t.node_count();
+    const int hosts = 2 + static_cast<int>(rng() % 4);
+    const auto shared = static_cast<NodeId>(rng() % switches);
+    for (int h = 0; h < hosts; ++h) {
+      NodeId host = t.add_node(NodeKind::kHost, "h" + std::to_string(h));
+      NodeId sw = h < 2 ? shared : static_cast<NodeId>(rng() % switches);
+      t.add_link(host, sw, 1e9, 1e-3 * (1 + static_cast<double>(rng() % 9)));
+    }
+    for (const LinkWeight& weight : {hop_count(), propagation_delay()}) {
+      for (NodeId src = 0; src < t.node_count(); ++src) {
+        for (NodeId dst = 0; dst < t.node_count(); ++dst) {
+          for (int k : {1, 4, 6}) {
+            ASSERT_EQ(k_shortest_paths(t, src, dst, weight, k),
+                      full_search_yen(t, weight, src, dst, k))
+                << "graph " << graph << " " << src << " -> " << dst
+                << " k " << k;
+          }
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingProperty,

@@ -135,9 +135,11 @@ using FlowLinks = std::map<FlowId, std::vector<net::LinkId>>;
 // share (ties to the lowest link id), then every flow for the ones that
 // cross it. Flows are visited in id order here, not in the network's
 // hash order: within a round every subtraction is of the same share, so
-// the order must not change a bit.
+// the order must not change a bit. `tied_rounds`, when given, counts the
+// rounds in which another link had the bottleneck's exact share.
 std::map<FlowId, double> reference_rates(const net::Topology& topo,
-                                         const FlowLinks& flows) {
+                                         const FlowLinks& flows,
+                                         int* tied_rounds = nullptr) {
   std::map<net::LinkId, double> residual;
   std::map<net::LinkId, int> active;
   std::map<FlowId, double> rate;
@@ -161,6 +163,15 @@ std::map<FlowId, double> reference_rates(const net::Topology& topo,
       }
     }
     if (bottleneck == net::kInvalidLink) break;
+    if (tied_rounds) {
+      for (const auto& [l, count] : active) {
+        if (count > 0 && l != bottleneck &&
+            residual.at(l) / count == best_share) {
+          ++*tied_rounds;
+          break;
+        }
+      }
+    }
     for (const auto& [id, links] : flows) {
       if (frozen.count(id) ||
           std::find(links.begin(), links.end(), bottleneck) == links.end())
@@ -218,15 +229,17 @@ std::vector<net::NodeId> every_node(const net::Topology& topo) {
 
 // Drives seeded add / remove / reroute sequences through a FluidNetwork
 // and checks every flow's rate against the reference after every
-// mutation, with EXPECT_EQ on the doubles.
-void check_against_reference(const net::Topology& topo,
-                             const std::vector<net::NodeId>& endpoints,
-                             std::uint64_t seed, int steps) {
+// mutation, with EXPECT_EQ on the doubles. Returns the reference's tied
+// rounds over the whole sequence.
+int check_against_reference(const net::Topology& topo,
+                            const std::vector<net::NodeId>& endpoints,
+                            std::uint64_t seed, int steps) {
   std::mt19937_64 rng(seed);
   net::PathDatabase paths(topo, 4, net::hop_count());
   auto draw_links = [&] { return random_links(topo, endpoints, paths, rng); };
   FluidNetwork network(topo);
   FlowLinks flows;
+  int tied_rounds = 0;
   for (int step = 0; step < steps; ++step) {
     const auto op = rng() % 10;
     if (flows.size() < 4 || op < 5) {
@@ -244,12 +257,91 @@ void check_against_reference(const net::Topology& topo,
         network.reroute_flow(victim->first, victim->second, 0);
       }
     }
-    ASSERT_EQ(network.active_flow_count(), static_cast<int>(flows.size()));
-    for (const auto& [id, rate] : reference_rates(topo, flows))
+    EXPECT_EQ(network.active_flow_count(), static_cast<int>(flows.size()));
+    for (const auto& [id, rate] : reference_rates(topo, flows, &tied_rounds))
       EXPECT_EQ(network.rate_bytes_per_s(id), rate)
           << "seed " << seed << " step " << step << " flow " << id;
-    if (::testing::Test::HasFailure()) return;
+    if (::testing::Test::HasFailure()) break;
   }
+  return tied_rounds;
+}
+
+// The fat-tree automorphism that swaps pod p with pod k-1-p and fixes
+// the core: fat_tree() numbers the core first, then every pod's nodes in
+// the same layout.
+std::vector<net::NodeId> fat_tree_pod_mirror(const net::Topology& topo,
+                                             int k) {
+  const int core = (k / 2) * (k / 2);
+  const int per_pod = (topo.node_count() - core) / k;
+  std::vector<net::NodeId> mirror(static_cast<std::size_t>(topo.node_count()));
+  for (net::NodeId n = 0; n < topo.node_count(); ++n) {
+    const int pod = n < core ? -1 : (n - core) / per_pod;
+    mirror[static_cast<std::size_t>(n)] =
+        pod < 0 ? n : core + (k - 1 - pod) * per_pod + (n - core) % per_pod;
+  }
+  return mirror;
+}
+
+// check_against_reference() over a flow set closed under `mirror`, a
+// topology automorphism: every add, remove and reroute of a flow is
+// applied to its mirror image too, and rates are checked after both.
+int check_mirrored_against_reference(const net::Topology& topo,
+                                     const std::vector<net::NodeId>& mirror,
+                                     std::uint64_t seed, int steps) {
+  std::mt19937_64 rng(seed);
+  net::PathDatabase paths(topo, 4, net::hop_count());
+  const std::vector<net::NodeId> hosts = topo.hosts();
+  // A random host pair's path and its mirror image's links.
+  auto draw = [&] {
+    net::Path path;
+    while (path.empty()) {
+      net::NodeId a = hosts[rng() % hosts.size()];
+      net::NodeId b = hosts[rng() % hosts.size()];
+      if (a == b) continue;
+      const auto& candidates = paths.paths(a, b);
+      path = candidates[rng() % candidates.size()];
+    }
+    net::Path image;
+    for (net::NodeId n : path) image.push_back(mirror[static_cast<std::size_t>(n)]);
+    return std::pair{net::path_links(topo, path), net::path_links(topo, image)};
+  };
+  FluidNetwork network(topo);
+  FlowLinks flows;
+  std::vector<std::pair<FlowId, FlowId>> pairs;
+  int tied_rounds = 0;
+  for (int step = 0; step < steps; ++step) {
+    const auto op = rng() % 10;
+    if (pairs.size() < 4 || op < 5) {
+      auto [links, image] = draw();
+      FlowId a = network.add_flow(1e9, links, 0);
+      FlowId b = network.add_flow(1e9, image, 0);
+      flows.emplace(a, std::move(links));
+      flows.emplace(b, std::move(image));
+      pairs.emplace_back(a, b);
+    } else {
+      const std::size_t victim = rng() % pairs.size();
+      const auto [a, b] = pairs[victim];
+      if (op < 8) {
+        network.remove_flow(a, 0);
+        network.remove_flow(b, 0);
+        flows.erase(a);
+        flows.erase(b);
+        pairs.erase(pairs.begin() + static_cast<std::ptrdiff_t>(victim));
+      } else {
+        auto [links, image] = draw();
+        flows[a] = links;
+        flows[b] = image;
+        network.reroute_flow(a, links, 0);
+        network.reroute_flow(b, image, 0);
+      }
+    }
+    EXPECT_EQ(network.active_flow_count(), static_cast<int>(flows.size()));
+    for (const auto& [id, rate] : reference_rates(topo, flows, &tied_rounds))
+      EXPECT_EQ(network.rate_bytes_per_s(id), rate)
+          << "seed " << seed << " step " << step << " flow " << id;
+    if (::testing::Test::HasFailure()) break;
+  }
+  return tied_rounds;
 }
 
 class FillingMatchesReference
@@ -263,6 +355,23 @@ TEST_P(FillingMatchesReference, FatTreeUniformLinks) {
 TEST_P(FillingMatchesReference, MixedCapacityGraph) {
   net::Topology topo = mixed_capacity_graph(GetParam());
   check_against_reference(topo, every_node(topo), GetParam(), 300);
+}
+
+TEST_P(FillingMatchesReference, FatTreeK8LongSequence) {
+  // 128 hosts and 384 links: hundreds of live links per filling, and a
+  // flow set that grows to ~200 over 1,000 mutations.
+  net::Topology topo = net::fat_tree(8);
+  check_against_reference(topo, topo.hosts(), GetParam(), 1000);
+}
+
+TEST_P(FillingMatchesReference, ManyTiedShares) {
+  // Flows come in mirror pairs across a k=4 fat-tree's pods, so every
+  // link carries the same share as its mirror link and most rounds pick
+  // the bottleneck between equal shares by link id alone.
+  net::Topology topo = net::fat_tree(4);
+  const int tied_rounds = check_mirrored_against_reference(
+      topo, fat_tree_pod_mirror(topo, 4), GetParam(), 400);
+  EXPECT_GE(tied_rounds, 1600) << "the draw must tie shares often";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FillingMatchesReference,

@@ -88,7 +88,8 @@ TEST(LookupEngineChurn, EvictionHeavyCyclingStaysExact) {
       net::RuleId mid = resident[next_state(state) % resident.size()];
       if (next_state(state) % 2 == 0) {
         table.modify_action(
-            mid, net::forward_to(static_cast<int>(next_state(state) % 8)));
+            *table.find_ptr(mid),
+            net::forward_to(static_cast<int>(next_state(state) % 8)));
       } else {
         std::uint32_t addr =
             0x0A000000u |

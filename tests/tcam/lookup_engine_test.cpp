@@ -101,7 +101,9 @@ TEST_P(LookupEngineDifferential, AgreesWithLinearOracleUnderChurn) {
     } else if (op == 5) {
       std::size_t victim = rng() % live.size();
       net::Action a = forward_to(static_cast<int>(rng() % 8));
-      ASSERT_TRUE(t.modify_action(live[victim].id, a).ok);
+      const net::Rule* entry = t.find_ptr(live[victim].id);
+      ASSERT_NE(entry, nullptr);
+      t.modify_action(*entry, a);
       live[victim].action = a;
     } else if (op == 6) {
       std::size_t victim = rng() % live.size();

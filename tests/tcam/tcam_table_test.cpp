@@ -181,11 +181,10 @@ TEST(TcamTable, LookupOrderIndependentOfInsertionOrder) {
 TEST(TcamTable, ModifyActionInPlace) {
   TcamTable t(4);
   ASSERT_TRUE(t.insert(make_rule(1, 1, "10.0.0.0/8", 1)).ok);
-  auto r = t.modify_action(1, forward_to(9));
-  EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.shifts, 0);
+  t.modify_action(*t.find_ptr(1), forward_to(9));
   EXPECT_EQ(t.find_ptr(1)->action.port, 9);
-  EXPECT_FALSE(t.modify_action(99, forward_to(1)).ok);
+  EXPECT_EQ(t.stats().modifies, 1u);
+  EXPECT_TRUE(t.check_invariant());
 }
 
 TEST(TcamTable, ModifyMatchInPlace) {
@@ -222,7 +221,7 @@ TEST(TcamTable, StatsAccumulate) {
   t.insert(make_rule(1, 2, "10.0.0.0/8"));
   t.insert(make_rule(2, 3, "11.0.0.0/8"));  // shifts rule 1 down
   t.erase(1);
-  t.modify_action(2, forward_to(5));
+  t.modify_action(*t.find_ptr(2), forward_to(5));
   t.lookup_ptr(*net::Ipv4Address::parse("11.1.1.1"));
   const TableStats& s = t.stats();
   EXPECT_EQ(s.inserts, 2u);
@@ -261,7 +260,9 @@ TEST_P(TcamTableProperty, RandomOpsPreserveInvariantAndSemantics) {
     } else {
       std::size_t victim = rng() % reference.size();
       net::Action a = forward_to(static_cast<int>(rng() % 8));
-      EXPECT_TRUE(t.modify_action(reference[victim].id, a).ok);
+      const Rule* entry = t.find_ptr(reference[victim].id);
+      ASSERT_NE(entry, nullptr);
+      t.modify_action(*entry, a);
       reference[victim].action = a;
     }
     ASSERT_TRUE(t.check_invariant());
@@ -357,7 +358,9 @@ void run_index_interleaving(std::uint64_t seed, int rewind_every,
     } else if (op == 2) {
       std::size_t victim = rng() % reference.size();
       net::Action a = forward_to(static_cast<int>(rng() % 8));
-      ASSERT_TRUE(t.modify_action(reference[victim].id, a).ok);
+      const Rule* entry = t.find_ptr(reference[victim].id);
+      ASSERT_NE(entry, nullptr);
+      t.modify_action(*entry, a);
       reference[victim].action = a;
     } else if (op == 3) {
       std::size_t victim = rng() % reference.size();
