@@ -80,7 +80,6 @@ PolicyRun run_policy(const workloads::ZipfConfig& wc,
                      cache::PolicyKind policy, int cache_size, int warm_probes,
                      int probes) {
   cache::CacheConfig config;
-  config.mode = cache::Mode::kCache;
   config.policy = policy;
   config.verify_lookups = true;
   cache::CacheHierarchy h(tcam::pica8_p3290(), cache_size, config);

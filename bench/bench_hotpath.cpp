@@ -332,7 +332,7 @@ struct ClosureAbort {
     auto start = Clock::now();
     for (int r = 0; r < rounds; ++r) {
       h.classify(now, probe);
-      h.flush(now++);
+      h.tick(now++);
     }
     return ns_since(start, static_cast<std::uint64_t>(rounds));
   }

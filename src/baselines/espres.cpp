@@ -18,17 +18,6 @@ Time EspresSwitch::handle(Time now, const net::FlowMod& mod) {
   return window_deadline_;
 }
 
-Time EspresSwitch::handle_batch(Time now, net::FlowModBatch& batch) {
-  obs_batch_size_.record(batch.size());
-  Time barrier = now;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Time done = handle(now, batch.mod(i));
-    batch.complete(i, done);
-    if (done > barrier) barrier = done;
-  }
-  return barrier;
-}
-
 void EspresSwitch::tick(Time now) {
   if (!pending_.empty() && now >= window_deadline_) flush(now);
 }
@@ -47,23 +36,10 @@ Time EspresSwitch::flush(Time now) {
   std::vector<net::Rule> batch;
   batch.reserve(pending_.size());
   for (const Pending& p : pending_) batch.push_back(p.mod.rule);
-  tcam::Asic::BatchResult result;
-  Time last = asic_.submit_batch_insert(now, 0, batch, &result);
-  if (asic_.fault_plan() != nullptr) {
-    // An injected failure truncated the schedule: immediately re-submit
-    // the un-landed suffix (the scheduler has no backoff — it just keeps
-    // the window's transaction going).
-    std::size_t landed = static_cast<std::size_t>(result.inserted);
-    for (int attempt = 1;
-         attempt <= kFaultRetryLimit && landed < batch.size(); ++attempt) {
-      obs_retries_.inc();
-      std::vector<net::Rule> rest(
-          batch.begin() + static_cast<std::ptrdiff_t>(landed), batch.end());
-      tcam::Asic::BatchResult r2;
-      last = asic_.submit_batch_insert(last, 0, rest, &r2);
-      landed += static_cast<std::size_t>(r2.inserted);
-    }
-  }
+  // The scheduler has no backoff: a failure that truncates the schedule
+  // re-submits the un-landed suffix at once, keeping the window's
+  // transaction going.
+  Time last = submit_batch_with_retry(asic_, now, batch);
   for (const Pending& p : pending_)
     rit_samples_.push_back(last - p.arrival);
   pending_.clear();

@@ -23,11 +23,11 @@ class EspresSwitch final : public SwitchBackend {
   EspresSwitch(const tcam::SwitchModel& model, int tcam_capacity,
                Duration batch_window = from_millis(10));
 
+  /// An insert joins the current scheduling window and completes when it
+  /// flushes; deletes/modifies pass through at per-op cost. A batch's
+  /// inserts therefore land in the same flush through the default
+  /// handle_batch.
   Time handle(Time now, const net::FlowMod& mod) override;
-  /// The transaction joins the current scheduling window as one unit:
-  /// every insert lands in the same flush (completing at the window
-  /// deadline); deletes/modifies pass through at per-op cost.
-  Time handle_batch(Time now, net::FlowModBatch& batch) override;
   void tick(Time now) override;
   const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr) override;
   std::string_view name() const override { return "ESPRES"; }

@@ -39,13 +39,6 @@ class PlainSwitch final : public SwitchBackend {
   }
 
  private:
-  /// Re-submits a failed insert immediately (no backoff: an unmodified
-  /// agent just tries again), each retry re-paying the occupancy-deep
-  /// insert cost — this is what head-of-line blocks the channel under
-  /// fault injection.
-  Time submit_with_retry(Time now, const net::FlowMod& mod,
-                         tcam::ApplyResult* result);
-
   std::string name_;
   tcam::Asic asic_;
   std::vector<Duration> rit_samples_;

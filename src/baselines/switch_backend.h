@@ -18,6 +18,11 @@ namespace hermes::fault {
 class FaultPlan;
 }
 
+namespace hermes::tcam {
+class Asic;
+struct ApplyResult;
+}  // namespace hermes::tcam
+
 namespace hermes::baselines {
 
 class SwitchBackend {
@@ -85,6 +90,20 @@ class SwitchBackend {
   /// this many extra attempts — each retry re-pays the full
   /// occupancy-dependent insert cost on the serialized channel.
   static constexpr int kFaultRetryLimit = 3;
+
+  /// Submits `mod` to slice 0 of `asic`. With a fault plan attached, a
+  /// failed insert is re-submitted as soon as the failed attempt
+  /// completes, up to kFaultRetryLimit times. `result`, when non-null,
+  /// receives the last attempt's outcome. Returns its completion time.
+  Time submit_with_retry(tcam::Asic& asic, Time now, const net::FlowMod& mod,
+                         tcam::ApplyResult* result = nullptr);
+
+  /// Inserts `rules` into slice 0 of `asic` as one batch. With a fault
+  /// plan attached, the suffix a failed write cut off is re-submitted as
+  /// soon as the previous batch completes, up to kFaultRetryLimit times.
+  /// Returns the last batch's completion time.
+  Time submit_batch_with_retry(tcam::Asic& asic, Time now,
+                               const std::vector<net::Rule>& rules);
 
   /// Failed writes re-submitted by baseline backends (aggregate across
   /// backends via the process-attached registry).

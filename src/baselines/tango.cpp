@@ -32,21 +32,11 @@ Time TangoSwitch::handle(Time now, const net::FlowMod& mod) {
       phys.id = next_physical_id_++;
       physical_[phys.id] = PhysicalEntry{phys, {rule.id}};
       logical_to_physical_[rule.id] = phys.id;
-      return insert_with_retry(std::max(t, now), phys);
+      return submit_with_retry(asic_, std::max(t, now),
+                               {net::FlowModType::kInsert, phys});
     }
   }
   return now;
-}
-
-Time TangoSwitch::handle_batch(Time now, net::FlowModBatch& batch) {
-  obs_batch_size_.record(batch.size());
-  Time barrier = now;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Time done = handle(now, batch.mod(i));
-    batch.complete(i, done);
-    if (done > barrier) barrier = done;
-  }
-  return barrier;
 }
 
 void TangoSwitch::tick(Time now) {
@@ -77,38 +67,9 @@ Time TangoSwitch::flush(Time now) {
     rewrite_group(it->first.first, action, it->second, schedule);
     for (Pending& p : it->second) all.push_back(std::move(p));
   }
-  tcam::Asic::BatchResult result;
-  Time last = asic_.submit_batch_insert(now, 0, schedule, &result);
-  if (asic_.fault_plan() != nullptr) {
-    // Immediately re-submit the suffix an injected failure cut off.
-    std::size_t landed = static_cast<std::size_t>(result.inserted);
-    for (int attempt = 1;
-         attempt <= kFaultRetryLimit && landed < schedule.size(); ++attempt) {
-      obs_retries_.inc();
-      std::vector<net::Rule> rest(
-          schedule.begin() + static_cast<std::ptrdiff_t>(landed),
-          schedule.end());
-      tcam::Asic::BatchResult r2;
-      last = asic_.submit_batch_insert(last, 0, rest, &r2);
-      landed += static_cast<std::size_t>(r2.inserted);
-    }
-  }
+  Time last = submit_batch_with_retry(asic_, now, schedule);
   for (const Pending& p : all) rit_samples_.push_back(last - p.arrival);
   return last;
-}
-
-Time TangoSwitch::insert_with_retry(Time now, const net::Rule& phys) {
-  tcam::ApplyResult result;
-  Time done = asic_.submit(now, 0, {net::FlowModType::kInsert, phys}, &result);
-  if (!result.ok && asic_.fault_plan() != nullptr) {
-    for (int attempt = 1; attempt <= kFaultRetryLimit && !result.ok;
-         ++attempt) {
-      obs_retries_.inc();
-      done =
-          asic_.submit(done, 0, {net::FlowModType::kInsert, phys}, &result);
-    }
-  }
-  return done;
 }
 
 void TangoSwitch::rewrite_group(int priority, const net::Action& action,
@@ -177,7 +138,7 @@ Time TangoSwitch::erase_logical(Time now, net::RuleId id) {
     std::vector<net::RuleId> new_ids;
     for (const net::Prefix& prefix : merged) {
       net::Rule phys{next_physical_id_++, priority, prefix, action};
-      last = insert_with_retry(now, phys);
+      last = submit_with_retry(asic_, now, {net::FlowModType::kInsert, phys});
       physical_.emplace(phys.id, PhysicalEntry{phys, {}});
       new_ids.push_back(phys.id);
     }

@@ -28,11 +28,10 @@ class TangoSwitch final : public SwitchBackend {
   TangoSwitch(const tcam::SwitchModel& model, int tcam_capacity,
               Duration batch_window = from_millis(10));
 
+  /// An insert joins the current scheduling window and is rewritten and
+  /// flushed with it; deletes/modifies pass through. A batch's inserts
+  /// therefore share one schedule through the default handle_batch.
   Time handle(Time now, const net::FlowMod& mod) override;
-  /// The transaction joins the current scheduling window as one unit:
-  /// every insert is rewritten and flushed with the same schedule
-  /// (completing at the window deadline); deletes/modifies pass through.
-  Time handle_batch(Time now, net::FlowModBatch& batch) override;
   void tick(Time now) override;
   const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr) override;
   std::string_view name() const override { return "Tango"; }
@@ -68,9 +67,6 @@ class TangoSwitch final : public SwitchBackend {
   };
 
   Time erase_logical(Time now, net::RuleId id);
-  /// Per-op insert with the shared immediate-retry policy (modify path
-  /// and the reinstall loop of erase_logical).
-  Time insert_with_retry(Time now, const net::Rule& phys);
   void rewrite_group(int priority, const net::Action& action,
                      const std::vector<Pending>& group,
                      std::vector<net::Rule>& batch);

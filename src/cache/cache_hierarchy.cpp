@@ -11,9 +11,9 @@ namespace hermes::cache {
 namespace {
 constexpr int kMinPriority = std::numeric_limits<int>::min();
 constexpr int kMaxPriority = std::numeric_limits<int>::max();
-/// kCache: max rules installed per promotion round (one tick()).
+/// Max rules installed per promotion round (one tick()).
 constexpr int kPromotionBatchMax = 64;
-/// kCache: pending promotion candidates beyond this are dropped.
+/// Pending promotion candidates beyond this are dropped.
 constexpr int kPromotionQueueMax = 4096;
 }  // namespace
 
@@ -21,10 +21,7 @@ CacheHierarchy::CacheHierarchy(const tcam::SwitchModel& model,
                                int tcam_capacity, CacheConfig config)
     : config_(config),
       asic_(model, {tcam_capacity}),
-      policy_(config.mode == Mode::kCache
-                  ? make_policy(config.policy, tcam_capacity)
-                  : nullptr),
-      next_flush_(config.flush_period) {}
+      policy_(make_policy(config.policy, tcam_capacity)) {}
 
 // --- Software tier ------------------------------------------------------------
 
@@ -49,7 +46,6 @@ int CacheHierarchy::software_resident() const {
 // --- Control plane ------------------------------------------------------------
 
 Time CacheHierarchy::handle(Time now, const net::FlowMod& mod) {
-  if (config_.mode == Mode::kWriteBack) return write_back_handle(now, mod);
   note_reset_if_any(now);
   switch (mod.type) {
     case net::FlowModType::kInsert:
@@ -67,88 +63,10 @@ Time CacheHierarchy::handle(Time now, const net::FlowMod& mod) {
   return now;
 }
 
-Time CacheHierarchy::write_back_handle(Time now, const net::FlowMod& mod) {
-  switch (mod.type) {
-    case net::FlowModType::kInsert: {
-      // The control-plane action completes at software speed — that is
-      // ShadowSwitch's whole point.
-      software_install(mod.rule);
-      obs_software_resident_.set(software_resident());
-      return now + config_.software_insert;
-    }
-    case net::FlowModType::kDelete: {
-      if (software_erase(mod.rule.id)) {
-        obs_software_resident_.set(software_resident());
-        return now + config_.software_insert;
-      }
-      return asic_.submit(now, 0, mod);
-    }
-    case net::FlowModType::kModify: {
-      if (entries_.count(mod.rule.id) > 0) {
-        software_install(mod.rule);
-        return now + config_.software_insert;
-      }
-      return asic_.submit(now, 0, mod);
-    }
-  }
-  return now;
-}
-
 void CacheHierarchy::tick(Time now) {
-  if (config_.mode == Mode::kWriteBack) {
-    if (now >= next_flush_ && !entries_.empty()) write_back_flush(now);
-    while (next_flush_ <= now) next_flush_ += config_.flush_period;
-    return;
-  }
   note_reset_if_any(now);
   promote_round(now);
 }
-
-Time CacheHierarchy::flush(Time now) {
-  if (config_.mode == Mode::kWriteBack) return write_back_flush(now);
-  note_reset_if_any(now);
-  promote_round(now);
-  return now;
-}
-
-Time CacheHierarchy::write_back_flush(Time now) {
-  if (entries_.empty()) return now;
-  std::vector<net::Rule> batch;
-  batch.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) batch.push_back(entry.rule);
-  // Deterministic flush order: by priority descending then id.
-  std::sort(batch.begin(), batch.end(),
-            [](const net::Rule& a, const net::Rule& b) {
-              if (a.priority != b.priority) return a.priority > b.priority;
-              return a.id < b.id;
-            });
-  tcam::Asic::BatchResult result;
-  Time done = asic_.submit_batch_insert(now, 0, batch, &result);
-  // Whatever fit leaves software; the rest stays for the next flush.
-  //
-  // `result.inserted` counts a PREFIX of the batch: the single-pass
-  // placement stops at the first rule that does not fit, and fault
-  // injection truncates the batch at the first failed write. Dropping
-  // the software copy is only safe once the TCAM verifiably holds the
-  // rule — if the prefix contract ever broke, blindly erasing the first
-  // `inserted` entries would drop a skipped rule from BOTH tiers. So
-  // verify per entry; a discrepancy keeps the rule software-resident
-  // and is counted (cache.flush_orphans, asserted zero by tests).
-  for (int i = 0; i < result.inserted; ++i) {
-    const net::Rule& r = batch[static_cast<std::size_t>(i)];
-    if (asic_.slice(0).contains(r.id)) {
-      software_erase(r.id);
-    } else {
-      assert(false && "batch insert reported a non-resident rule");
-      ++flush_orphans_;
-      obs_flush_orphans_.inc();
-    }
-  }
-  obs_software_resident_.set(software_resident());
-  return done;
-}
-
-// --- kCache control plane -----------------------------------------------------
 
 Time CacheHierarchy::cache_insert(Time now, const net::Rule& rule) {
   if (entries_.count(rule.id) > 0) cache_erase(now, rule.id);
@@ -388,22 +306,6 @@ std::vector<net::Rule> CacheHierarchy::demotion_cascade(
 CacheHierarchy::LookupResult CacheHierarchy::classify(
     Time now, net::Ipv4Address addr) {
   LookupResult res;
-  if (config_.mode == Mode::kWriteBack) {
-    const net::Rule* hw = asic_.lookup_ptr(now, addr);
-    const net::Rule* sw = sw_engine_.lookup(addr);
-    // Hardware wins priority ties (the TCAM answers before the slow
-    // path) — the ShadowSwitch seam semantic.
-    if (hw && sw) res.rule = hw->priority >= sw->priority ? hw : sw;
-    else res.rule = hw != nullptr ? hw : sw;
-    res.tcam_hit = res.rule != nullptr && res.rule == hw;
-    res.latency = res.tcam_hit || res.rule == nullptr
-                      ? 0
-                      : config_.software_latency;
-    if (!res.tcam_hit && res.rule != nullptr)
-      obs_miss_latency_.record(static_cast<std::uint64_t>(res.latency));
-    return res;
-  }
-
   note_reset_if_any(now);
   const net::Rule* hw = asic_.lookup_ptr(now, addr);
   if (hw != nullptr) {
@@ -440,19 +342,9 @@ CacheHierarchy::LookupResult CacheHierarchy::classify(
   return res;
 }
 
-const net::Rule* CacheHierarchy::lookup_ptr(Time now,
-                                            net::Ipv4Address addr) {
-  if (config_.mode == Mode::kCache) return classify(now, addr).rule;
-  const net::Rule* hw = asic_.lookup_ptr(now, addr);
-  const net::Rule* sw = sw_engine_.lookup(addr);
-  if (hw && sw) return hw->priority >= sw->priority ? hw : sw;
-  return hw != nullptr ? hw : sw;
-}
-
 // --- Invariant oracle ---------------------------------------------------------
 
 bool CacheHierarchy::check_invariant() const {
-  if (config_.mode == Mode::kWriteBack) return true;
   int cached_seen = 0;
   for (const auto& [id, entry] : entries_) {
     if (!entry.cached) continue;

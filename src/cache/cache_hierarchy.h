@@ -1,23 +1,13 @@
 // The rule-cache hierarchy: a bounded TCAM tier layered over an
 // unbounded software tier (FDRC, see PAPERS.md: flow-driven rule caching
-// treats the TCAM as a cache over the full logical table).
+// treats the TCAM as a cache over the full logical table). The software
+// tier is INCLUSIVE (it always holds every rule), the TCAM holds a
+// popularity-chosen subset, and a pluggable EvictionPolicy decides
+// admission and eviction from per-rule hit counters fed by the
+// data-plane lookup path.
 //
-// Two operating modes share one implementation:
-//
-//   * kWriteBack — the ShadowSwitch seam, extracted verbatim from the
-//     hand-rolled version inside ShadowSwitchBackend: rules land in the
-//     software tier at software speed and a periodic background flush
-//     batch-moves them into the TCAM. Residency is EXCLUSIVE (a flushed
-//     rule leaves software), lookups combine both tiers with
-//     hardware-wins-ties priority. Bit-identical to the old backend.
-//
-//   * kCache — the FDRC mode. The software tier is INCLUSIVE (it always
-//     holds every rule), the TCAM holds a popularity-chosen subset, and
-//     a pluggable EvictionPolicy decides admission and eviction from
-//     per-rule hit counters fed by the data-plane lookup path.
-//
-// kCache correctness invariant (the "dependency closure" rule): for
-// every TCAM-resident rule C there is NO software-only rule S != C with
+// Correctness invariant (the "dependency closure" rule): for every
+// TCAM-resident rule C there is NO software-only rule S != C with
 // S.priority >= C.priority whose match overlaps C's. Under it a TCAM hit
 // is authoritative — no higher-or-equal-priority match can be hiding in
 // software — and a TCAM miss falls back to the full software table,
@@ -59,7 +49,8 @@
 
 namespace hermes::cache {
 
-enum class Mode : std::uint8_t { kWriteBack, kCache };
+/// One value: the benchmark's flow_cache workload still assigns it.
+enum class Mode : std::uint8_t { kCache };
 
 struct CacheConfig {
   Mode mode = Mode::kCache;
@@ -70,11 +61,9 @@ struct CacheConfig {
   /// Data-plane penalty of a software-tier (miss-path) match — the slow
   /// path the sim charges when the TCAM does not answer.
   Duration software_latency = from_micros(20);
-  /// kWriteBack: background flush cadence.
-  Duration flush_period = from_millis(20);
 
-  /// kCache: promotion closures / demotion cascades larger than this
-  /// abort (closure) or pin (cascade) instead of churning the TCAM.
+  /// Promotion closures / demotion cascades larger than this abort
+  /// (closure) or pin (cascade) instead of churning the TCAM.
   int closure_limit = 16;
   /// Differential oracle on every lookup (counts mismatches as
   /// cache.dependency_violations). Costs one extra software lookup per
@@ -89,12 +78,8 @@ class CacheHierarchy {
 
   // --- Control plane (returns completion time) -----------------------------
   Time handle(Time now, const net::FlowMod& mod);
-  /// kWriteBack: runs the periodic flush when due. kCache: applies
-  /// pending promotions/demotions (and reconciles after an ASIC reset).
+  /// Runs a promotion round (and reconciles after an ASIC reset).
   void tick(Time now);
-  /// kWriteBack: forces the background flush (end-of-run drain).
-  /// kCache: forces a promotion round.
-  Time flush(Time now);
 
   // --- Data plane ----------------------------------------------------------
   struct LookupResult {
@@ -106,10 +91,12 @@ class CacheHierarchy {
   /// feedback. The pointer is invalidated by the next mutation.
   LookupResult classify(Time now, net::Ipv4Address addr);
 
-  /// The data-plane read at `now` (applies pending ASIC resets). kCache:
+  /// The data-plane read at `now` (applies pending ASIC resets):
   /// classify(now, addr).rule, with its hit/miss accounting and policy
-  /// feedback. kWriteBack: both tiers, hardware wins priority ties.
-  const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr);
+  /// feedback.
+  const net::Rule* lookup_ptr(Time now, net::Ipv4Address addr) {
+    return classify(now, addr).rule;
+  }
 
   // --- Introspection -------------------------------------------------------
   /// Rules resident ONLY in the software tier (slow data path).
@@ -137,13 +124,8 @@ class CacheHierarchy {
   std::uint64_t dependency_violations() const {
     return dependency_violations_;
   }
-  /// kWriteBack flush hardening: batch entries reported inserted but not
-  /// actually TCAM-resident (kept software-resident instead of being
-  /// dropped from both tiers). Identically zero today — the batch insert
-  /// path only ever lands a prefix — and asserted zero by tests.
-  std::uint64_t flush_orphans() const { return flush_orphans_; }
 
-  /// kCache invariant oracle for tests: every cached rule has no
+  /// Invariant oracle for tests: every cached rule has no
   /// software-only overlapping rule at >= priority, and the cached /
   /// uncached bookkeeping (flags, indexes, counts) is consistent.
   bool check_invariant() const;
@@ -152,18 +134,12 @@ class CacheHierarchy {
   struct Entry {
     net::Rule rule;
     std::uint64_t seq = 0;  ///< arrival stamp (tie-break order)
-    bool cached = false;    ///< TCAM-resident (kCache mode only)
+    bool cached = false;    ///< TCAM-resident
   };
 
-  // Shared software-tier plumbing.
   bool software_erase(net::RuleId id);
   void software_install(const net::Rule& rule);
 
-  // kWriteBack path.
-  Time write_back_handle(Time now, const net::FlowMod& mod);
-  Time write_back_flush(Time now);
-
-  // kCache path.
   Time cache_insert(Time now, const net::Rule& rule);
   Time cache_erase(Time now, net::RuleId id);
   void note_reset_if_any(Time now);
@@ -190,7 +166,7 @@ class CacheHierarchy {
   std::uint64_t seq_ = 0;
   int cached_count_ = 0;
 
-  /// kCache: overlap tries over the two residency classes. The uncached
+  /// Overlap tries over the two residency classes. The uncached
   /// index answers promotion-closure queries ("which software-only rules
   /// overlap R at >= priority?"), the cached index demotion cascades and
   /// insert-path maintenance.
@@ -200,7 +176,6 @@ class CacheHierarchy {
   std::deque<net::RuleId> promo_queue_;
   std::unordered_set<net::RuleId> in_queue_;
 
-  Time next_flush_ = 0;
   int seen_reset_epoch_ = 0;
 
   std::uint64_t hits_ = 0;
@@ -210,7 +185,6 @@ class CacheHierarchy {
   std::uint64_t promotion_aborts_ = 0;
   std::uint64_t pins_ = 0;
   std::uint64_t dependency_violations_ = 0;
-  std::uint64_t flush_orphans_ = 0;
 
   obs::Counter obs_hits_ = obs::attached_counter("cache.hits");
   obs::Counter obs_misses_ = obs::attached_counter("cache.misses");
@@ -221,8 +195,6 @@ class CacheHierarchy {
   obs::Counter obs_pins_ = obs::attached_counter("cache.pins");
   obs::Counter obs_violations_ =
       obs::attached_counter("cache.dependency_violations");
-  obs::Counter obs_flush_orphans_ =
-      obs::attached_counter("cache.flush_orphans");
   obs::Gauge obs_software_resident_ =
       obs::attached_gauge("cache.software_resident");
   obs::Histogram obs_miss_latency_ =

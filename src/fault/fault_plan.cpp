@@ -3,21 +3,14 @@
 #include <algorithm>
 #include <cassert>
 
-namespace hermes::fault {
+#include "net/splitmix.h"
 
-namespace {
+namespace hermes::fault {
 
 // Counter-based hashing instead of a stateful RNG: the draw for
 // (seed, slice, draw#) is a pure function, so schedules replay
 // bit-identically regardless of how calls interleave across slices.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
+using net::splitmix64;
 
 FaultPlan::FaultPlan(FaultPlanConfig config) : config_(std::move(config)) {
   assert(std::is_sorted(config_.resets.begin(), config_.resets.end()) &&

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <limits>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace hermes::core {
 
@@ -205,19 +204,23 @@ Time HermesAgent::handle(Time now, const net::FlowMod& mod) {
 Time HermesAgent::handle_batch(Time now, net::FlowModBatch& batch) {
   Time barrier = now;
   std::vector<std::size_t> run;
-  std::unordered_set<net::RuleId> run_ids;
   auto flush = [&] {
     if (run.empty()) return;
     barrier = std::max(barrier, flush_insert_run(now, batch, run));
     run.clear();
-    run_ids.clear();
+  };
+  // A run is short (one mod per request in the TE app, a few hundred at
+  // most), so a repeated id is found by scanning it.
+  auto in_run = [&](net::RuleId id) {
+    return std::any_of(run.begin(), run.end(), [&](std::size_t j) {
+      return batch.mod(j).rule.id == id;
+    });
   };
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const net::FlowMod& mod = batch.mod(i);
     if (mod.type == net::FlowModType::kInsert &&
-        !store_.contains(mod.rule.id) && run_ids.count(mod.rule.id) == 0) {
+        !store_.contains(mod.rule.id) && !in_run(mod.rule.id)) {
       run.push_back(i);
-      run_ids.insert(mod.rule.id);
       continue;
     }
     // A delete/modify — or an insert with modify semantics — breaks the

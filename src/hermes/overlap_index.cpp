@@ -112,12 +112,6 @@ std::vector<net::Rule> OverlapIndex::overlapping(
   return out;
 }
 
-bool OverlapIndex::has_overlap_above(const net::Prefix& p,
-                                     int min_priority_exclusive) const {
-  return !visit(p, min_priority_exclusive, std::numeric_limits<int>::max(),
-                [](const net::Rule&) { return false; });
-}
-
 void OverlapIndex::clear() {
   nodes_.assign(1, Node{});
   records_.clear();

@@ -67,10 +67,6 @@ class OverlapIndex {
   std::vector<net::Rule> overlapping(const net::Prefix& p,
                                      int min_priority_exclusive) const;
 
-  /// True iff some rule overlapping `p` has priority > the bound.
-  bool has_overlap_above(const net::Prefix& p,
-                         int min_priority_exclusive) const;
-
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   void clear();

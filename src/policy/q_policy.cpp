@@ -3,20 +3,13 @@
 #include <algorithm>
 #include <cassert>
 
+#include "net/splitmix.h"
+
 namespace hermes::policy {
-namespace {
 
-// splitmix64 finalizer (public-domain constants). Counter-based: the
-// policy never holds generator state beyond the draw index, so a replay
-// from the same seed is trivially bit-identical.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
+// Counter-based: the policy never holds generator state beyond the draw
+// index, so a replay from the same seed is trivially bit-identical.
+using net::splitmix64;
 
 QPolicy::QPolicy(QPolicyConfig config)
     : config_(config),

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "net/splitmix.h"
 #include "workloads/bgp.h"
 #include "workloads/microbench.h"
 #include "workloads/zipf.h"
@@ -11,15 +12,9 @@
 namespace hermes::workloads {
 namespace {
 
-// splitmix64 finalizer — the repo's standard counter-based draw. Every
-// scenario derives all randomness from hash(seed, counter), so a replay
-// with the same (name, seed, scale) is bit-identical.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+// Every scenario derives all randomness from hash(seed, counter), so a
+// replay with the same (name, seed, scale) is bit-identical.
+using net::splitmix64;
 
 /// Counter-based uniform helpers bound to one seed.
 struct Draws {

@@ -58,7 +58,7 @@ TEST(ShadowFlushFault, TruncatedFlushKeepsEveryRuleInSomeTier) {
     EXPECT_EQ(sw.tcam_occupancy() + sw.software_resident(), 64);
     expect_no_rule_lost(sw, now, 1, 64);
   }
-  EXPECT_EQ(sw.hierarchy().flush_orphans(), 0u);
+  EXPECT_EQ(sw.flush_orphans(), 0u);
   EXPECT_TRUE(sw.asic().slice(0).check_invariant());
 }
 
@@ -103,7 +103,7 @@ TEST(ShadowFlushFault, InterleavedChurnAndFaultyFlushes) {
     sw.tick(now);
     ASSERT_EQ(sw.tcam_occupancy() + sw.software_resident(), live);
   }
-  EXPECT_EQ(sw.hierarchy().flush_orphans(), 0u);
+  EXPECT_EQ(sw.flush_orphans(), 0u);
   EXPECT_TRUE(sw.asic().slice(0).check_invariant());
 }
 

@@ -20,7 +20,6 @@ Rule make_rule(net::RuleId id, int priority, std::string_view prefix,
 
 CacheConfig cache_config(PolicyKind policy = PolicyKind::kFdrc) {
   CacheConfig c;
-  c.mode = Mode::kCache;
   c.policy = policy;
   c.verify_lookups = true;
   return c;
@@ -125,7 +124,7 @@ void promote_wide_rule(CacheHierarchy& h, int n) {
                  make_rule(static_cast<net::RuleId>(2 + i), 9,
                            "10.0.0." + std::to_string(2 + i) + "/32")});
   touch(h, 0, addr_of("10.9.9.9"));  // matches only the /8
-  h.flush(from_millis(1));
+  h.tick(from_millis(1));
 }
 
 TEST(CacheHierarchy, ClosureOfExactlyTheLimitIsInstalled) {
@@ -158,7 +157,7 @@ TEST(CacheHierarchy, ClosureOneOverTheLimitAborts) {
 void cascade_from_wide_victim(CacheHierarchy& h, int n) {
   h.handle(0, {FlowModType::kInsert, make_rule(1, 9, "10.0.0.0/8", 1)});
   touch(h, 0, addr_of("10.9.9.9"));
-  h.flush(0);
+  h.tick(0);
   net::RuleId next = 2;
   for (int i = 0; i < n; ++i) {
     h.handle(0, {FlowModType::kInsert,
@@ -167,14 +166,14 @@ void cascade_from_wide_victim(CacheHierarchy& h, int n) {
     const net::RuleId route = next++;
     h.handle(0, {FlowModType::kInsert, make_rule(route, 1, "0.0.0.0/0")});
     touch(h, 0, addr_of("11.1.1.1"));  // matches only the default route
-    h.flush(0);
+    h.tick(0);
     h.handle(0, {FlowModType::kDelete, Rule{route, 0, {}, {}}});
   }
   ASSERT_EQ(h.tcam_occupancy(), n + 1);
   h.handle(0, {FlowModType::kInsert, make_rule(next++, 5, "20.0.0.0/24")});
   h.handle(0, {FlowModType::kInsert, make_rule(next++, 6, "20.0.0.1/32")});
   touch(h, 0, addr_of("20.0.0.2"));  // matches only the /24
-  h.flush(from_millis(1));
+  h.tick(from_millis(1));
 }
 
 TEST(CacheHierarchy, CascadeOfExactlyTheLimitIsDemoted) {
@@ -335,22 +334,6 @@ TEST(CacheHierarchy, AsicResetLosesNoRules) {
   EXPECT_TRUE(rehit.tcam_hit);
   EXPECT_EQ(h.dependency_violations(), 0u);
   EXPECT_TRUE(h.check_invariant());
-}
-
-TEST(CacheHierarchy, WriteBackModeMatchesShadowSwitchSemantics) {
-  CacheConfig config;
-  config.mode = Mode::kWriteBack;
-  config.software_insert = from_micros(30);
-  config.flush_period = from_millis(20);
-  CacheHierarchy h(tcam::pica8_p3290(), 100, config);
-  Time done =
-      h.handle(0, {FlowModType::kInsert, make_rule(1, 5, "10.0.0.0/8", 1)});
-  EXPECT_EQ(done, from_micros(30));
-  EXPECT_EQ(h.software_resident(), 1);
-  h.tick(from_millis(20));
-  EXPECT_EQ(h.software_resident(), 0);
-  EXPECT_EQ(h.tcam_occupancy(), 1);
-  EXPECT_EQ(h.flush_orphans(), 0u);
 }
 
 }  // namespace

@@ -80,7 +80,6 @@ net::Ipv4Address fuzz_addr(std::uint64_t& state) {
 
 void run_fuzz(PolicyKind policy, std::uint64_t seed) {
   CacheConfig config;
-  config.mode = Mode::kCache;
   config.policy = policy;
   config.verify_lookups = true;
   config.closure_limit = 8;

@@ -6,7 +6,9 @@
 
 #include <string>
 
+#include "baselines/espres.h"
 #include "baselines/plain_switch.h"
+#include "baselines/tango.h"
 #include "fault/fault_plan.h"
 #include "hermes/hermes_agent.h"
 #include "net/flow_mod_batch.h"
@@ -238,6 +240,109 @@ TEST(PlainRecovery, PermanentFailureGivesUpAfterRetryBudget) {
   EXPECT_EQ(sw.occupancy(), 0);
   // Original attempt + the bounded retry budget, nothing more.
   EXPECT_EQ(plan.write_failures(), 4u);
+}
+
+// ESPRES and Tango share the baselines' immediate-retry policy: a window
+// flush re-submits the suffix a failed write cut off, and Tango's modify
+// path retries its one insert. Each case ticks past the 10 ms scheduling
+// window so the window flushes.
+
+/// Writes an insert that keeps failing costs: the first attempt plus the
+/// baselines' retry budget (a protected constant, read through a derived
+/// class).
+struct RetryBudget : baselines::SwitchBackend {
+  static constexpr std::uint64_t kAttempts = 1 + kFaultRetryLimit;
+};
+
+/// Rule `i` of a window: disjoint /8s, each with its own port, so Tango
+/// has nothing to aggregate and every rule is one TCAM entry.
+Rule window_rule(int i) {
+  return make_rule(static_cast<net::RuleId>(1 + i), 10 + i % 3,
+                   std::to_string(10 + 2 * i) + ".0.0.0/8", i);
+}
+
+template <typename Switch>
+void expect_failing_flush_gives_up_after_retry_budget() {
+  fault::FaultPlanConfig fc;
+  fc.default_slice.write_failure_prob = 1.0;
+  fault::FaultPlan plan(fc);
+  Switch sw(tcam::pica8_p3290(), 512);
+  sw.set_fault_plan(&plan);
+
+  for (int i = 0; i < 5; ++i)
+    sw.handle(0, {net::FlowModType::kInsert, window_rule(i)});
+  EXPECT_EQ(plan.write_failures(), 0u);  // nothing written before the flush
+  sw.tick(from_millis(10));
+  EXPECT_EQ(sw.occupancy(), 0);
+  // One failed batch, then one failed re-submission per retry.
+  EXPECT_EQ(plan.write_failures(), RetryBudget::kAttempts);
+  EXPECT_EQ(sw.rit_samples().size(), 5u);
+}
+
+template <typename Switch>
+void expect_flaky_flushes_land_every_rule() {
+  fault::FaultPlanConfig fc;
+  fc.seed = 0xB0B;
+  fc.default_slice.write_failure_prob = 0.2;
+  fault::FaultPlan plan(fc);
+  Switch sw(tcam::pica8_p3290(), 512);
+  sw.set_fault_plan(&plan);
+
+  const int n = 30;
+  for (int i = 0; i < n; ++i) {
+    const Time t = i * from_millis(2);
+    sw.tick(t);  // the simulator delivers due ticks before a request
+    sw.handle(t, {net::FlowModType::kInsert, window_rule(i)});
+  }
+  const Time end = from_seconds(1);
+  sw.tick(end);
+  EXPECT_GT(plan.write_failures(), 0u);
+  // Six windows of five rules: the suffix re-submissions land every rule
+  // (at prob 0.2 and 3 retries per window the fixed seed loses none).
+  EXPECT_EQ(sw.occupancy(), n);
+  for (int i = 0; i < n; ++i) {
+    const net::Rule* hit = sw.lookup_ptr(
+        end, *net::Ipv4Address::parse(std::to_string(10 + 2 * i) +
+                                      ".1.2.3"));
+    ASSERT_NE(hit, nullptr) << "rule " << 1 + i;
+    EXPECT_EQ(hit->action.port, i);
+  }
+  EXPECT_EQ(sw.rit_samples().size(), static_cast<std::size_t>(n));
+}
+
+TEST(BaselineRecovery, EspresFailingFlushGivesUpAfterRetryBudget) {
+  expect_failing_flush_gives_up_after_retry_budget<baselines::EspresSwitch>();
+}
+
+TEST(BaselineRecovery, TangoFailingFlushGivesUpAfterRetryBudget) {
+  expect_failing_flush_gives_up_after_retry_budget<baselines::TangoSwitch>();
+}
+
+TEST(BaselineRecovery, EspresFlakyFlushesLandEveryRule) {
+  expect_flaky_flushes_land_every_rule<baselines::EspresSwitch>();
+}
+
+TEST(BaselineRecovery, TangoFlakyFlushesLandEveryRule) {
+  expect_flaky_flushes_land_every_rule<baselines::TangoSwitch>();
+}
+
+TEST(BaselineRecovery, TangoModifyInsertGivesUpAfterRetryBudget) {
+  baselines::TangoSwitch sw(tcam::pica8_p3290(), 512);
+  sw.handle(0, {net::FlowModType::kInsert, window_rule(0)});
+  sw.tick(from_millis(10));
+  ASSERT_EQ(sw.occupancy(), 1);
+
+  fault::FaultPlanConfig fc;
+  fc.default_slice.write_failure_prob = 1.0;
+  fault::FaultPlan plan(fc);
+  sw.set_fault_plan(&plan);
+  // A modify deletes the old entry (deletes never fail) and re-inserts
+  // the rule per op, retrying that insert immediately.
+  Rule changed = window_rule(0);
+  changed.action = net::forward_to(9);
+  sw.handle(from_millis(20), {net::FlowModType::kModify, changed});
+  EXPECT_EQ(plan.write_failures(), RetryBudget::kAttempts);
+  EXPECT_EQ(sw.occupancy(), 0);
 }
 
 }  // namespace

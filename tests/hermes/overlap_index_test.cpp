@@ -29,7 +29,7 @@ TEST(OverlapIndex, EmptyHasNoOverlaps) {
   OverlapIndex idx;
   EXPECT_TRUE(idx.empty());
   EXPECT_TRUE(idx.overlapping(*Prefix::parse("10.0.0.0/8"), kAll).empty());
-  EXPECT_FALSE(idx.has_overlap_above(Prefix::any(), kAll));
+  EXPECT_TRUE(idx.overlapping(Prefix::any(), kAll).empty());
 }
 
 TEST(OverlapIndex, FindsAncestorOverlap) {
@@ -58,8 +58,8 @@ TEST(OverlapIndex, PriorityBoundFilters) {
   idx.insert(make_rule(2, 7, "10.0.0.0/8"));
   auto hits = idx.overlapping(*Prefix::parse("10.1.0.0/16"), 5);
   EXPECT_EQ(ids_of(hits), std::vector<net::RuleId>{2});
-  EXPECT_TRUE(idx.has_overlap_above(*Prefix::parse("10.1.0.0/16"), 5));
-  EXPECT_FALSE(idx.has_overlap_above(*Prefix::parse("10.1.0.0/16"), 7));
+  EXPECT_FALSE(idx.overlapping(*Prefix::parse("10.1.0.0/16"), 5).empty());
+  EXPECT_TRUE(idx.overlapping(*Prefix::parse("10.1.0.0/16"), 7).empty());
 }
 
 TEST(OverlapIndex, SameNodeMultipleRules) {
@@ -93,9 +93,9 @@ TEST(OverlapIndex, EraseMaintainsMaxPriorityPruning) {
   OverlapIndex idx;
   idx.insert(make_rule(1, 10, "10.1.0.0/16"));
   idx.insert(make_rule(2, 3, "10.2.0.0/16"));
-  EXPECT_TRUE(idx.has_overlap_above(*Prefix::parse("10.0.0.0/8"), 5));
+  EXPECT_FALSE(idx.overlapping(*Prefix::parse("10.0.0.0/8"), 5).empty());
   idx.erase(1, *Prefix::parse("10.1.0.0/16"));
-  EXPECT_FALSE(idx.has_overlap_above(*Prefix::parse("10.0.0.0/8"), 5));
+  EXPECT_TRUE(idx.overlapping(*Prefix::parse("10.0.0.0/8"), 5).empty());
 }
 
 TEST(OverlapIndex, ClearResets) {
@@ -236,7 +236,7 @@ TEST_P(OverlapIndexProperty, MatchesBruteForce) {
         expected.push_back(r.id);
     std::sort(expected.begin(), expected.end());
     EXPECT_EQ(ids_of(idx.overlapping(probe, bound)), expected);
-    EXPECT_EQ(idx.has_overlap_above(probe, bound), !expected.empty());
+    EXPECT_EQ(idx.overlapping(probe, bound).empty(), expected.empty());
 
     // The order, not just the set: Algorithm 1's cut order and every
     // cache closure depend on it.

@@ -97,6 +97,35 @@ class CompareTest(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertEqual(row(text, "ops_per_s")[6:], ["0/3", "worse"])
         self.assertEqual(len(row(text, "op_p50_us")), 7)  # ties: no verdict
+        self.assertIn("-- w seed 1: worse: ops_per_s; unresolved: none", text)
+
+    def test_wide_overlapping_spread_is_unresolved(self):
+        # Parent ops IQR 40 against a bound of 25 (25% of 100); the change
+        # runs sit among the parent's.
+        parent = [result(v, 10.0) for v in (100, 60, 140, 80, 120)]
+        change = [result(v, 10.0) for v in (110, 70, 130, 90, 95)]
+        code, text = run_compare(StubRunner(parent, change), 5)
+        self.assertEqual(code, 0)
+        self.assertEqual(row(text, "ops_per_s")[7:], ["unresolved"])
+        self.assertIn("-- w seed 1: worse: none; unresolved: ops_per_s",
+                      text)
+
+    def test_wide_spread_with_every_change_run_better_is_resolved(self):
+        parent = [result(v, 10.0) for v in (100, 60, 140, 80, 120)]
+        change = [result(v + 100, 10.0) for v in (100, 60, 140, 80, 120)]
+        code, text = run_compare(StubRunner(parent, change), 5)
+        self.assertEqual(code, 0)
+        self.assertEqual(row(text, "ops_per_s")[7:], ["gain"])
+        self.assertIn("-- w seed 1: worse: none; unresolved: none", text)
+
+    def test_tight_unchanged_metric_gets_no_verdict(self):
+        parent = [result(v, 10.0) for v in (100, 101, 99, 100, 100)]
+        change = [result(v, 10.0) for v in (100, 99, 101, 100, 100)]
+        code, text = run_compare(StubRunner(parent, change), 5)
+        self.assertEqual(code, 0)
+        self.assertEqual(len(row(text, "ops_per_s")), 7)
+        self.assertEqual(len(row(text, "op_p50_us")), 7)
+        self.assertIn("-- w seed 1: worse: none; unresolved: none", text)
 
     def test_digest_mismatch_fails(self):
         runner = StubRunner([result(1, 1)] * 2, [result(1, 1)] * 2,

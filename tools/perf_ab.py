@@ -19,8 +19,12 @@ end-to-end metric of BENCHMARK.json, one line gives the two medians, the
 two interquartile ranges, the ratio change/parent of the medians and the
 pairs the change won (ties count for neither side). The last column says
 `gain` when the change won at least nine tenths of the pairs and its median
-beats the parent's by more than the parent's IQR, and `worse` when its
-median is worse than the parent's by more than the metric's bound.
+beats the parent's by more than the parent's IQR, `worse` when its median
+is worse than the parent's by more than the metric's bound, and
+`unresolved` when either side's IQR is wider than that bound and the two
+sides' runs overlap: such a spread cannot show the metric unchanged. A
+closing line per workload and seed lists the worse and the unresolved
+metrics.
 
 Exit codes: 0 every run succeeded and the digests matched, 1 a run failed,
 reported an incorrect output or printed another digest, 2 usage error.
@@ -72,11 +76,15 @@ def summarize(metric, parent, change):
     wins = sum(1 for p, c in zip(parent, change)
                if (c < p if lower else c > p))
     gain = cmed - pmed if not lower else pmed - cmed
+    bound = metric.get("bound", float("inf")) * abs(pmed)
+    overlap = max(min(parent), min(change)) <= min(max(parent), max(change))
     verdict = ""
     if wins * 10 >= 9 * len(parent) and gain > p3 - p1:
         verdict = "gain"
-    elif -gain > metric.get("bound", float("inf")) * abs(pmed):
+    elif -gain > bound:
         verdict = "worse"
+    elif max(p3 - p1, c3 - c1) > bound and overlap:
+        verdict = "unresolved"
     return {"name": metric["name"], "unit": metric.get("unit", ""),
             "parent_median": pmed, "parent_iqr": p3 - p1,
             "change_median": cmed, "change_iqr": c3 - c1,
@@ -121,6 +129,7 @@ def compare(parent, change, workloads, seeds, pairs, metrics, runner,
             print("%-12s %14s %12s %14s %12s %8s %6s" %
                   ("metric", "parent_med", "parent_iqr", "change_med",
                    "change_iqr", "ratio", "wins"), file=out)
+            flagged = {"worse": [], "unresolved": []}
             for metric in metrics:
                 name = metric["name"]
                 s = summarize(metric,
@@ -130,6 +139,11 @@ def compare(parent, change, workloads, seeds, pairs, metrics, runner,
                       (name, s["parent_median"], s["parent_iqr"],
                        s["change_median"], s["change_iqr"], s["ratio"],
                        s["wins"], s["pairs"], s["verdict"]), file=out)
+                if s["verdict"] in flagged:
+                    flagged[s["verdict"]].append(name)
+            print("-- %s seed %s: worse: %s; unresolved: %s" %
+                  (workload, seed, " ".join(flagged["worse"]) or "none",
+                   " ".join(flagged["unresolved"]) or "none"), file=out)
     return status
 
 
