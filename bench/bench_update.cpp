@@ -126,11 +126,6 @@ class Fabric {
         batch.complete(i, now + switch_latency(sw), apply(sw, batch.mod(i)));
     };
   }
-  UpdateCoordinator::ModDispatch mod_dispatch() {
-    return [this](Time, net::NodeId sw, const net::FlowMod& mod) {
-      apply(sw, mod);
-    };
-  }
   void install(net::NodeId sw, const net::Rule& rule) {
     tables_[sw][rule.id] = rule;
   }
@@ -230,8 +225,7 @@ StormStats run_storm(const std::vector<Reroute>& storm,
   sim::EventQueue events;
   Fabric fabric;
   WindowTracker tracker;
-  UpdateCoordinator coordinator(events, fabric.batch_dispatch(),
-                                fabric.mod_dispatch(), config);
+  UpdateCoordinator coordinator(events, fabric.batch_dispatch(), config);
   coordinator.set_observer(
       [&](Time t, net::NodeId sw, const net::FlowMod& mod, bool ok) {
         int flow = static_cast<int>(mod.rule.id / kFlowIdStride);

@@ -12,6 +12,16 @@ Time EspresSwitch::handle(Time now, const net::FlowMod& mod) {
   // Deletes and modifies are cheap and order-insensitive: pass through.
   if (mod.type != net::FlowModType::kInsert) return asic_.submit(now, 0, mod);
   if (pending_.empty()) window_deadline_ = now + batch_window_;
+  // An insert of an id the switch already holds replaces it: drop the
+  // queued copy, or delete the installed one.
+  auto queued = std::find_if(
+      pending_.begin(), pending_.end(),
+      [&](const Pending& p) { return p.mod.rule.id == mod.rule.id; });
+  if (queued != pending_.end()) {
+    pending_.erase(queued);
+  } else if (asic_.slice(0).contains(mod.rule.id)) {
+    asic_.submit(now, 0, {net::FlowModType::kDelete, mod.rule});
+  }
   pending_.push_back({now, mod});
   // The insert completes when its batch flushes; report the deadline as a
   // lower bound (tick() refines the recorded RIT with the real value).

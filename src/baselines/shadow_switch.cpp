@@ -32,7 +32,10 @@ Time ShadowSwitchBackend::handle(Time now, const net::FlowMod& mod) {
   switch (mod.type) {
     case net::FlowModType::kInsert: {
       // The control-plane action completes at software speed — that is
-      // ShadowSwitch's whole point.
+      // ShadowSwitch's whole point. A flushed copy of the id is replaced,
+      // so it leaves the TCAM.
+      if (asic_.slice(0).contains(mod.rule.id))
+        asic_.submit(now, 0, {net::FlowModType::kDelete, mod.rule});
       software_install(mod.rule);
       obs_software_resident_.set(software_resident());
       rit_samples_.push_back(software_insert_);

@@ -12,10 +12,9 @@ TangoSwitch::TangoSwitch(const tcam::SwitchModel& model, int tcam_capacity,
 Time TangoSwitch::handle(Time now, const net::FlowMod& mod) {
   switch (mod.type) {
     case net::FlowModType::kInsert: {
-      if (logical_.count(mod.rule.id)) {
-        // Overwrite semantics: drop the old incarnation first.
-        erase_logical(now, mod.rule.id);
-      }
+      // Overwrite semantics: drop the old incarnation first, whether it
+      // is queued or installed.
+      erase_logical(now, mod.rule.id);
       if (pending_.empty()) window_deadline_ = now + batch_window_;
       pending_.push_back({now, mod.rule});
       return window_deadline_;

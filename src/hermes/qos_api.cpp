@@ -10,6 +10,27 @@ void QoSManager::register_switch(SwitchId id, const tcam::SwitchModel& model,
   switches_[id] = SwitchEntry{&model, tcam_capacity, kInvalidShadowId};
 }
 
+void QoSManager::carve(QosEntry& entry, const SwitchEntry& sw,
+                       Duration guarantee, RulePredicate predicate) {
+  HermesConfig config;
+  config.guarantee = guarantee;
+  config.predicate = predicate;
+  auto agent = std::make_unique<HermesAgent>(*sw.model, sw.tcam_capacity,
+                                             std::move(config));
+  // Re-carving TCAM slices requires an empty shadow slice on real
+  // hardware too, so the old agent's installed rules are replayed into
+  // the new one.
+  if (entry.agent)
+    for (const net::Rule& rule : entry.agent->store().all_originals())
+      agent->insert(0, rule);
+  entry.agent = std::move(agent);
+  entry.predicate = std::move(predicate);
+  entry.descriptor.guarantee = guarantee;
+  entry.descriptor.shadow_capacity = entry.agent->shadow_capacity();
+  entry.descriptor.max_burst_rate = entry.agent->admitted_rate();
+  entry.descriptor.tcam_overhead = entry.agent->tcam_overhead();
+}
+
 std::optional<QoSDescriptor> QoSManager::CreateTCAMQoS(
     SwitchId switch_id, Duration perf_guarantee,
     RulePredicate match_predicate) {
@@ -19,22 +40,13 @@ std::optional<QoSDescriptor> QoSManager::CreateTCAMQoS(
   if (sw.active != kInvalidShadowId) return std::nullopt;  // already configured
   if (sw.model->base_latency() > perf_guarantee) return std::nullopt;
 
-  HermesConfig config;
-  config.guarantee = perf_guarantee;
-  config.predicate = std::move(match_predicate);
-  auto agent = std::make_unique<HermesAgent>(*sw.model, sw.tcam_capacity,
-                                             std::move(config));
-
-  QoSDescriptor desc;
-  desc.id = next_shadow_id_++;
-  desc.switch_id = switch_id;
-  desc.guarantee = perf_guarantee;
-  desc.shadow_capacity = agent->shadow_capacity();
-  desc.max_burst_rate = agent->admitted_rate();
-  desc.tcam_overhead = agent->tcam_overhead();
-
-  sw.active = desc.id;
-  configs_.emplace(desc.id, QosEntry{desc, std::move(agent)});
+  QosEntry entry;
+  entry.descriptor.id = next_shadow_id_++;
+  entry.descriptor.switch_id = switch_id;
+  carve(entry, sw, perf_guarantee, std::move(match_predicate));
+  sw.active = entry.descriptor.id;
+  QoSDescriptor desc = entry.descriptor;
+  configs_.emplace(desc.id, std::move(entry));
   return desc;
 }
 
@@ -54,24 +66,7 @@ bool QoSManager::ModQoSConfig(ShadowId shadow_id, Duration perf_guarantee) {
   auto sw = switches_.find(entry.descriptor.switch_id);
   if (sw == switches_.end()) return false;
   if (sw->second.model->base_latency() > perf_guarantee) return false;
-
-  // Drain the shadow table, then rebuild the agent with the new carving.
-  // (Re-carving TCAM slices requires an empty shadow slice on real
-  // hardware too.) Installed rules are replayed into the new agent's main
-  // table, which is where they would have ended up anyway.
-  HermesAgent& old_agent = *entry.agent;
-
-  HermesConfig config;
-  config.guarantee = perf_guarantee;
-  auto agent = std::make_unique<HermesAgent>(
-      *sw->second.model, sw->second.tcam_capacity, std::move(config));
-  for (const net::Rule& rule : old_agent.store().all_originals())
-    agent->insert(0, rule);
-  entry.agent = std::move(agent);
-  entry.descriptor.guarantee = perf_guarantee;
-  entry.descriptor.shadow_capacity = entry.agent->shadow_capacity();
-  entry.descriptor.max_burst_rate = entry.agent->admitted_rate();
-  entry.descriptor.tcam_overhead = entry.agent->tcam_overhead();
+  carve(entry, sw->second, perf_guarantee, entry.predicate);
   return true;
 }
 
@@ -79,22 +74,13 @@ bool QoSManager::ModQoSMatch(ShadowId shadow_id,
                              RulePredicate match_predicate) {
   auto it = configs_.find(shadow_id);
   if (it == configs_.end()) return false;
-  // The predicate only affects future routing decisions, so swapping it
-  // requires no TCAM surgery. Rebuild-free update via a fresh config is
-  // not exposed by HermesAgent, so route through ModQoSConfig semantics:
-  // drain and recreate with the same guarantee but the new predicate.
   QosEntry& entry = it->second;
   auto sw = switches_.find(entry.descriptor.switch_id);
   if (sw == switches_.end()) return false;
-  HermesAgent& old_agent = *entry.agent;
-  HermesConfig config;
-  config.guarantee = entry.descriptor.guarantee;
-  config.predicate = std::move(match_predicate);
-  auto agent = std::make_unique<HermesAgent>(
-      *sw->second.model, sw->second.tcam_capacity, std::move(config));
-  for (const net::Rule& rule : old_agent.store().all_originals())
-    agent->insert(0, rule);
-  entry.agent = std::move(agent);
+  // The predicate only affects future routing decisions, but HermesAgent
+  // takes it at construction: re-carve with the same guarantee.
+  carve(entry, sw->second, entry.descriptor.guarantee,
+        std::move(match_predicate));
   return true;
 }
 

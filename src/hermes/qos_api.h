@@ -56,8 +56,9 @@ class QoSManager {
   /// monolithic table on its next reconfiguration).
   bool DeleteQoS(ShadowId shadow_id);
 
-  /// Re-sizes the shadow table for a new guarantee. Existing shadow
-  /// residents are migrated first.
+  /// Re-sizes the shadow table for a new guarantee, keeping the
+  /// guarantee predicate. Installed rules are replayed into the new
+  /// carving.
   bool ModQoSConfig(ShadowId shadow_id, Duration perf_guarantee);
 
   /// Swaps the guarantee predicate.
@@ -80,8 +81,15 @@ class QoSManager {
   };
   struct QosEntry {
     QoSDescriptor descriptor;
+    RulePredicate predicate;
     std::unique_ptr<HermesAgent> agent;
   };
+
+  /// Carves `sw` for `guarantee` and `predicate` with a fresh agent,
+  /// replays the old agent's installed rules (if any) into it, and
+  /// refreshes the descriptor.
+  static void carve(QosEntry& entry, const SwitchEntry& sw,
+                    Duration guarantee, RulePredicate predicate);
 
   std::map<SwitchId, SwitchEntry> switches_;
   std::map<ShadowId, QosEntry> configs_;

@@ -58,11 +58,10 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
       backends_.emplace(sw, Switch{std::move(backend)});
     }
   }
-  // Consistent-update coordinator for TE moves. Operations route through
-  // the same backend paths as every other flow-mod: per-switch batches
-  // through handle_batch, and fire-and-forget deletes through
-  // dispatch_mod. Release signals between switches take no time (the
-  // default signal_delay of 0, the data-center approximation).
+  // Consistent-update coordinator for TE moves. Every operation it
+  // issues reaches its backend as a one-mod batch through handle_batch.
+  // Release signals between switches take no time (the default
+  // signal_delay of 0, the data-center approximation).
   update::CoordinatorConfig uc;
   uc.strategy = update::Strategy::kSegway;
   coordinator_ = std::make_unique<update::UpdateCoordinator>(
@@ -78,9 +77,6 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
         obs_app_batch_size_.record(batch.size());
         catch_up(it->second);
         it->second.backend->handle_batch(now, batch);
-      },
-      [this](Time now, net::NodeId sw, const net::FlowMod& mod) {
-        dispatch_mod(now, sw, mod);
       },
       uc);
 }

@@ -1,7 +1,6 @@
 #include "update/update_coordinator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "obs/trace.h"
@@ -17,12 +16,16 @@ net::FlowMod delete_mod(net::RuleId id) {
 }  // namespace
 
 UpdateCoordinator::UpdateCoordinator(sim::EventQueue& events,
-                                     BatchDispatch batch, ModDispatch mod,
+                                     BatchDispatch batch,
                                      CoordinatorConfig config)
-    : events_(events),
-      batch_(std::move(batch)),
-      mod_(std::move(mod)),
-      config_(config) {}
+    : events_(events), batch_(std::move(batch)), config_(config) {
+  // kSegway's switches release each other directly: its ops pay no
+  // controller round-trips or send gaps.
+  if (!two_phase()) {
+    config_.ctrl_rtt = 0;
+    config_.ctrl_send_gap = 0;
+  }
+}
 
 UpdateCoordinator::Txn* UpdateCoordinator::find(std::uint64_t id) {
   auto it = txns_.find(id);
@@ -99,7 +102,6 @@ std::pair<Time, bool> UpdateCoordinator::dispatch_op(Time now, net::NodeId sw,
 std::uint64_t UpdateCoordinator::begin(Time now, TxnRequest req, DoneFn done) {
   const std::uint64_t id = next_id_++;
   Txn& t = txns_[id];
-  t.id = id;
   t.req = std::move(req);
   t.done = std::move(done);
   t.out.txn = id;
@@ -132,106 +134,80 @@ std::uint64_t UpdateCoordinator::begin(Time now, TxnRequest req, DoneFn done) {
                                            static_cast<std::uint32_t>(id),
                                            static_cast<std::uint32_t>(nsegs)));
 
-  if (config_.strategy == Strategy::kTwoPhase) {
-    begin_two_phase(now, t);
-    return id;
-  }
-
-  // kSegway: every add goes out immediately — new-path-only switches are
-  // unreachable until their segment's entry flips, so installing early is
-  // always safe. Each segment then releases itself.
+  // Every add goes out at once (kTwoPhase: after the command's half-RTT,
+  // one send gap apart): new-path-only switches are unreachable until
+  // their segment's entry flips, so installing early is always safe.
+  Time send = now + config_.ctrl_rtt / 2;
   for (int i = 0; i < nsegs; ++i) {
-    const net::UpdateSegment& seg =
-        t.req.plan.segments[static_cast<std::size_t>(i)];
-    for (net::NodeId sw : seg.add_nodes) {
+    for (net::NodeId sw :
+         t.req.plan.segments[static_cast<std::size_t>(i)].add_nodes) {
       ++t.outstanding;
-      events_.schedule(now, [this, id, i, sw](Time tnow) {
-        Txn* txn = find(id);
-        if (!txn) return;
-        if (txn->failed || txn->cancelled) {
-          on_add_done(tnow, id, i, sw, net::kInvalidRuleId, true, false);
-          return;
-        }
-        auto new_it = txn->req.new_rules.find(sw);
-        const bool virt = new_it == txn->req.new_rules.end();
-        net::FlowMod mod =
-            virt ? net::FlowMod{net::FlowModType::kInsert, net::Rule{}}
-                 : net::FlowMod{net::FlowModType::kInsert, new_it->second};
-        auto [c, ok] = dispatch_op(tnow, sw, mod, virt);
-        const net::RuleId rid = virt ? net::kInvalidRuleId : mod.rule.id;
-        events_.schedule(c, [this, id, i, sw, rid, ok](Time t2) {
-          on_add_done(t2, id, i, sw, rid, ok, true);
-        });
+      events_.schedule(send, [this, id, i, sw](Time tnow) {
+        issue_add(tnow, id, i, sw);
       });
+      send += config_.ctrl_send_gap;
     }
-    if (t.segs[static_cast<std::size_t>(i)].adds_pending == 0) {
+    // kSegway: a segment with no adds releases itself.
+    if (!two_phase() && t.segs[static_cast<std::size_t>(i)].adds_pending == 0)
       events_.schedule(now, [this, id, i](Time tnow) {
-        seg_adds_complete(tnow, id, i);
+        maybe_flip(tnow, id, i);
       });
-    }
   }
+  // kTwoPhase with nothing to add starts its flip phase at once.
+  if (two_phase() && t.outstanding == 0)
+    events_.schedule(now, [this, id](Time tnow) { two_phase_flips(tnow, id); });
   return id;
 }
 
-void UpdateCoordinator::on_add_done(Time now, std::uint64_t id, int seg,
-                                    net::NodeId sw, net::RuleId rule, bool ok,
-                                    bool issued) {
+void UpdateCoordinator::issue_add(Time now, std::uint64_t id, int seg,
+                                  net::NodeId sw) {
   Txn* t = find(id);
   if (!t) return;
-  --t->outstanding;
-  if (issued) {
-    if (ok) {
-      ++t->out.adds;
-      obs_adds_.inc();
-      if (rule != net::kInvalidRuleId) t->added.emplace_back(sw, rule);
-    } else {
-      ++t->out.failed_ops;
-      obs_failed_ops_.inc();
-      t->failed = true;
-    }
-    --t->segs[static_cast<std::size_t>(seg)].adds_pending;
-  }
-
-  if (config_.strategy == Strategy::kTwoPhase) {
-    // Controller barrier: acks fire in completion order, so the event
-    // that drains `outstanding` runs at the phase's max ack time.
-    if (t->outstanding > 0) return;
-    t->phase_barrier = now;
-    if (t->cancelled || t->failed) {
-      // Phase-1 failure is the one thing even the naive controller can
-      // undo safely: nothing flipped yet, so deleting the adds restores
-      // the old state exactly.
-      delete_adds(now, *t);
-      if (!t->cancelled) {
-        obs_aborted_.inc();
-        obs::trace_event(obs::update_phase_event(
-            now, obs::kUpdateAbort, static_cast<std::uint32_t>(id), 0,
-            static_cast<std::uint32_t>(t->out.failed_ops)));
-      } else {
-        obs_cancelled_.inc();
-      }
-      t->out.done = now;
-      finish(now, id);
-      return;
-    }
-    two_phase_flips(now, id);
-    return;
-  }
-
-  if (t->cancelled || t->failed) {
+  if (t->failed || t->cancelled) {
+    --t->outstanding;
     check_stalled(now, id);
     return;
   }
-  SegState& s = t->segs[static_cast<std::size_t>(seg)];
-  if (s.adds_pending == 0) {
-    s.add_done = now;
-    seg_adds_complete(now, id, seg);
-  }
+  auto new_it = t->req.new_rules.find(sw);
+  const bool virt = new_it == t->req.new_rules.end();
+  const net::Rule rule = virt ? net::Rule{} : new_it->second;
+  auto [c, ok] =
+      dispatch_op(now, sw, net::FlowMod{net::FlowModType::kInsert, rule}, virt);
+  const net::RuleId rid = virt ? net::kInvalidRuleId : rule.id;
+  // kTwoPhase: the controller learns of the completion one half-RTT later.
+  events_.schedule(c + config_.ctrl_rtt / 2,
+                   [this, id, seg, sw, rid, ok](Time t2) {
+                     on_add_done(t2, id, seg, sw, rid, ok);
+                   });
 }
 
-void UpdateCoordinator::seg_adds_complete(Time now, std::uint64_t id,
-                                          int seg) {
-  maybe_flip(now, id, seg);
+void UpdateCoordinator::on_add_done(Time now, std::uint64_t id, int seg,
+                                    net::NodeId sw, net::RuleId rule,
+                                    bool ok) {
+  Txn* t = find(id);
+  if (!t) return;
+  --t->outstanding;
+  if (ok) {
+    ++t->out.adds;
+    obs_adds_.inc();
+    if (rule != net::kInvalidRuleId) t->added.emplace_back(sw, rule);
+  } else {
+    note_failed_op(*t);
+    t->failed = true;
+  }
+  SegState& s = t->segs[static_cast<std::size_t>(seg)];
+  --s.adds_pending;
+  if (t->failed || t->cancelled) {
+    check_stalled(now, id);
+    return;
+  }
+  if (two_phase()) {
+    // Controller barrier: acks fire in completion order, so the event
+    // that drains `outstanding` runs at the phase's last ack.
+    if (t->outstanding == 0) two_phase_flips(now, id);
+    return;
+  }
+  if (s.adds_pending == 0) maybe_flip(now, id, seg);
 }
 
 void UpdateCoordinator::maybe_flip(Time now, std::uint64_t id, int seg) {
@@ -253,7 +229,9 @@ void UpdateCoordinator::maybe_flip(Time now, std::uint64_t id, int seg) {
 void UpdateCoordinator::issue_flip(Time now, std::uint64_t id, int seg) {
   Txn* t = find(id);
   if (!t) return;
-  if (t->failed || t->cancelled) {
+  // kTwoPhase keeps firing its flips after one failed: that is how it
+  // strands a mixed state.
+  if (t->cancelled || (t->failed && !two_phase())) {
     --t->outstanding;
     check_stalled(now, id);
     return;
@@ -267,39 +245,43 @@ void UpdateCoordinator::issue_flip(Time now, std::uint64_t id, int seg) {
       mod.type == net::FlowModType::kInsert ? mod.rule.id
                                             : net::kInvalidRuleId;
   auto [c, ok] = dispatch_op(now, entry, mod, is_virtual(*t, entry));
-  events_.schedule(c, [this, id, seg, entry, inserted, ok](Time t2) {
-    Txn* txn = find(id);
-    if (txn && ok && inserted != net::kInvalidRuleId)
-      txn->added.emplace_back(entry, inserted);
-    on_flip_done(t2, id, seg, ok);
-  });
+  events_.schedule(c + config_.ctrl_rtt / 2,
+                   [this, id, seg, entry, inserted, c, ok](Time t2) {
+                     Txn* txn = find(id);
+                     if (txn && ok && inserted != net::kInvalidRuleId)
+                       txn->added.emplace_back(entry, inserted);
+                     on_flip_done(t2, id, seg, c, ok);
+                   });
 }
 
 void UpdateCoordinator::on_flip_done(Time now, std::uint64_t id, int seg,
-                                     bool ok) {
+                                     Time landed, bool ok) {
   Txn* t = find(id);
   if (!t) return;
   --t->outstanding;
-  if (t->cancelled) {
+  // kSegway drops a cancelled transaction's late flips; the two-phase
+  // controller counts every ack up to its barrier.
+  if (t->cancelled && !two_phase()) {
     check_stalled(now, id);
     return;
   }
-  if (!ok) {
-    ++t->out.failed_ops;
-    obs_failed_ops_.inc();
+  if (ok) {
+    ++t->out.flips;
+    obs_flips_.inc();
+    t->flip_order.push_back(seg);
+    t->last_flip = std::max(t->last_flip, landed);
+    obs::trace_event(obs::update_phase_event(
+        landed, obs::kUpdateFlip, static_cast<std::uint32_t>(id),
+        static_cast<std::uint32_t>(seg)));
+  } else {
+    note_failed_op(*t);
     t->failed = true;
-    check_stalled(now, id);
+  }
+  if (two_phase()) {
+    // The flip phase's barrier, as for the adds.
+    if (t->outstanding == 0) two_phase_finish(now, id);
     return;
   }
-  ++t->out.flips;
-  obs_flips_.inc();
-  SegState& s = t->segs[static_cast<std::size_t>(seg)];
-  s.flip_done = true;
-  s.flip_time = now;
-  t->flip_order.push_back(seg);
-  obs::trace_event(obs::update_phase_event(now, obs::kUpdateFlip,
-                                           static_cast<std::uint32_t>(id),
-                                           static_cast<std::uint32_t>(seg)));
   if (t->failed) {
     check_stalled(now, id);
     return;
@@ -312,127 +294,108 @@ void UpdateCoordinator::on_flip_done(Time now, std::uint64_t id, int seg,
     if (--ds.deps_pending == 0) maybe_flip(now, id, d);
   }
   // Release removal groups this flip was gating.
-  const auto& removals = t->req.plan.removals;
-  for (std::size_t g = 0; g < removals.size(); ++g) {
-    const auto& gate = removals[g].gate_flips;
+  const auto& groups = t->req.plan.removals;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const auto& gate = groups[g].gate_flips;
     if (std::find(gate.begin(), gate.end(), seg) == gate.end()) continue;
     if (--t->removal_pending[g] == 0)
       maybe_remove(now, id, static_cast<int>(g));
   }
 
   if (t->flips_left == 0) {
-    t->out.committed = true;
-    t->out.done = now;
-    obs_committed_.inc();
-    obs_completion_ns_.record(static_cast<std::uint64_t>(now - t->out.begin));
-    obs::trace_event(obs::update_phase_event(
-        now, obs::kUpdateCommit, static_cast<std::uint32_t>(id),
-        static_cast<std::uint32_t>(t->out.flips)));
+    commit(now, *t);
     finish(now, id);
   }
+}
+
+std::vector<UpdateCoordinator::OldRule> UpdateCoordinator::removals(
+    const Txn& t, int group) const {
+  const net::RemovalGroup& g =
+      t.req.plan.removals[static_cast<std::size_t>(group)];
+  std::vector<OldRule> olds;
+  olds.reserve(g.remove_nodes.size());
+  for (net::NodeId n : g.remove_nodes) {
+    auto it = t.req.old_rules.find(n);
+    if (it != t.req.old_rules.end()) {
+      olds.push_back(OldRule{n, it->second, false});
+    } else {
+      net::Rule synth{net::kInvalidRuleId, 0, {},
+                      net::forward_to(static_cast<int>(old_successor(t, n)))};
+      olds.push_back(OldRule{n, synth, true});
+    }
+  }
+  return olds;
 }
 
 void UpdateCoordinator::maybe_remove(Time now, std::uint64_t id, int group) {
   Txn* t = find(id);
   if (!t || t->failed || t->cancelled) return;
-  // Capture everything by value: the transaction may commit (and be
-  // erased) before the removal event fires. `old_rule` is what rollback
-  // must re-install if the transaction aborts after this delete landed
-  // (for a virtual node, a synthetic restore of its old next hop).
-  struct Op {
-    net::NodeId sw;
-    net::FlowMod mod;
-    net::Rule old_rule;
-    bool virt;
-  };
-  std::vector<Op> ops;
-  const net::RemovalGroup& g =
-      t->req.plan.removals[static_cast<std::size_t>(group)];
-  ops.reserve(g.remove_nodes.size());
-  for (net::NodeId n : g.remove_nodes) {
-    auto it = t->req.old_rules.find(n);
-    if (it != t->req.old_rules.end()) {
-      ops.push_back(Op{n, delete_mod(it->second.id), it->second, false});
+  // Capture the rules by value: the transaction may commit (and be
+  // erased) before the removal signal arrives.
+  events_.schedule(now + config_.signal_delay,
+                   [this, id, olds = removals(*t, group)](Time tnow) {
+                     for (const OldRule& old : olds)
+                       issue_removal(tnow, id, old);
+                   });
+}
+
+void UpdateCoordinator::issue_removal(Time now, std::uint64_t id,
+                                      const OldRule& old) {
+  Txn* t = find(id);
+  if (t && (t->failed || t->cancelled)) return;
+  obs_removes_.inc();
+  // While the transaction is alive the delete counts as an outstanding
+  // op, so an abort elsewhere waits for it (rollback must re-install
+  // AFTER the delete completed, not racing it).
+  if (t) ++t->outstanding;
+  auto [c, ok] = dispatch_op(now, old.sw, delete_mod(old.rule.id), old.virt);
+  if (!t) return;
+  events_.schedule(c, [this, id, old, ok](Time t2) {
+    Txn* txn = find(id);
+    if (!txn) return;
+    --txn->outstanding;
+    if (ok) {
+      txn->removed.push_back(old);
     } else {
-      net::Rule synth{net::kInvalidRuleId, 0, {},
-                      net::forward_to(static_cast<int>(old_successor(*t, n)))};
-      ops.push_back(Op{n, delete_mod(net::kInvalidRuleId), synth, true});
+      // The old rule survived its delete — nothing for rollback to
+      // restore; counted, not fatal (the update itself is already
+      // consistent).
+      note_failed_op(*txn);
     }
-  }
-  events_.schedule(
-      now + config_.signal_delay, [this, id, ops = std::move(ops)](Time tnow) {
-        Txn* txn = find(id);
-        if (txn && (txn->failed || txn->cancelled)) return;
-        for (const Op& op : ops) {
-          obs_removes_.inc();
-          // While the transaction is alive the delete counts as an
-          // outstanding op, so an abort elsewhere waits for it (rollback
-          // must re-install AFTER the delete completed, not racing it).
-          if (txn) ++txn->outstanding;
-          auto [c, ok] = dispatch_op(tnow, op.sw, op.mod, op.virt);
-          if (!txn) continue;
-          events_.schedule(c, [this, id, op, ok](Time t2) {
-            Txn* txn2 = find(id);
-            if (!txn2) return;
-            --txn2->outstanding;
-            if (ok) {
-              txn2->removed.push_back(
-                  Txn::RemovedRule{op.sw, op.old_rule, op.virt});
-            } else {
-              // The old rule survived its delete — nothing for rollback
-              // to restore; counted, not fatal (the update itself is
-              // already consistent).
-              ++txn2->out.failed_ops;
-              obs_failed_ops_.inc();
-            }
-            check_stalled(t2, id);
-          });
-        }
-      });
+    check_stalled(t2, id);
+  });
 }
 
 void UpdateCoordinator::check_stalled(Time now, std::uint64_t id) {
   Txn* t = find(id);
   if (!t || t->outstanding > 0 || t->rolling_back) return;
   if (t->cancelled) {
-    delete_adds(now, *t);
-    obs_cancelled_.inc();
-    t->out.done = now;
-    finish(now, id);
-    return;
+    finish_cancelled(now, id);
+  } else if (t->failed) {
+    start_rollback(now, id);
   }
-  if (t->failed) start_rollback(now, id);
 }
 
 void UpdateCoordinator::start_rollback(Time now, std::uint64_t id) {
-  Txn* t = find(id);
-  if (!t || t->rolling_back) return;
-  t->rolling_back = true;
-  obs_aborted_.inc();
-  obs::trace_event(obs::update_phase_event(
-      now, obs::kUpdateAbort, static_cast<std::uint32_t>(id), 0,
-      static_cast<std::uint32_t>(t->out.failed_ops)));
+  Txn& t = *find(id);
+  t.rolling_back = true;
+  note_abort(now, t);
   // Reverse of add-before-flip: FIRST re-install the old rules whose
   // gated removal already landed (their upstream commons are about to be
   // un-flipped back onto them), THEN un-flip, THEN delete the adds.
-  if (t->removed.empty()) {
-    rollback_next_flip(now, id, t->flip_order.size());
+  if (t.removed.empty()) {
+    rollback_next_flip(now, id, t.flip_order.size());
     return;
   }
-  t->outstanding = static_cast<int>(t->removed.size());
-  std::vector<Txn::RemovedRule> restore = std::move(t->removed);
-  t->removed.clear();
-  for (const Txn::RemovedRule& r : restore) {
-    net::FlowMod mod{net::FlowModType::kInsert, r.rule};
-    auto [c, ok] = dispatch_op(now, r.sw, mod, r.virt);
-    if (!ok) {
-      ++t->out.failed_ops;
-      obs_failed_ops_.inc();
-    }
+  t.outstanding = static_cast<int>(t.removed.size());
+  for (const OldRule& old : t.removed) {
+    auto [c, ok] = dispatch_op(
+        now, old.sw, net::FlowMod{net::FlowModType::kInsert, old.rule},
+        old.virt);
+    if (!ok) note_failed_op(t);
     events_.schedule(c, [this, id](Time t2) {
       Txn* txn = find(id);
-      if (!txn) return;
-      if (--txn->outstanding == 0)
+      if (txn && --txn->outstanding == 0)
         rollback_next_flip(t2, id, txn->flip_order.size());
     });
   }
@@ -448,7 +411,6 @@ void UpdateCoordinator::rollback_next_flip(Time now, std::uint64_t id,
     delete_adds(now, *t);
     obs_rollback_flips_.inc(
         static_cast<std::uint64_t>(t->out.rollback_flips));
-    t->out.done = now;
     finish(now, id);
     return;
   }
@@ -456,11 +418,8 @@ void UpdateCoordinator::rollback_next_flip(Time now, std::uint64_t id,
   const net::NodeId entry =
       t->req.plan.segments[static_cast<std::size_t>(seg)].entry;
   const bool virt = is_virtual(*t, entry);
-  net::FlowMod mod;
   auto old_it = t->req.old_rules.find(entry);
-  if (old_it != t->req.old_rules.end()) {
-    mod = net::FlowMod{net::FlowModType::kModify, old_it->second};
-  } else if (!virt) {
+  if (old_it == t->req.old_rules.end() && !virt) {
     // The flip was an insert (no pre-existing rule at this common): it
     // is recorded in `added` and retired by delete_adds() once every
     // upstream entry has been restored. Nothing to un-flip here.
@@ -468,58 +427,68 @@ void UpdateCoordinator::rollback_next_flip(Time now, std::uint64_t id,
       rollback_next_flip(t3, id, idx - 1);
     });
     return;
-  } else {
-    mod = net::FlowMod{
-        net::FlowModType::kModify,
-        net::Rule{net::kInvalidRuleId, 0, {},
-                  net::forward_to(static_cast<int>(old_successor(*t, entry)))}};
   }
+  const net::Rule restore =
+      virt ? net::Rule{net::kInvalidRuleId, 0, {},
+                       net::forward_to(
+                           static_cast<int>(old_successor(*t, entry)))}
+           : old_it->second;
   ++t->out.rollback_flips;
-  auto [c, ok] = dispatch_op(now, entry, mod, virt);
-  events_.schedule(c, [this, id, idx, entry, ok](Time t2) {
+  auto [c, ok] = dispatch_op(
+      now, entry, net::FlowMod{net::FlowModType::kModify, restore}, virt);
+  events_.schedule(c, [this, id, idx, entry, restore, ok](Time t2) {
     Txn* txn = find(id);
     if (!txn) return;
+    Time next = t2;
     if (!ok) {
-      ++txn->out.failed_ops;
-      obs_failed_ops_.inc();
       // The modify was refused — a reset wiped the flipped rule. Hermes
       // reconciliation reinstalls from the RuleStore; mirror that by
       // re-inserting the original old rule so the abort still converges
       // to the OLD state.
-      auto it = txn->req.old_rules.find(entry);
-      if (it != txn->req.old_rules.end()) {
-        auto [c2, ok2] =
-            dispatch_op(t2, entry,
-                        net::FlowMod{net::FlowModType::kInsert, it->second},
-                        false);
-        if (!ok2) {
-          ++txn->out.failed_ops;
-          obs_failed_ops_.inc();
-        }
-        events_.schedule(c2 + config_.signal_delay,
-                         [this, id, idx](Time t3) {
-                           rollback_next_flip(t3, id, idx - 1);
-                         });
-        return;
-      }
+      note_failed_op(*txn);
+      auto [c2, ok2] = dispatch_op(
+          t2, entry, net::FlowMod{net::FlowModType::kInsert, restore}, false);
+      if (!ok2) note_failed_op(*txn);
+      next = c2;
     }
-    events_.schedule(t2 + config_.signal_delay, [this, id, idx](Time t3) {
+    events_.schedule(next + config_.signal_delay, [this, id, idx](Time t3) {
       rollback_next_flip(t3, id, idx - 1);
     });
   });
 }
 
 void UpdateCoordinator::delete_adds(Time now, Txn& t) {
-  for (const auto& [sw, rid] : t.added) {
-    const net::FlowMod mod = delete_mod(rid);
-    if (mod_) mod_(now, sw, mod);
-    if (observer_) {
-      events_.schedule(now, [this, sw, mod](Time t2) {
-        observer_(t2, sw, mod, true);
-      });
-    }
-  }
-  t.added.clear();
+  for (const auto& [sw, rid] : t.added)
+    dispatch_op(now, sw, delete_mod(rid), false);
+}
+
+void UpdateCoordinator::note_failed_op(Txn& t) {
+  ++t.out.failed_ops;
+  obs_failed_ops_.inc();
+}
+
+void UpdateCoordinator::note_abort(Time now, const Txn& t) {
+  obs_aborted_.inc();
+  obs::trace_event(obs::update_phase_event(
+      now, obs::kUpdateAbort, static_cast<std::uint32_t>(t.out.txn), 0,
+      static_cast<std::uint32_t>(t.out.failed_ops)));
+}
+
+void UpdateCoordinator::commit(Time now, Txn& t) {
+  t.out.committed = true;
+  t.out.done = t.last_flip;
+  obs_committed_.inc();
+  obs_completion_ns_.record(
+      static_cast<std::uint64_t>(t.out.done - t.out.begin));
+  obs::trace_event(obs::update_phase_event(
+      now, obs::kUpdateCommit, static_cast<std::uint32_t>(t.out.txn),
+      static_cast<std::uint32_t>(t.out.flips)));
+}
+
+void UpdateCoordinator::finish_cancelled(Time now, std::uint64_t id) {
+  delete_adds(now, *find(id));
+  obs_cancelled_.inc();
+  finish(now, id);
 }
 
 void UpdateCoordinator::finish(Time now, std::uint64_t id) {
@@ -529,165 +498,54 @@ void UpdateCoordinator::finish(Time now, std::uint64_t id) {
   txns_.erase(it);
   --active_;
   t.out.cancelled = t.cancelled;
-  if (t.out.done == 0) t.out.done = now;
+  if (!t.out.committed) t.out.done = now;
   if (t.done) t.done(now, t.out);
 }
 
 // --- kTwoPhase -------------------------------------------------------------
 
-void UpdateCoordinator::begin_two_phase(Time now, Txn& t) {
-  const Time half = config_.ctrl_rtt / 2;
-  std::vector<std::pair<int, net::NodeId>> adds;
-  for (std::size_t i = 0; i < t.req.plan.segments.size(); ++i)
-    for (net::NodeId sw : t.req.plan.segments[i].add_nodes)
-      adds.emplace_back(static_cast<int>(i), sw);
-  if (adds.empty()) {
-    const std::uint64_t id = t.id;
-    events_.schedule(now, [this, id](Time tnow) { two_phase_flips(tnow, id); });
-    return;
-  }
-  t.outstanding = static_cast<int>(adds.size());
-  int k = 0;
-  for (const auto& [seg, sw] : adds) {
-    const Time send = now + half + k * config_.ctrl_send_gap;
-    ++k;
-    const std::uint64_t id = t.id;
-    events_.schedule(send, [this, id, seg, sw, half](Time tnow) {
-      Txn* txn = find(id);
-      if (!txn) return;
-      if (txn->cancelled || txn->failed) {
-        on_add_done(tnow, id, seg, sw, net::kInvalidRuleId, true, false);
-        return;
-      }
-      auto new_it = txn->req.new_rules.find(sw);
-      const bool virt = new_it == txn->req.new_rules.end();
-      net::FlowMod mod =
-          virt ? net::FlowMod{net::FlowModType::kInsert, net::Rule{}}
-               : net::FlowMod{net::FlowModType::kInsert, new_it->second};
-      auto [c, ok] = dispatch_op(tnow, sw, mod, virt);
-      const net::RuleId rid = virt ? net::kInvalidRuleId : mod.rule.id;
-      // The controller learns of the completion one half-RTT later.
-      events_.schedule(c + half, [this, id, seg, sw, rid, ok](Time t2) {
-        on_add_done(t2, id, seg, sw, rid, ok, true);
-      });
-    });
-  }
-}
-
 void UpdateCoordinator::two_phase_flips(Time now, std::uint64_t id) {
   Txn* t = find(id);
   if (!t) return;
-  const Time half = config_.ctrl_rtt / 2;
-  const int nsegs = static_cast<int>(t->req.plan.segments.size());
-  t->outstanding = nsegs;
   // The naive controller fires every flip as fast as it can serialize
   // them, ignoring segment dependencies — this is where out-of-order
   // reroutes transiently loop.
-  for (int seg = 0; seg < nsegs; ++seg) {
-    const Time send = now + half + seg * config_.ctrl_send_gap;
-    events_.schedule(send, [this, id, seg, half](Time tnow) {
-      Txn* txn = find(id);
-      if (!txn) return;
-      if (txn->cancelled) {
-        --txn->outstanding;
-        if (txn->outstanding == 0) two_phase_finish(tnow, id);
-        return;
-      }
-      const net::NodeId entry =
-          txn->req.plan.segments[static_cast<std::size_t>(seg)].entry;
-      const net::FlowMod mod = flip_mod(*txn, seg);
-      const net::RuleId inserted =
-          mod.type == net::FlowModType::kInsert ? mod.rule.id
-                                                : net::kInvalidRuleId;
-      auto [c, ok] = dispatch_op(tnow, entry, mod, is_virtual(*txn, entry));
-      events_.schedule(c + half, [this, id, seg, entry, inserted, c,
-                                  ok](Time t2) {
-        Txn* txn2 = find(id);
-        if (!txn2) return;
-        --txn2->outstanding;
-        if (ok && inserted != net::kInvalidRuleId)
-          txn2->added.emplace_back(entry, inserted);
-        if (ok) {
-          ++txn2->out.flips;
-          obs_flips_.inc();
-          SegState& s = txn2->segs[static_cast<std::size_t>(seg)];
-          s.flip_done = true;
-          s.flip_time = c;
-          txn2->flip_order.push_back(seg);
-          txn2->last_flip = std::max(txn2->last_flip, c);
-          obs::trace_event(obs::update_phase_event(
-              c, obs::kUpdateFlip, static_cast<std::uint32_t>(id),
-              static_cast<std::uint32_t>(seg)));
-        } else {
-          ++txn2->out.failed_ops;
-          obs_failed_ops_.inc();
-          txn2->failed = true;
-        }
-        if (txn2->outstanding == 0) two_phase_finish(t2, id);
-      });
+  Time send = now + config_.ctrl_rtt / 2;
+  for (int seg = 0; seg < static_cast<int>(t->segs.size()); ++seg) {
+    ++t->outstanding;
+    events_.schedule(send, [this, id, seg](Time tnow) {
+      issue_flip(tnow, id, seg);
     });
+    send += config_.ctrl_send_gap;
   }
 }
 
 void UpdateCoordinator::two_phase_finish(Time now, std::uint64_t id) {
-  Txn* t = find(id);
-  if (!t) return;
-  if (t->cancelled) {
-    delete_adds(now, *t);
-    obs_cancelled_.inc();
-    t->out.done = now;
-    finish(now, id);
+  Txn& t = *find(id);
+  if (t.cancelled) {
+    finish_cancelled(now, id);
     return;
   }
-  if (t->failed) {
+  if (t.failed) {
     // The naive controller has no per-segment rollback protocol: a
     // phase-2 partial failure simply gives up, stranding the network in
     // a MIXED old/new state (some entries flipped, some not). The update
     // regression suite pins this down as the behavior Hermes avoids.
-    obs_aborted_.inc();
-    obs::trace_event(obs::update_phase_event(
-        now, obs::kUpdateAbort, static_cast<std::uint32_t>(id), 0,
-        static_cast<std::uint32_t>(t->out.failed_ops)));
-    t->out.done = now;
+    note_abort(now, t);
     finish(now, id);
     return;
   }
-  t->out.committed = true;
-  // Fairness with kSegway: completion is when the network is consistently
-  // on the new path (the last flip's completion), not the final ack.
-  t->out.done = std::max(t->out.begin, t->last_flip);
-  obs_committed_.inc();
-  obs_completion_ns_.record(
-      static_cast<std::uint64_t>(t->out.done - t->out.begin));
-  obs::trace_event(obs::update_phase_event(
-      now, obs::kUpdateCommit, static_cast<std::uint32_t>(id),
-      static_cast<std::uint32_t>(t->out.flips)));
-
+  commit(now, t);
   // Phase 3: retire every old-path-only rule, one controller fan-out.
-  const Time half = config_.ctrl_rtt / 2;
-  struct Op {
-    net::NodeId sw;
-    net::FlowMod mod;
-    bool virt;
-  };
-  std::vector<Op> ops;
-  for (const net::RemovalGroup& g : t->req.plan.removals) {
-    for (net::NodeId n : g.remove_nodes) {
-      auto it = t->req.old_rules.find(n);
-      if (it != t->req.old_rules.end())
-        ops.push_back(Op{n, delete_mod(it->second.id), false});
-      else
-        ops.push_back(Op{n, delete_mod(net::kInvalidRuleId), true});
+  // The transaction finishes first, so nothing waits for these deletes.
+  Time send = now + config_.ctrl_rtt / 2;
+  for (int g = 0; g < static_cast<int>(t.req.plan.removals.size()); ++g) {
+    for (const OldRule& old : removals(t, g)) {
+      events_.schedule(send, [this, id, old](Time tnow) {
+        issue_removal(tnow, id, old);
+      });
+      send += config_.ctrl_send_gap;
     }
-  }
-  int k = 0;
-  for (Op& op : ops) {
-    const Time send = now + half + k * config_.ctrl_send_gap;
-    ++k;
-    events_.schedule(send, [this, op = std::move(op)](Time tnow) {
-      obs_removes_.inc();
-      dispatch_op(tnow, op.sw, op.mod, op.virt);
-    });
   }
   finish(now, id);
 }
@@ -696,18 +554,12 @@ void UpdateCoordinator::cancel(std::uint64_t txn) {
   Txn* t = find(txn);
   if (!t || t->cancelled) return;
   t->cancelled = true;
-  if (t->outstanding == 0 && !t->rolling_back) {
-    const std::uint64_t id = txn;
-    events_.schedule(events_.now(), [this, id](Time now) {
-      Txn* t2 = find(id);
-      if (!t2 || !t2->cancelled) return;
-      if (config_.strategy == Strategy::kTwoPhase) {
-        if (t2->outstanding == 0) two_phase_finish(now, id);
-      } else {
-        check_stalled(now, id);
-      }
+  // With nothing in flight no completion will notice the cancel, so
+  // finish it from the queue.
+  if (t->outstanding == 0 && !t->rolling_back)
+    events_.schedule(events_.now(), [this, txn](Time now) {
+      check_stalled(now, txn);
     });
-  }
 }
 
 }  // namespace hermes::update

@@ -3,38 +3,41 @@
 // The coordinator executes one rerouting transaction per flow: install
 // ("add") the flow's rule at every new-path-only switch, flip each
 // segment's entry common node old->new in the dependency order computed
-// by net::plan_update(), then retire the old-path-only rules once their
-// removal gates clear. Two execution strategies share the machinery:
+// by net::plan_update(), then retire the old-path-only rules. One engine
+// issues and lands every add, flip and removal and finishes every
+// transaction; the two strategies differ only in their timing and in
+// the policy that decides what an op's completion releases:
 //
-//  * kSegway — decentralized ez-Segway signaling. Every per-switch
-//    operation is a FlowModBatch dispatched at its virtual ready time;
-//    the batch's result slots (the install barrier) are what "releases"
-//    the successor operations, paying only `signal_delay` per
-//    switch-to-switch hand-off — no controller round-trips. The release
-//    chain is exactly the per-switch agent telling its successor "my
-//    segment is in".
-//  * kTwoPhase — the naive centralized baseline: the controller collects
-//    every add ack (paying ctrl_rtt per phase plus a per-message send
-//    gap), then fires ALL entry flips concurrently, ignoring segment
-//    dependencies. Out-of-order reroutes transiently loop, and a
-//    mid-phase failure or switch reset strands the network in a MIXED
-//    old/new state (it does not roll flips back) — precisely the
-//    behavior the update regression suite pins down and bench_update
-//    quantifies.
+//  * kSegway — decentralized ez-Segway signaling. Adds go out at once;
+//    a segment's flip is released by its own adds and the flips it
+//    depends on, paying only `signal_delay` per switch-to-switch
+//    hand-off (no controller round-trips); each old-path rule is
+//    removed once the flips gating it landed; a failure rolls back.
+//  * kTwoPhase — the naive centralized baseline: every command pays
+//    ctrl_rtt/2 to reach its switch and every ack ctrl_rtt/2 back, with
+//    one ctrl_send_gap between consecutive sends. The controller waits
+//    for every add ack, then fires ALL entry flips concurrently
+//    (ignoring segment dependencies), then every removal. Out-of-order
+//    reroutes transiently loop, and a flip-phase failure or switch
+//    reset strands the network in a MIXED old/new state (it does not
+//    roll flips back) — precisely the behavior the update regression
+//    suite pins down and bench_update quantifies.
 //
 // Failure semantics (kSegway): any add or flip that a backend reports
 // failed (fault injection past its retry budget, or a reset-wiped rule)
-// aborts the transaction and rolls it back — already-flipped entries are
+// aborts the transaction and rolls it back — old rules whose removal
+// already landed are re-installed, already-flipped entries are
 // un-flipped in reverse flip order (falling back to re-inserting the old
 // rule when the un-flip modify itself fails on a wiped switch), and
-// every installed add is deleted. The old rules are never removed before
-// commit, so an aborted transaction leaves the network in the OLD
-// consistent state; a committed one leaves it in the NEW state. cancel()
-// (the flow completed mid-update) deletes the installed adds and stops.
+// every installed add is deleted. An aborted transaction therefore ends
+// in the OLD consistent state; a committed one in the NEW state. A
+// kTwoPhase add-phase failure takes the same path with nothing to undo
+// but the adds. cancel() (the flow completed mid-update) deletes the
+// installed adds and stops.
 //
 // All times are virtual (sim::EventQueue); the coordinator is
-// single-threaded and drives backends through the caller-supplied
-// dispatch callbacks.
+// single-threaded and drives backends through one caller-supplied
+// dispatch callback.
 #pragma once
 
 #include <cstdint>
@@ -91,12 +94,10 @@ class UpdateCoordinator {
  public:
   /// Dispatches one single-mod transaction to `sw` at virtual time `now`
   /// and fills the batch's result slots before returning. Must complete
-  /// every slot (completion >= now).
+  /// every slot (completion >= now). Every switch operation the
+  /// coordinator issues goes through it.
   using BatchDispatch =
       std::function<void(Time, net::NodeId, net::FlowModBatch&)>;
-  /// Fire-and-forget mod (removals, rollback deletes) — results unused.
-  using ModDispatch =
-      std::function<void(Time, net::NodeId, const net::FlowMod&)>;
   using DoneFn = std::function<void(Time, const TxnOutcome&)>;
   /// Test/bench hook: called at the completion instant of every
   /// forwarding-state-changing operation with its effect and outcome.
@@ -119,7 +120,7 @@ class UpdateCoordinator {
   };
 
   UpdateCoordinator(sim::EventQueue& events, BatchDispatch batch,
-                    ModDispatch mod, CoordinatorConfig config = {});
+                    CoordinatorConfig config = {});
 
   /// Starts a transaction; `done` fires exactly once (commit, abort, or
   /// cancel). Returns the transaction id.
@@ -133,22 +134,25 @@ class UpdateCoordinator {
   void set_observer(OpObserver observer) { observer_ = std::move(observer); }
 
   int active() const { return active_; }
-  const CoordinatorConfig& config() const { return config_; }
 
  private:
   struct SegState {
-    Time add_done = 0;
     int adds_pending = 0;
     int deps_pending = 0;
     bool flip_issued = false;
-    bool flip_done = false;
     /// The flip is released by a remote event (an internal add barrier or
     /// another entry's flip), so issuing it pays one signal_delay.
     bool needs_signal = false;
-    Time flip_time = 0;
+  };
+  /// An old-path rule a removal deletes: what rollback re-installs once
+  /// that delete landed (for a virtual node, a synthetic restore of its
+  /// old next hop).
+  struct OldRule {
+    net::NodeId sw;
+    net::Rule rule;
+    bool virt;
   };
   struct Txn {
-    std::uint64_t id = 0;
     TxnRequest req;
     DoneFn done;
     TxnOutcome out;
@@ -157,8 +161,7 @@ class UpdateCoordinator {
     std::vector<int> removal_pending;          // per group: flips left
     int flips_left = 0;
     int outstanding = 0;  // scheduled ops whose completion hasn't fired
-    Time phase_barrier = 0;  // kTwoPhase: max ack of the finished phase
-    Time last_flip = 0;      // kTwoPhase: max flip completion
+    Time last_flip = 0;   // the latest flip completion so far
     bool failed = false;
     bool cancelled = false;
     bool rolling_back = false;
@@ -168,41 +171,20 @@ class UpdateCoordinator {
     /// aborted the transaction. Rollback re-installs them FIRST (the
     /// reverse of add-before-flip): un-flipping an upstream common while
     /// its old-path internals are gone would blackhole.
-    struct RemovedRule {
-      net::NodeId sw;
-      net::Rule rule;
-      bool virt;
-    };
-    std::vector<RemovedRule> removed;
+    std::vector<OldRule> removed;
     /// Segments whose flip landed, in completion order (rollback order
     /// is the reverse).
     std::vector<int> flip_order;
   };
 
+  bool two_phase() const { return config_.strategy == Strategy::kTwoPhase; }
   Txn* find(std::uint64_t id);
   bool is_virtual(const Txn& t, net::NodeId node) const;
   net::NodeId new_successor(const Txn& t, int seg) const;
   net::NodeId old_successor(const Txn& t, net::NodeId node) const;
   net::FlowMod flip_mod(const Txn& t, int seg) const;
-  void on_add_done(Time now, std::uint64_t id, int seg, net::NodeId sw,
-                   net::RuleId rule, bool ok, bool issued);
-  void check_stalled(Time now, std::uint64_t id);
-  void delete_adds(Time now, Txn& t);
-
-  // kSegway machinery.
-  void seg_adds_complete(Time now, std::uint64_t id, int seg);
-  void maybe_flip(Time now, std::uint64_t id, int seg);
-  void issue_flip(Time now, std::uint64_t id, int seg);
-  void on_flip_done(Time now, std::uint64_t id, int seg, bool ok);
-  void maybe_remove(Time now, std::uint64_t id, int group);
-  void start_rollback(Time now, std::uint64_t id);
-  void rollback_next_flip(Time now, std::uint64_t id, std::size_t idx);
-  void finish(Time now, std::uint64_t id);
-
-  // kTwoPhase machinery.
-  void begin_two_phase(Time now, Txn& t);
-  void two_phase_flips(Time now, std::uint64_t id);
-  void two_phase_finish(Time now, std::uint64_t id);
+  /// The old rules removal group `group` deletes.
+  std::vector<OldRule> removals(const Txn& t, int group) const;
 
   /// Issues one op to `sw` (or completes it instantly when `virt`) and
   /// returns its (completion, ok). Schedules the observer notification
@@ -210,9 +192,40 @@ class UpdateCoordinator {
   std::pair<Time, bool> dispatch_op(Time now, net::NodeId sw,
                                     const net::FlowMod& mod, bool virt);
 
+  // The engine: every add, flip and removal is issued and landed here.
+  void issue_add(Time now, std::uint64_t id, int seg, net::NodeId sw);
+  void on_add_done(Time now, std::uint64_t id, int seg, net::NodeId sw,
+                   net::RuleId rule, bool ok);
+  void issue_flip(Time now, std::uint64_t id, int seg);
+  /// `landed` is the flip's completion; `now` is when the coordinator
+  /// learns of it (kTwoPhase: one half-RTT later).
+  void on_flip_done(Time now, std::uint64_t id, int seg, Time landed,
+                    bool ok);
+  void issue_removal(Time now, std::uint64_t id, const OldRule& old);
+  void delete_adds(Time now, Txn& t);
+  /// Finishes a halted (failed or cancelled) transaction once nothing is
+  /// in flight: a cancel deletes the adds, a failure rolls back.
+  void check_stalled(Time now, std::uint64_t id);
+  void note_failed_op(Txn& t);
+  void note_abort(Time now, const Txn& t);
+  /// The network is consistently on the new path since the last flip
+  /// landed.
+  void commit(Time now, Txn& t);
+  void finish_cancelled(Time now, std::uint64_t id);
+  void finish(Time now, std::uint64_t id);
+
+  // kSegway policy: per-segment release, gated removals, rollback.
+  void maybe_flip(Time now, std::uint64_t id, int seg);
+  void maybe_remove(Time now, std::uint64_t id, int group);
+  void start_rollback(Time now, std::uint64_t id);
+  void rollback_next_flip(Time now, std::uint64_t id, std::size_t idx);
+
+  // kTwoPhase policy: add barrier, flip fan-out, phase-3 removal.
+  void two_phase_flips(Time now, std::uint64_t id);
+  void two_phase_finish(Time now, std::uint64_t id);
+
   sim::EventQueue& events_;
   BatchDispatch batch_;
-  ModDispatch mod_;
   OpObserver observer_;
   CoordinatorConfig config_;
   std::uint64_t next_id_ = 1;

@@ -106,6 +106,28 @@ TEST(Espres, LookupSeesOnlyFlushedRules) {
   EXPECT_EQ(hit->action.port, 7);
 }
 
+TEST(Espres, InsertOfAHeldIdReplacesIt) {
+  // Re-inserting an installed id, or queueing one id twice in a window,
+  // must not cut the window's batch insert short at the duplicate.
+  EspresSwitch sw(tcam::pica8_p3290(), 2000, from_millis(10));
+  sw.handle(0, ins(make_rule(1, 5, "10.0.0.0/8", 1)));
+  sw.flush(from_millis(10));
+  sw.handle(from_millis(11), ins(make_rule(1, 5, "10.0.0.0/8", 7)));
+  sw.handle(from_millis(11), ins(make_rule(2, 5, "12.0.0.0/8", 2)));
+  sw.handle(from_millis(12), ins(make_rule(3, 5, "13.0.0.0/8", 3)));
+  sw.handle(from_millis(12), ins(make_rule(3, 5, "13.0.0.0/8", 4)));
+  const Time now = from_millis(21);
+  sw.flush(now);
+  EXPECT_EQ(sw.occupancy(), 3);
+  const Rule* hit = lookup_at(sw, now, "10.1.1.1");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->action.port, 7);
+  EXPECT_NE(lookup_at(sw, now, "12.1.1.1"), nullptr);
+  hit = lookup_at(sw, now, "13.1.1.1");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->action.port, 4);
+}
+
 // --- Tango ---------------------------------------------------------------------
 
 TEST(Tango, AggregatesSiblingPrefixes) {
@@ -155,6 +177,22 @@ TEST(Tango, DeleteOfPendingRuleCancelsIt) {
   sw.handle(from_millis(1), del(1));
   sw.flush(from_millis(10));
   EXPECT_EQ(sw.occupancy(), 0);
+}
+
+TEST(Tango, SecondInsertOfAQueuedIdReplacesIt) {
+  // Two copies of id 1 in one window must leave one physical entry, so
+  // deleting id 1 clears it.
+  TangoSwitch sw(tcam::pica8_p3290(), 2000, from_millis(10));
+  sw.handle(0, ins(make_rule(1, 5, "10.0.0.0/8", 1)));
+  sw.handle(0, ins(make_rule(1, 5, "10.0.0.0/8", 7)));
+  sw.handle(0, ins(make_rule(2, 5, "12.0.0.0/8", 2)));
+  sw.flush(from_millis(10));
+  const Rule* hit = lookup_at(sw, from_millis(10), "10.1.1.1");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->action.port, 7);
+  sw.handle(from_millis(11), del(1));
+  EXPECT_EQ(sw.occupancy(), 1);
+  EXPECT_EQ(lookup_at(sw, from_millis(11), "10.1.1.1"), nullptr);
 }
 
 TEST(Tango, ModifyReinstallsDirectly) {

@@ -73,6 +73,26 @@ TEST(ShadowSwitch, DeleteFromEitherResidence) {
   EXPECT_NE(sw.lookup_ptr(now, *net::Ipv4Address::parse("11.1.1.1")), nullptr);
 }
 
+TEST(ShadowSwitch, InsertOfAFlushedIdReplacesTheTcamCopy) {
+  // The re-inserted rule must land on the next flush (not stop the batch
+  // at its duplicate id), and the stale TCAM copy must stop answering.
+  ShadowSwitchBackend sw(tcam::pica8_p3290(), 2000);
+  sw.handle(0, {FlowModType::kInsert, make_rule(1, 5, "10.0.0.0/8", 1)});
+  sw.handle(0, {FlowModType::kInsert, make_rule(2, 6, "11.0.0.0/8", 2)});
+  sw.flush(0);
+  sw.handle(0, {FlowModType::kInsert, make_rule(1, 5, "10.0.0.0/8", 7)});
+  sw.handle(0, {FlowModType::kInsert, make_rule(3, 7, "12.0.0.0/8", 3)});
+  const Time now = from_millis(1);
+  sw.flush(now);
+  EXPECT_EQ(sw.tcam_occupancy(), 3);
+  EXPECT_EQ(sw.software_resident(), 0);
+  const Rule* hit = sw.lookup_ptr(now, *net::Ipv4Address::parse("10.1.1.1"));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->action.port, 7);
+  sw.handle(now, {FlowModType::kDelete, Rule{1, 0, {}, {}}});
+  EXPECT_EQ(sw.lookup_ptr(now, *net::Ipv4Address::parse("10.1.1.1")), nullptr);
+}
+
 TEST(ShadowSwitch, ModifyInSoftwareIsFast) {
   ShadowSwitchBackend sw(tcam::pica8_p3290(), 2000);
   sw.handle(0, {FlowModType::kInsert, make_rule(1, 5, "10.0.0.0/8", 1)});

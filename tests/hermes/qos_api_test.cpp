@@ -105,6 +105,20 @@ TEST_F(QoSApiTest, ModQoSConfigRejectsImpossible) {
   EXPECT_FALSE(manager_.ModQoSConfig(999, from_millis(5)));
 }
 
+TEST_F(QoSApiTest, ModQoSConfigKeepsThePredicate) {
+  // Tightening the guarantee must not widen it to rules outside the
+  // predicate: a priority-50 insert stays unmatched.
+  auto desc = manager_.CreateTCAMQoS(1, from_millis(5),
+                                     match_priority_at_least(100));
+  ASSERT_TRUE(desc);
+  ASSERT_TRUE(manager_.ModQoSConfig(desc->id, from_millis(1)));
+  HermesAgent* agent = manager_.agent(desc->id);
+  const std::uint64_t unmatched = agent->gate_keeper().stats().unmatched;
+  agent->insert(0, net::Rule{7, 50, *Prefix::parse("10.0.0.0/8"),
+                             net::forward_to(3)});
+  EXPECT_EQ(agent->gate_keeper().stats().unmatched, unmatched + 1);
+}
+
 TEST_F(QoSApiTest, ModQoSMatchSwapsPredicate) {
   auto desc = manager_.CreateTCAMQoS(1, from_millis(5), match_all());
   ASSERT_TRUE(desc);

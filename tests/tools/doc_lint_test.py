@@ -177,6 +177,33 @@ class DocLintTest(unittest.TestCase):
             any("docs/METRICS.md" in e and "gate.redundant" in e
                 for e in errors))
 
+    def test_cpp_reference_to_real_member_passes(self):
+        # Namespace-qualified, with call parentheses, declared in a header
+        # under bench/ (where report::open lives).
+        def add_ref(root):
+            write(root, "DESIGN.md",
+                  "Moves start in `sim::Simulation::install_moves()`; "
+                  "reports open via `report::open(name)`.")
+            write(root, "src/sim/simulation.cpp",
+                  "void Simulation::install_moves(Time now) {}")
+            write(root, "bench/report.h",
+                  "namespace report {\ninline Report open(const char*);\n}")
+        self.assertEqual(self.lint_tree(add_ref), [])
+
+    def test_cpp_reference_to_missing_member_fails(self):
+        # The member exists nowhere the class is declared or qualified
+        # (the stale `Simulation::start_update` this rule exists to catch).
+        def add_ref(root):
+            write(root, "DESIGN.md", "Moves start in "
+                                     "`Simulation::start_update`.")
+            write(root, "src/sim/simulation.h",
+                  "class Simulation {\n  void install_moves();\n};")
+            write(root, "src/update/update.cpp", "void start_update();")
+        errors = self.lint_tree(add_ref)
+        self.assertTrue(
+            any("DESIGN.md" in e and "Simulation::start_update" in e
+                for e in errors))
+
     def test_real_repo_lints_clean(self):
         repo = TOOL.parent.parent
         self.assertEqual(doc_lint.lint(repo), [])

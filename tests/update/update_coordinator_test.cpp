@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -37,9 +37,10 @@ class FakeFabric {
  public:
   using Table = std::map<net::RuleId, net::Rule>;
 
-  /// Every op on `sw` of this verb fails (rejected, table untouched).
-  void fail(net::NodeId sw, net::FlowModType type) {
-    fail_.insert({sw, type});
+  /// Every op on `sw` of this verb dispatched at or after `from` fails
+  /// (rejected, table untouched).
+  void fail(net::NodeId sw, net::FlowModType type, Time from = 0) {
+    fail_[{sw, type}] = from;
   }
   /// Ops on `sw` complete after `latency` instead of the default.
   void set_latency(net::NodeId sw, Duration latency) {
@@ -49,12 +50,8 @@ class FakeFabric {
   UpdateCoordinator::BatchDispatch batch_dispatch() {
     return [this](Time now, net::NodeId sw, net::FlowModBatch& batch) {
       for (std::size_t i = 0; i < batch.size(); ++i)
-        batch.complete(i, now + latency_of(sw), apply(sw, batch.mod(i)));
-    };
-  }
-  UpdateCoordinator::ModDispatch mod_dispatch() {
-    return [this](Time, net::NodeId sw, const net::FlowMod& mod) {
-      apply(sw, mod);
+        batch.complete(i, now + latency_of(sw),
+                       apply(now, sw, batch.mod(i)));
     };
   }
 
@@ -79,8 +76,9 @@ class FakeFabric {
     auto it = latency_.find(sw);
     return it == latency_.end() ? kLatency : it->second;
   }
-  bool apply(net::NodeId sw, const net::FlowMod& mod) {
-    if (fail_.count({sw, mod.type})) return false;
+  bool apply(Time now, net::NodeId sw, const net::FlowMod& mod) {
+    auto failing = fail_.find({sw, mod.type});
+    if (failing != fail_.end() && now >= failing->second) return false;
     Table& t = tables_[sw];
     switch (mod.type) {
       case net::FlowModType::kInsert:
@@ -100,7 +98,7 @@ class FakeFabric {
 
   std::unordered_map<net::NodeId, Table> tables_;
   std::unordered_map<net::NodeId, Duration> latency_;
-  std::set<std::pair<net::NodeId, net::FlowModType>> fail_;
+  std::map<std::pair<net::NodeId, net::FlowModType>, Time> fail_;
 };
 
 net::Rule old_rule_for(net::NodeId node, net::NodeId successor) {
@@ -150,8 +148,7 @@ CoordinatorConfig segway_config() {
 /// One coordinator + fabric + checker wired together.
 struct Harness {
   explicit Harness(CoordinatorConfig config = segway_config())
-      : coordinator(events, fabric.batch_dispatch(), fabric.mod_dispatch(),
-                    config) {
+      : coordinator(events, fabric.batch_dispatch(), config) {
     coordinator.set_observer(
         [this](Time t, net::NodeId sw, const net::FlowMod& mod, bool ok) {
           ops.push_back({t, sw, mod.type, ok});
@@ -421,6 +418,256 @@ TEST(UpdateCoordinator, TwoPhasePartialFlipFailureStrandsMixedState) {
   EXPECT_EQ(h.fabric.only_rule(1).action, net::forward_to(2));  // old
   EXPECT_EQ(h.checker.trace(0), net::ForwardTrace::kLoop);
   EXPECT_GT(h.checker.loop_instants(), 0);
+}
+
+/// The observed ops as (time, switch, verb, ok), for whole-timeline
+/// comparisons.
+using Op = std::tuple<Time, net::NodeId, net::FlowModType, bool>;
+std::vector<Op> timeline(const std::vector<ObservedOp>& ops) {
+  std::vector<Op> out;
+  for (const ObservedOp& op : ops)
+    out.emplace_back(op.time, op.sw, op.type, op.ok);
+  return out;
+}
+
+constexpr auto kInsert = net::FlowModType::kInsert;
+constexpr auto kModify = net::FlowModType::kModify;
+constexpr auto kDelete = net::FlowModType::kDelete;
+
+TEST(UpdateCoordinator, TwoPhaseCommitPaysRoundTripsAndRetiresOldRules) {
+  // rtt 40, send gap 2, switch latency 10. Adds go out at 20 and 22 and
+  // are acked at 50 and 52; the flip goes out at 72, lands at 82 (the
+  // commit time) and is acked at 102; phase 3 then sends both removals
+  // at 122 and 124.
+  Harness h{two_phase_config()};
+  h.run({0, 1, 2, 3}, {0, 4, 5, 3});
+  h.events.run_all();
+
+  EXPECT_TRUE(h.outcome.committed);
+  EXPECT_FALSE(h.outcome.cancelled);
+  EXPECT_EQ(h.outcome.adds, 2);
+  EXPECT_EQ(h.outcome.flips, 1);
+  EXPECT_EQ(h.outcome.failed_ops, 0);
+  EXPECT_EQ(h.outcome.done, 82);
+  EXPECT_EQ(timeline(h.ops),
+            (std::vector<Op>{{30, 4, kInsert, true},
+                             {32, 5, kInsert, true},
+                             {82, 0, kModify, true},
+                             {132, 1, kDelete, true},
+                             {134, 2, kDelete, true}}));
+
+  EXPECT_EQ(h.fabric.only_rule(0).id, net::RuleId{100});
+  EXPECT_EQ(h.fabric.only_rule(0).action, net::forward_to(4));
+  EXPECT_EQ(h.fabric.only_rule(4).action, net::forward_to(5));
+  EXPECT_EQ(h.fabric.only_rule(5).action, net::forward_to(3));
+  EXPECT_TRUE(h.fabric.empty(1));
+  EXPECT_TRUE(h.fabric.empty(2));
+  EXPECT_EQ(h.checker.violation_instants(), 0);
+  EXPECT_EQ(h.checker.trace(0), net::ForwardTrace::kDelivered);
+}
+
+TEST(UpdateCoordinator, TwoPhaseAddFailureDeletesAddsAndIssuesNoFlip) {
+  // The add at 5 is refused; at the add barrier (the last ack, 52) the
+  // controller deletes the add that landed and aborts before any flip.
+  Harness h{two_phase_config()};
+  h.fabric.fail(5, kInsert);
+  h.run({0, 1, 2, 3}, {0, 4, 5, 3});
+  h.events.run_all();
+
+  EXPECT_FALSE(h.outcome.committed);
+  EXPECT_FALSE(h.outcome.cancelled);
+  EXPECT_EQ(h.outcome.adds, 1);
+  EXPECT_EQ(h.outcome.flips, 0);
+  EXPECT_EQ(h.outcome.failed_ops, 1);
+  EXPECT_EQ(h.outcome.done, 52);
+  for (const ObservedOp& op : h.ops) EXPECT_NE(op.type, kModify);
+
+  for (net::NodeId sw : {0, 1, 2})
+    EXPECT_EQ(h.fabric.only_rule(sw), old_rule_for(sw, sw + 1));
+  EXPECT_TRUE(h.fabric.empty(4));
+  EXPECT_TRUE(h.fabric.empty(5));
+  EXPECT_EQ(h.checker.violation_instants(), 0);
+  EXPECT_EQ(h.checker.trace(0), net::ForwardTrace::kDelivered);
+}
+
+TEST(UpdateCoordinator, TwoPhaseCancelDuringAddPhaseDeletesLandedAdds) {
+  // The add to 4 went out at 20; the cancel at 21 stops the add to 5
+  // (due at 22). At 4's ack (50) the controller deletes it and stops.
+  Harness h{two_phase_config()};
+  std::uint64_t id = h.run({0, 1, 2, 3}, {0, 4, 5, 3});
+  h.events.run_until(21);
+  h.coordinator.cancel(id);
+  h.events.run_all();
+
+  EXPECT_TRUE(h.outcome.cancelled);
+  EXPECT_FALSE(h.outcome.committed);
+  EXPECT_EQ(h.outcome.adds, 1);
+  EXPECT_EQ(h.outcome.flips, 0);
+  EXPECT_EQ(h.outcome.done, 50);
+  EXPECT_EQ(h.coordinator.active(), 0);
+  for (const ObservedOp& op : h.ops) {
+    EXPECT_NE(op.sw, 5);
+    EXPECT_NE(op.type, kModify);
+  }
+
+  for (net::NodeId sw : {0, 1, 2})
+    EXPECT_EQ(h.fabric.only_rule(sw), old_rule_for(sw, sw + 1));
+  EXPECT_TRUE(h.fabric.empty(4));
+  EXPECT_TRUE(h.fabric.empty(5));
+  EXPECT_EQ(h.checker.violation_instants(), 0);
+}
+
+TEST(UpdateCoordinator, TwoPhaseCancelDuringFlipPhaseStopsTheFanOut) {
+  // old 0-1-2-3-4, new 0-5-2-6-4. The flips are due at 72 (entry 0) and
+  // 74 (entry 2); the cancel at 73 stops the second. The controller
+  // still counts the first flip's ack (102), then deletes both adds. Like
+  // its flip-phase failure, it does not un-flip: entry 0 is left
+  // pointing at 5, whose add it just deleted.
+  Harness h{two_phase_config()};
+  std::uint64_t id = h.run({0, 1, 2, 3, 4}, {0, 5, 2, 6, 4});
+  h.events.run_until(73);
+  h.coordinator.cancel(id);
+  h.events.run_all();
+
+  EXPECT_TRUE(h.outcome.cancelled);
+  EXPECT_FALSE(h.outcome.committed);
+  EXPECT_EQ(h.outcome.adds, 2);
+  EXPECT_EQ(h.outcome.flips, 1);
+  EXPECT_EQ(h.outcome.done, 102);
+  EXPECT_EQ(h.coordinator.active(), 0);
+  int modifies = 0;
+  for (const ObservedOp& op : h.ops) {
+    if (op.type != kModify) continue;
+    ++modifies;
+    EXPECT_EQ(op.sw, 0);
+    EXPECT_EQ(op.time, 82);
+  }
+  EXPECT_EQ(modifies, 1);
+
+  EXPECT_EQ(h.fabric.only_rule(0).action, net::forward_to(5));
+  for (net::NodeId sw : {1, 2, 3})
+    EXPECT_EQ(h.fabric.only_rule(sw), old_rule_for(sw, sw + 1));
+  EXPECT_TRUE(h.fabric.empty(5));
+  EXPECT_TRUE(h.fabric.empty(6));
+  EXPECT_EQ(h.checker.trace(0), net::ForwardTrace::kBlackhole);
+}
+
+TEST(UpdateCoordinator, CancelRightAfterBeginIssuesNothing) {
+  struct Case {
+    CoordinatorConfig config;
+    net::Path new_path;
+    Time done;  // when the cancel resolves
+  };
+  // kSegway resolves at once. kTwoPhase resolves when its first phase's
+  // last send (adds at 20, 22; or, with no adds, flips at 20, 22, 24)
+  // finds the transaction cancelled.
+  const std::vector<Case> cases = {
+      {segway_config(), {0, 4, 5, 3}, 0},
+      {segway_config(), {0, 2, 1, 3}, 0},
+      {two_phase_config(), {0, 4, 5, 3}, 22},
+      {two_phase_config(), {0, 2, 1, 3}, 24},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "two_phase=" << (c.config.strategy == Strategy::kTwoPhase)
+                 << " new_path[1]=" << c.new_path[1]);
+    Harness h{c.config};
+    std::uint64_t id = h.run({0, 1, 2, 3}, c.new_path);
+    h.coordinator.cancel(id);
+    h.events.run_all();
+
+    EXPECT_TRUE(h.outcome.cancelled);
+    EXPECT_FALSE(h.outcome.committed);
+    EXPECT_EQ(h.outcome.adds, 0);
+    EXPECT_EQ(h.outcome.flips, 0);
+    EXPECT_EQ(h.outcome.done, c.done);
+    EXPECT_EQ(h.coordinator.active(), 0);
+    EXPECT_TRUE(h.ops.empty());
+    for (net::NodeId sw : {0, 1, 2})
+      EXPECT_EQ(h.fabric.only_rule(sw), old_rule_for(sw, sw + 1));
+    EXPECT_TRUE(h.fabric.empty(4));
+    EXPECT_TRUE(h.fabric.empty(5));
+  }
+}
+
+TEST(UpdateCoordinator, RefusedUnflipReinsertsTheOldRule) {
+  // old 0-1-2-3-4, new 0-5-2-6-4. Both flips go out at 15 and land at
+  // 25: entry 0's succeeds, entry 2's is refused. From 20 on, entry 0
+  // refuses modifies too (a reset wiped the flipped rule), so the
+  // rollback's un-flip at 25 is refused at 35 and the coordinator
+  // re-inserts the old rule instead (landing at 45).
+  Harness h;
+  h.fabric.fail(2, kModify);
+  h.fabric.fail(0, kModify, 20);
+  h.run({0, 1, 2, 3, 4}, {0, 5, 2, 6, 4});
+  h.events.run_all();
+
+  EXPECT_FALSE(h.outcome.committed);
+  EXPECT_EQ(h.outcome.flips, 1);
+  EXPECT_EQ(h.outcome.rollback_flips, 1);
+  EXPECT_EQ(h.outcome.failed_ops, 2);  // entry 2's flip, entry 0's un-flip
+  // Re-insert at 45, then one signal before the adds are deleted.
+  EXPECT_EQ(h.outcome.done, 45 + kSignal);
+  std::vector<Op> at_entry;
+  for (const Op& op : timeline(h.ops))
+    if (std::get<1>(op) == 0) at_entry.push_back(op);
+  EXPECT_EQ(at_entry, (std::vector<Op>{{25, 0, kModify, true},
+                                       {35, 0, kModify, false},
+                                       {45, 0, kInsert, true}}));
+
+  for (net::NodeId sw : {0, 1, 2, 3})
+    EXPECT_EQ(h.fabric.only_rule(sw), old_rule_for(sw, sw + 1));
+  EXPECT_TRUE(h.fabric.empty(5));
+  EXPECT_TRUE(h.fabric.empty(6));
+  EXPECT_EQ(h.checker.violation_instants(), 0);
+  EXPECT_EQ(h.checker.trace(0), net::ForwardTrace::kDelivered);
+}
+
+TEST(UpdateCoordinator, RefusedRemovalIsCountedNotFatal) {
+  // old 0-1-2-3-4, new 0-5-2-6-4, the add at 6 slow (lands at 100).
+  // Entry 0 flips at 25, so old rule 1's removal goes out at 30 while
+  // the transaction is still open, and is refused. The update is already
+  // consistent there: the failure is counted and the transaction still
+  // commits when entry 2 flips (115), leaving the unreachable rule at 1.
+  Harness h;
+  h.fabric.set_latency(6, 100);
+  h.fabric.fail(1, kDelete);
+  h.run({0, 1, 2, 3, 4}, {0, 5, 2, 6, 4});
+  h.events.run_all();
+
+  EXPECT_TRUE(h.outcome.committed);
+  EXPECT_EQ(h.outcome.failed_ops, 1);
+  EXPECT_EQ(h.outcome.done, 115);
+  EXPECT_EQ(h.fabric.only_rule(1), old_rule_for(1, 2));
+  EXPECT_TRUE(h.fabric.empty(3));
+  EXPECT_EQ(h.fabric.only_rule(0).action, net::forward_to(5));
+  EXPECT_EQ(h.fabric.only_rule(2).action, net::forward_to(6));
+  EXPECT_EQ(h.checker.violation_instants(), 0);
+  EXPECT_EQ(h.checker.trace(0), net::ForwardTrace::kDelivered);
+}
+
+TEST(UpdateCoordinator, RollbackDeleteReachesObserverAtItsCompletion) {
+  // The add at 5 is refused at 10; the add at 4 (latency 30) lands at 30,
+  // when the rollback deletes it. The observer sees that delete when it
+  // completes (30 + 30), with the switch's verdict.
+  for (bool refused : {false, true}) {
+    SCOPED_TRACE(refused ? "delete refused" : "delete lands");
+    Harness h;
+    h.fabric.set_latency(4, 30);
+    h.fabric.fail(5, kInsert);
+    if (refused) h.fabric.fail(4, kDelete);
+    h.run({0, 1, 2, 3}, {0, 4, 5, 3});
+    h.events.run_all();
+
+    EXPECT_FALSE(h.outcome.committed);
+    EXPECT_EQ(h.outcome.done, 30);
+    std::vector<Op> deletes;
+    for (const Op& op : timeline(h.ops))
+      if (std::get<2>(op) == kDelete) deletes.push_back(op);
+    EXPECT_EQ(deletes, (std::vector<Op>{{60, 4, kDelete, !refused}}));
+    EXPECT_EQ(h.fabric.empty(4), !refused);
+    EXPECT_EQ(h.checker.violation_instants(), 0);
+  }
 }
 
 }  // namespace

@@ -49,9 +49,6 @@ struct ResetHarness {
         [this](Time now, net::NodeId sw, net::FlowModBatch& batch) {
           backends[static_cast<std::size_t>(sw)]->handle_batch(now, batch);
         },
-        [this](Time now, net::NodeId sw, const net::FlowMod& mod) {
-          backends[static_cast<std::size_t>(sw)]->handle(now, mod);
-        },
         config);
   }
 

@@ -27,8 +27,13 @@ Checks (all of them; exit 1 if any reference is broken):
      table appears as a quoted string literal ("name") in some file
      under src/ -- the reverse of tests/obs/metrics_catalog_test.cpp, so
      the catalog cannot keep a row for a metric no code registers.
+  7. Every backticked C++ reference `A::b` (possibly namespace-qualified,
+     possibly followed by a call's parentheses) names real code: some
+     C++ file under src/, bench/, tools/ or examples/ declares or
+     qualifies `A` (class/struct/enum/namespace A, or A::) and contains
+     the identifier b.
 
-Checks 1-3 cover README.md / EXPERIMENTS.md / DESIGN.md plus every
+Checks 1-3 and 7 cover README.md / EXPERIMENTS.md / DESIGN.md plus every
 Markdown file under docs/, recursively.
 
 The point is cheap honesty: docs routinely outlive renames, and a stale
@@ -69,6 +74,36 @@ KIND_RETURN = re.compile(r'case\s+EventKind::\w+:\s*return\s+"([a-z0-9_]+)"')
 
 # The backticked name opening a docs/METRICS.md table row.
 CATALOG_NAME = re.compile(r"^\|\s*`([^`]+)`\s*\|", re.MULTILINE)
+
+# A backticked C++ qualified name, `ns::A::b` or `A::b(...)`: group 1 is
+# the qualifier chain, group 2 the member.
+CPP_REF = re.compile(r"`((?:[A-Za-z_]\w*::)+)([A-Za-z_]\w*)(?:\([^`]*\))?`")
+CPP_SOURCE_DIRS = ("src", "bench", "tools", "examples")
+CPP_SUFFIXES = (".h", ".hpp", ".cc", ".cpp")
+# What a C++ file declares (class/struct/enum/union/namespace A, nested
+# namespaces split) or qualifies (A::).
+CPP_DECL = re.compile(
+    r"\b(?:class|struct|union|enum(?:\s+class)?|namespace)\s+([\w:]+)")
+CPP_QUALIFIER = re.compile(r"\b(\w+)::")
+IDENTIFIER = re.compile(r"\b[A-Za-z_]\w*\b")
+
+
+def cpp_index(root: Path) -> list[tuple[set[str], set[str]]]:
+    """Per C++ source file: (names it declares or qualifies, identifiers)."""
+    index = []
+    for top in CPP_SOURCE_DIRS:
+        base = root / top
+        if not base.is_dir():
+            continue
+        for path in sorted(base.rglob("*")):
+            if path.suffix not in CPP_SUFFIXES or not path.is_file():
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            owners = set(CPP_QUALIFIER.findall(text))
+            for decl in CPP_DECL.findall(text):
+                owners.update(part for part in decl.split("::") if part)
+            index.append((owners, set(IDENTIFIER.findall(text))))
+    return index
 
 
 def lint(root: Path) -> list[str]:
@@ -173,6 +208,19 @@ def lint(root: Path) -> list[str]:
                 f"docs/METRICS.md: `{name}` has no \"{name}\" string "
                 "literal under src/"
             )
+
+    # 7. C++ references: `A::b` names a member some source file has.
+    index = cpp_index(root)
+    for name, text in texts.items():
+        for qualifiers, member in sorted(set(CPP_REF.findall(text))):
+            owner = qualifiers.split("::")[-2]
+            if not any(owner in owners and member in idents
+                       for owners, idents in index):
+                errors.append(
+                    f"{name}: `{qualifiers}{member}` matches no C++ file "
+                    f"under {', '.join(CPP_SOURCE_DIRS)} that declares "
+                    f"`{owner}` and contains `{member}`"
+                )
     return errors
 
 
