@@ -450,9 +450,10 @@ double bench_locate_run_scaling() {
 // FluidNetwork on a k=16 fat-tree carrying 4,096 active flows, divided by
 // the same with 512. Every mutation refills max-min rates over all active
 // flows. A filling that rescans every link and flow in each round also
-// pays for the rounds, which grow with the flows (~8.7 against ~5.6 for
-// the bottleneck heap over per-link flow lists). Alternating blocks and
-// medians, as above.
+// pays for the rounds, which grow with the flows (~8.7 against 6.0-6.2
+// for the heap of shared links and each flow's least private link).
+// Alternating blocks and medians, as above. A third row, at 32 flows,
+// follows the pair.
 struct ActiveFlows {
   ActiveFlows(const net::Topology& topo, net::PathDatabase& paths, int n)
       : size(n), network(topo) {
@@ -502,7 +503,40 @@ double bench_rate_recompute_scaling() {
     return ns[ns.size() / 2];
   };
   const double small_median = median_of(small, small_ns);
-  return median_of(large, large_ns) / std::max(small_median, 1e-9);
+  const double scaling =
+      median_of(large, large_ns) / std::max(small_median, 1e-9);
+  // te_fattree's regime, ~30 flows per filling, most links private to one
+  // flow. Recorded after the pair, not gated.
+  ActiveFlows few(topo, paths, 32);
+  std::vector<double> few_ns;
+  for (int b = 0; b < kBlocks; ++b) few_ns.push_back(few.block_ns());
+  median_of(few, few_ns);
+  return scaling;
+}
+
+// Path queries: ns per PathDatabase::paths call over 2,400 random host
+// pairs of a k=16 fat-tree, on a fresh database, so the cost includes
+// the Dijkstra rows the queries compute on first use. Best of three
+// fresh databases over the same pairs. Not gated.
+void bench_path_query() {
+  constexpr int kQueries = 2400;
+  const net::Topology topo = net::fat_tree(16);
+  const std::vector<net::NodeId> hosts = topo.hosts();
+  std::mt19937_64 rng(0x9A7B);
+  std::vector<std::pair<net::NodeId, net::NodeId>> pairs;
+  while (static_cast<int>(pairs.size()) < kQueries) {
+    net::NodeId a = hosts[rng() % hosts.size()];
+    net::NodeId b = hosts[rng() % hosts.size()];
+    if (a != b) pairs.emplace_back(a, b);
+  }
+  record("path_query", "database", static_cast<int>(hosts.size()), kQueries,
+         best_of(3, [&] {
+           net::PathDatabase db(topo, 4, net::hop_count());
+           volatile std::size_t sink = 0;
+           auto start = Clock::now();
+           for (const auto& [a, b] : pairs) sink = sink + db.paths(a, b).size();
+           return ns_since(start, pairs.size());
+         }));
 }
 
 double ns_of(const std::string& op, const std::string& impl, int rules) {
@@ -551,6 +585,7 @@ int main(int argc, char** argv) {
   const double closure_scaling = bench_closure_abort_scaling();
   const double locate_scaling = bench_locate_run_scaling();
   const double recompute_scaling = bench_rate_recompute_scaling();
+  bench_path_query();
 
   // Headline indexed-vs-linear ratios at the largest size that ran.
   // Ratios — not raw ns/op — are what CI regression-gates: they are

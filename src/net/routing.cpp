@@ -85,7 +85,10 @@ SsspResult dijkstra(const Topology& topo, const std::vector<double>& weights,
       if (nd < r.dist[static_cast<std::size_t>(v)]) {
         r.dist[static_cast<std::size_t>(v)] = nd;
         r.pred_link[static_cast<std::size_t>(v)] = lid;
-        pq.push({nd, v});
+        // A stub's one neighbour is u, now settled, so its entries are
+        // final, and (weights being non-negative) it can improve no
+        // other node: it is queued only when the search stops at it.
+        if (v == target || topo.links_of(v).size() != 1) pq.push({nd, v});
       }
     }
   }

@@ -6,6 +6,17 @@
 
 namespace hermes::sim {
 
+namespace {
+
+// (share, link id) order, evaluated without branches: which of four
+// children is least is data-dependent and defeats a branch predictor.
+bool before(const std::pair<double, net::LinkId>& a,
+            const std::pair<double, net::LinkId>& b) {
+  return (a.first < b.first) | ((a.first == b.first) & (a.second < b.second));
+}
+
+}  // namespace
+
 FluidNetwork::FluidNetwork(const net::Topology& topology)
     : topology_(&topology) {
   const auto links = static_cast<std::size_t>(topology.link_count());
@@ -13,10 +24,7 @@ FluidNetwork::FluidNetwork(const net::Topology& topology)
   for (const net::Link& l : topology.links())
     link_capacity_.push_back(l.capacity_bps / 8.0);
   link_flows_.resize(links);
-  residual_.resize(links);
-  unfrozen_.resize(links);
-  round_of_.resize(links);
-  live_.resize(links);
+  links_.resize(links);
 }
 
 FlowId FluidNetwork::add_flows(std::vector<NewFlow> flows,
@@ -142,27 +150,41 @@ void FluidNetwork::recompute_rates() {
   for (auto& [id, flow] : flows_) {
     flow.rate = 0;
     flow.frozen = false;
+    flow.least_private = kNoSlot;
     for (net::LinkId l : flow.links) {
       const auto li = static_cast<std::size_t>(l);
-      if (link_flows_[li].empty()) {
-        used_links_.push_back(l);
-        residual_[li] = link_capacity_[li];
-      }
+      if (link_flows_[li].empty()) used_links_.push_back(l);
       link_flows_[li].push_back(&flow);
     }
   }
-  // The heap holds exactly the live links, each keyed on its current
-  // (share, link id), so its top is the bottleneck: every round pops only
-  // that. A link leaves when its last flow freezes, so the heap empties
-  // exactly when every flow is frozen.
-  live_.clear();
+  // The heap holds every shared link and, of each flow's private links
+  // (links it alone crosses, once), the least by (share, link id). A
+  // private link keeps its key until its flow freezes and dies in the
+  // same round, so no other private link of that flow can reach the top
+  // first: the top is the least (share, link id) over all live links.
+  heap_.clear();
   for (net::LinkId l : used_links_) {
     const auto li = static_cast<std::size_t>(l);
-    unfrozen_[li] = static_cast<int>(link_flows_[li].size());
-    live_.push({residual_[li] / unfrozen_[li], l});
+    LinkState& link = links_[li];
+    link.residual = link_capacity_[li];
+    link.unfrozen = static_cast<int>(link_flows_[li].size());
+    const Entry e{link.residual / link.unfrozen, l};
+    if (link.unfrozen == 1) {
+      FlowState* flow = link_flows_[li].front();
+      if (flow->least_private != kNoSlot) {
+        Entry& least = heap_[flow->least_private];
+        if (before(e, least)) least = e;
+        continue;
+      }
+      flow->least_private = static_cast<std::uint32_t>(heap_.size());
+    }
+    heap_.push_back(e);
   }
-  while (!live_.empty()) {
-    const auto [share, bottleneck] = live_.top();
+  build_heap();
+  // A link leaves when its last flow freezes, so the heap empties
+  // exactly when every flow is frozen.
+  while (!heap_.empty()) {
+    const auto [share, bottleneck] = heap_.front();
     const auto bi = static_cast<std::size_t>(bottleneck);
 
     // Freeze every unfrozen flow crossing the bottleneck at the share.
@@ -175,23 +197,23 @@ void FluidNetwork::recompute_rates() {
       flow->frozen = true;
       flow->rate = share;
       for (net::LinkId l : flow->links) {
-        const auto li = static_cast<std::size_t>(l);
-        residual_[li] -= share;
-        --unfrozen_[li];
-        if (round_of_[li] != round_) {
-          round_of_[li] = round_;
+        LinkState& link = links_[static_cast<std::size_t>(l)];
+        link.residual -= share;
+        --link.unfrozen;
+        if (link.round != round_) {
+          link.round = round_;
           touched_.push_back(l);
         }
       }
     }
-    // Re-key every link the round changed; the bottleneck itself, and any
-    // link whose last flow froze, leave the heap.
+    // Re-key every link the round changed; a link whose last flow froze
+    // (the bottleneck among them) leaves the heap if it is there.
     for (net::LinkId l : touched_) {
-      const auto li = static_cast<std::size_t>(l);
-      if (unfrozen_[li] == 0) {
-        live_.erase(l);
-      } else {
-        live_.update(l, residual_[li] / unfrozen_[li]);
+      const LinkState& link = links_[static_cast<std::size_t>(l)];
+      if (link.unfrozen > 0) {
+        rekey(l, link.residual / link.unfrozen);
+      } else if (link.slot != kNoSlot) {
+        erase_from_heap(l);
       }
     }
   }
@@ -199,25 +221,22 @@ void FluidNetwork::recompute_rates() {
     link_flows_[static_cast<std::size_t>(l)].clear();
 }
 
-// --- LinkHeap: 4-ary, children of slot i at 4i+1 .. 4i+4 ---------------------
+// --- heap_: 4-ary, children of slot i at 4i+1 .. 4i+4 ------------------------
 
-namespace {
-
-// (share, link id) order, evaluated without branches: which of four
-// children is least is data-dependent and defeats a branch predictor.
-bool before(const std::pair<double, net::LinkId>& a,
-            const std::pair<double, net::LinkId>& b) {
-  return (a.first < b.first) | ((a.first == b.first) & (a.second < b.second));
+void FluidNetwork::build_heap() {
+  for (std::size_t i = 0; i < heap_.size(); ++i)
+    links_[static_cast<std::size_t>(heap_[i].second)].slot =
+        static_cast<std::uint32_t>(i);
+  for (std::size_t i = (heap_.size() + 2) / 4; i-- > 0;) sift_down(i);
 }
 
-}  // namespace
-
-void FluidNetwork::LinkHeap::place(std::size_t i, const Entry& e) {
+void FluidNetwork::place(std::size_t i, const Entry& e) {
   heap_[i] = e;
-  pos_[static_cast<std::size_t>(e.second)] = i;
+  links_[static_cast<std::size_t>(e.second)].slot =
+      static_cast<std::uint32_t>(i);
 }
 
-void FluidNetwork::LinkHeap::sift_up(std::size_t i) {
+void FluidNetwork::sift_up(std::size_t i) {
   const Entry e = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
@@ -228,7 +247,7 @@ void FluidNetwork::LinkHeap::sift_up(std::size_t i) {
   place(i, e);
 }
 
-void FluidNetwork::LinkHeap::sift_down(std::size_t i) {
+void FluidNetwork::sift_down(std::size_t i) {
   const Entry e = heap_[i];
   const std::size_t n = heap_.size();
   for (;;) {
@@ -245,21 +264,9 @@ void FluidNetwork::LinkHeap::sift_down(std::size_t i) {
   place(i, e);
 }
 
-void FluidNetwork::LinkHeap::clear() {
-  for (const Entry& e : heap_)
-    pos_[static_cast<std::size_t>(e.second)] = kAbsent;
-  heap_.clear();
-}
-
-void FluidNetwork::LinkHeap::push(const Entry& e) {
-  assert(pos_[static_cast<std::size_t>(e.second)] == kAbsent);
-  heap_.push_back(e);
-  sift_up(heap_.size() - 1);
-}
-
-void FluidNetwork::LinkHeap::update(net::LinkId link, double share) {
-  const std::size_t i = pos_[static_cast<std::size_t>(link)];
-  assert(i != kAbsent);
+void FluidNetwork::rekey(net::LinkId link, double share) {
+  const std::size_t i = links_[static_cast<std::size_t>(link)].slot;
+  assert(i != kNoSlot);
   const bool lower = share < heap_[i].first;
   heap_[i].first = share;
   if (lower) {
@@ -269,16 +276,17 @@ void FluidNetwork::LinkHeap::update(net::LinkId link, double share) {
   }
 }
 
-void FluidNetwork::LinkHeap::erase(net::LinkId link) {
-  const std::size_t i = pos_[static_cast<std::size_t>(link)];
-  assert(i != kAbsent);
-  pos_[static_cast<std::size_t>(link)] = kAbsent;
+void FluidNetwork::erase_from_heap(net::LinkId link) {
+  std::uint32_t& slot = links_[static_cast<std::size_t>(link)].slot;
+  const std::size_t i = slot;
+  assert(i != kNoSlot);
+  slot = kNoSlot;
   const Entry moved = heap_.back();
   heap_.pop_back();
   if (i == heap_.size()) return;
   place(i, moved);
   sift_up(i);
-  sift_down(pos_[static_cast<std::size_t>(moved.second)]);
+  sift_down(links_[static_cast<std::size_t>(moved.second)].slot);
 }
 
 }  // namespace hermes::sim

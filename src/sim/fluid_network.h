@@ -72,44 +72,43 @@ class FluidNetwork {
   int active_flow_count() const { return static_cast<int>(flows_.size()); }
 
  private:
+  static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
+
   struct FlowState {
     double remaining = 0;
     double rate = 0;  // bytes/s
     std::vector<net::LinkId> links;
-    bool frozen = false;  // progressive-filling scratch
+    // Progressive-filling scratch: whether the flow's rate is final, and
+    // while the heap is built, the slot of its least private link.
+    bool frozen = false;
+    std::uint32_t least_private = kNoSlot;
   };
+
+  /// One link's progressive-filling state: residual capacity, unfrozen
+  /// crossings, the last filling round that changed it, and its slot in
+  /// heap_ (kNoSlot when not there).
+  struct LinkState {
+    double residual = 0;
+    int unfrozen = 0;
+    std::uint32_t slot = kNoSlot;
+    std::uint64_t round = 0;
+  };
+
+  /// A heap_ entry: (fair share, link id).
+  using Entry = std::pair<double, net::LinkId>;
 
   void recompute_rates();
 
-  /// Indexed 4-ary min-heap of the live links of a filling (links with
-  /// unfrozen crossings), one entry each, keyed on (fair share, link id).
-  class LinkHeap {
-   public:
-    using Entry = std::pair<double, net::LinkId>;
-
-    /// Sizes the position index for link ids in [0, links).
-    void resize(std::size_t links) { pos_.assign(links, kAbsent); }
-    /// Empties the heap.
-    void clear();
-    /// Adds a link that is not in the heap.
-    void push(const Entry& e);
-    bool empty() const { return heap_.empty(); }
-    /// The least (share, link id).
-    const Entry& top() const { return heap_.front(); }
-    /// Re-keys a link in the heap to `share`.
-    void update(net::LinkId link, double share);
-    /// Takes a link out of the heap.
-    void erase(net::LinkId link);
-
-   private:
-    static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
-    void place(std::size_t i, const Entry& e);
-    void sift_up(std::size_t i);
-    void sift_down(std::size_t i);
-
-    std::vector<Entry> heap_;
-    std::vector<std::size_t> pos_;  // by LinkId; kAbsent when not in heap_
-  };
+  // heap_ is a 4-ary min-heap on (share, link id) that keeps every
+  // entry's slot in its LinkState.
+  void build_heap();
+  void place(std::size_t i, const Entry& e);
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  /// Re-keys a link in the heap to `share`.
+  void rekey(net::LinkId link, double share);
+  /// Takes a link out of the heap.
+  void erase_from_heap(net::LinkId link);
 
   const net::Topology* topology_;
   std::vector<double> link_capacity_;  // bytes/s per link
@@ -121,17 +120,14 @@ class FluidNetwork {
 
   // Progressive-filling scratch, sized per link and reused across
   // recompute_rates() calls: the flows crossing each link (one entry per
-  // crossing), its residual capacity, unfrozen crossings and the last
-  // filling round that changed it; the links in use, the links the
-  // current round changed, and the live links.
+  // crossing) and its state; the links in use, the links the current
+  // round changed, and the heap of live links that can be a bottleneck.
   std::vector<std::vector<FlowState*>> link_flows_;
-  std::vector<double> residual_;
-  std::vector<int> unfrozen_;
-  std::vector<std::uint64_t> round_of_;
+  std::vector<LinkState> links_;
   std::uint64_t round_ = 0;
   std::vector<net::LinkId> used_links_;
   std::vector<net::LinkId> touched_;
-  LinkHeap live_;
+  std::vector<Entry> heap_;
 };
 
 }  // namespace hermes::sim

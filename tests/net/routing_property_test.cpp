@@ -60,6 +60,19 @@ std::vector<Path> brute_force_paths(const Topology& t, NodeId src,
   return out;
 }
 
+// The minimum-cost loopless paths src->dst under `weight`, by brute force.
+std::set<Path> brute_force_min_cost_paths(const Topology& t, NodeId src,
+                                          NodeId dst,
+                                          const LinkWeight& weight) {
+  const std::vector<Path> brute = brute_force_paths(t, src, dst);
+  double best = std::numeric_limits<double>::infinity();
+  for (const Path& p : brute) best = std::min(best, path_cost(t, p, weight));
+  std::set<Path> out;
+  for (const Path& p : brute)
+    if (path_cost(t, p, weight) == best) out.insert(p);
+  return out;
+}
+
 class RoutingProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RoutingProperty, DijkstraMatchesBruteForceMinimum) {
@@ -112,14 +125,8 @@ TEST_P(RoutingProperty, EcmpEnumeratesAllMinimumCostPaths) {
   NodeId src = 0;
   NodeId dst = t.node_count() - 1;
   auto ecmp = ecmp_paths(t, src, dst, weight, 64);
-  auto brute = brute_force_paths(t, src, dst);
-  double best = std::numeric_limits<double>::infinity();
-  for (const Path& p : brute) best = std::min(best, path_cost(t, p, weight));
-  std::set<Path> expected;
-  for (const Path& p : brute)
-    if (path_cost(t, p, weight) == best) expected.insert(p);
   std::set<Path> got(ecmp.begin(), ecmp.end());
-  EXPECT_EQ(got, expected);
+  EXPECT_EQ(got, brute_force_min_cost_paths(t, src, dst, weight));
 }
 
 // What PathDatabase serves for a pair: the ECMP set, then Yen's paths to
@@ -291,21 +298,27 @@ std::vector<Path> full_search_yen(const Topology& t, const LinkWeight& weight,
   return result;
 }
 
+// A random switch graph of 5-8 nodes with 2-5 stub hosts, the first two
+// on one switch (the pair Yen finds nothing beyond one path for).
+Topology stub_host_graph(std::mt19937_64& rng) {
+  Topology t = random_graph(rng, 5 + static_cast<int>(rng() % 4), 0.35);
+  const int switches = t.node_count();
+  const int hosts = 2 + static_cast<int>(rng() % 4);
+  const auto shared = static_cast<NodeId>(rng() % switches);
+  for (int h = 0; h < hosts; ++h) {
+    NodeId host = t.add_node(NodeKind::kHost, "h" + std::to_string(h));
+    NodeId sw = h < 2 ? shared : static_cast<NodeId>(rng() % switches);
+    t.add_link(host, sw, 1e9, 1e-3 * (1 + static_cast<double>(rng() % 9)));
+  }
+  return t;
+}
+
 TEST_P(RoutingProperty, YenMatchesFullSearchReference) {
-  // Random switch graphs with 2-5 stub hosts, the first two on one switch
-  // (the pair Yen finds nothing beyond one path for): every ordered pair
-  // and k, under hop counts and real weights, path for path.
+  // Every ordered pair and k of stub-host graphs, under hop counts and
+  // real weights, path for path.
   std::mt19937_64 rng(GetParam() ^ 0x9E11);
   for (int graph = 0; graph < 4; ++graph) {
-    Topology t = random_graph(rng, 5 + static_cast<int>(rng() % 4), 0.35);
-    const int switches = t.node_count();
-    const int hosts = 2 + static_cast<int>(rng() % 4);
-    const auto shared = static_cast<NodeId>(rng() % switches);
-    for (int h = 0; h < hosts; ++h) {
-      NodeId host = t.add_node(NodeKind::kHost, "h" + std::to_string(h));
-      NodeId sw = h < 2 ? shared : static_cast<NodeId>(rng() % switches);
-      t.add_link(host, sw, 1e9, 1e-3 * (1 + static_cast<double>(rng() % 9)));
-    }
+    Topology t = stub_host_graph(rng);
     for (const LinkWeight& weight : {hop_count(), propagation_delay()}) {
       for (NodeId src = 0; src < t.node_count(); ++src) {
         for (NodeId dst = 0; dst < t.node_count(); ++dst) {
@@ -316,6 +329,40 @@ TEST_P(RoutingProperty, YenMatchesFullSearchReference) {
                 << " k " << k;
           }
         }
+      }
+    }
+  }
+}
+
+TEST_P(RoutingProperty, StubPruningMatchesFullSearchReference) {
+  // dijkstra queues a stub only when the search stops at it. Over the
+  // graphs YenMatchesFullSearchReference draws, every ordered pair (two
+  // stubs on one switch, a stub and its own neighbour, a switch and a
+  // stub among them): shortest_path equals the unpruned search node for
+  // node under both weights, and ecmp_paths equals the brute-force set of
+  // minimum-hop paths.
+  std::mt19937_64 rng(GetParam() ^ 0x9E11);
+  for (int graph = 0; graph < 4; ++graph) {
+    Topology t = stub_host_graph(rng);
+    const std::vector<char> none(static_cast<std::size_t>(t.node_count()), 0);
+    for (const LinkWeight& weight : {hop_count(), propagation_delay()}) {
+      std::vector<double> w;
+      for (const Link& l : t.links()) w.push_back(weight(l));
+      for (NodeId src = 0; src < t.node_count(); ++src) {
+        for (NodeId dst = 0; dst < t.node_count(); ++dst) {
+          EXPECT_EQ(shortest_path(t, src, dst, weight).value_or(Path{}),
+                    full_search_path(t, w, src, dst, none, {}))
+              << "graph " << graph << " " << src << " -> " << dst;
+        }
+      }
+    }
+    for (NodeId src = 0; src < t.node_count(); ++src) {
+      for (NodeId dst = 0; dst < t.node_count(); ++dst) {
+        if (src == dst) continue;
+        const std::vector<Path> ecmp = ecmp_paths(t, src, dst, hop_count(), 64);
+        EXPECT_EQ(std::set<Path>(ecmp.begin(), ecmp.end()),
+                  brute_force_min_cost_paths(t, src, dst, hop_count()))
+            << "graph " << graph << " " << src << " -> " << dst;
       }
     }
   }

@@ -227,22 +227,34 @@ std::vector<net::NodeId> every_node(const net::Topology& topo) {
   return nodes;
 }
 
+// What check_against_reference() saw over a whole sequence: the
+// reference's tied rounds, and the steps after which at least half of
+// the live links were private (crossed by one flow, once).
+struct ReferenceRun {
+  int tied_rounds = 0;
+  int mostly_private_steps = 0;
+};
+
 // Drives seeded add / remove / reroute sequences through a FluidNetwork
 // and checks every flow's rate against the reference after every
-// mutation, with EXPECT_EQ on the doubles. Returns the reference's tied
-// rounds over the whole sequence.
-int check_against_reference(const net::Topology& topo,
-                            const std::vector<net::NodeId>& endpoints,
-                            std::uint64_t seed, int steps) {
+// mutation, with EXPECT_EQ on the doubles. With `hold_at`, the flow set
+// is held near that size: a step adds a flow when there are fewer, and
+// otherwise removes or reroutes one.
+ReferenceRun check_against_reference(const net::Topology& topo,
+                                     const std::vector<net::NodeId>& endpoints,
+                                     std::uint64_t seed, int steps,
+                                     std::size_t hold_at = 0) {
   std::mt19937_64 rng(seed);
   net::PathDatabase paths(topo, 4, net::hop_count());
   auto draw_links = [&] { return random_links(topo, endpoints, paths, rng); };
   FluidNetwork network(topo);
   FlowLinks flows;
-  int tied_rounds = 0;
+  ReferenceRun run;
   for (int step = 0; step < steps; ++step) {
     const auto op = rng() % 10;
-    if (flows.size() < 4 || op < 5) {
+    const bool add = hold_at > 0 ? flows.size() < hold_at
+                                 : flows.size() < 4 || op < 5;
+    if (add) {
       auto links = draw_links();
       FlowId id = network.add_flow(1e9, links, 0);
       flows.emplace(id, std::move(links));
@@ -258,12 +270,21 @@ int check_against_reference(const net::Topology& topo,
       }
     }
     EXPECT_EQ(network.active_flow_count(), static_cast<int>(flows.size()));
-    for (const auto& [id, rate] : reference_rates(topo, flows, &tied_rounds))
+    for (const auto& [id, rate] :
+         reference_rates(topo, flows, &run.tied_rounds))
       EXPECT_EQ(network.rate_bytes_per_s(id), rate)
           << "seed " << seed << " step " << step << " flow " << id;
     if (::testing::Test::HasFailure()) break;
+    std::map<net::LinkId, int> crossings;
+    for (const auto& [id, links] : flows)
+      for (net::LinkId l : links) ++crossings[l];
+    const auto private_links =
+        std::count_if(crossings.begin(), crossings.end(),
+                      [](const auto& c) { return c.second == 1; });
+    if (2 * static_cast<std::size_t>(private_links) >= crossings.size())
+      ++run.mostly_private_steps;
   }
-  return tied_rounds;
+  return run;
 }
 
 // The fat-tree automorphism that swaps pod p with pod k-1-p and fixes
@@ -362,6 +383,16 @@ TEST_P(FillingMatchesReference, FatTreeK8LongSequence) {
   // flow set that grows to ~200 over 1,000 mutations.
   net::Topology topo = net::fat_tree(8);
   check_against_reference(topo, topo.hosts(), GetParam(), 1000);
+}
+
+TEST_P(FillingMatchesReference, FatTreeK16FewFlows) {
+  // te_fattree's regime: ~30 flows among 1,024 hosts, so most live links
+  // carry one flow, and the heap holds one private link per flow.
+  net::Topology topo = net::fat_tree(16);
+  const ReferenceRun run =
+      check_against_reference(topo, topo.hosts(), GetParam(), 1000, 30);
+  EXPECT_GT(run.mostly_private_steps, 500)
+      << "most steps must have at least half of their live links private";
 }
 
 TEST_P(FillingMatchesReference, ManyTiedShares) {
