@@ -8,8 +8,7 @@
 //   rep.derived("speedup", plain_p99 / hermes_p99);
 //   rep.write();                       // -> BENCH_fig08_rit.json
 //
-// open() also attaches a process-wide obs::Registry (unless the
-// HERMES_OBS environment variable is "off" or "0"), so every component
+// open() also attaches a process-wide obs::Registry, so every component
 // built afterwards — TCAM slices, gate keepers, agents, simulations —
 // feeds counters/histograms/trace events that write() embeds under
 // "metrics". Rows produced through bench::print_summary_line are added
@@ -29,8 +28,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -195,21 +192,15 @@ inline Reporter* current() { return detail::current_slot(); }
 
 /// Opens the process-wide reporter (call FIRST in main(), before any
 /// instrumented component is constructed) and attaches a metric registry
-/// with a bounded trace ring. Set HERMES_OBS=off (or 0) to skip the
-/// registry — the report still writes, with "metrics": null.
+/// with a bounded trace ring.
 inline Reporter& open(std::string name, std::string unit = "") {
   static Reporter reporter{"", ""};
   static bool opened = false;
   if (!opened) {
     opened = true;
     reporter = Reporter{std::move(name), std::move(unit)};
-    const char* env = std::getenv("HERMES_OBS");
-    bool disabled =
-        env && (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0);
-    if (!disabled) {
-      static obs::Registry registry(/*trace_capacity=*/4096);
-      obs::attach(&registry);
-    }
+    static obs::Registry registry(/*trace_capacity=*/4096);
+    obs::attach(&registry);
     detail::current_slot() = &reporter;
   }
   return reporter;

@@ -1,11 +1,9 @@
 #include "obs/metrics.h"
 
-#include <atomic>
+#include <algorithm>
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
-#include <limits>
-#include <unordered_map>
 
 namespace hermes::obs {
 
@@ -37,221 +35,55 @@ std::pair<std::uint64_t, std::uint64_t> bucket_bounds(std::uint32_t idx) {
   return {lo, lo + width - 1};
 }
 
-// Generation stamp for the thread-local shard cache: destroying any
-// registry bumps it, invalidating every thread's cached (registry ->
-// shard) pairs so a new registry reusing the address can never alias a
-// dead one's shard.
-std::atomic<std::uint64_t> g_generation{1};
-
-std::atomic<Registry*> g_attached{nullptr};
+Registry* g_attached = nullptr;
 
 }  // namespace
 
-struct HistShardData {
-  std::vector<std::uint64_t> buckets;  // lazily sized to kBucketCount
-  std::uint64_t count = 0;
-  std::uint64_t min = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t max = 0;
-  double sum = 0;
-};
-
-struct Registry::Shard {
-  std::vector<std::uint64_t> counters;
-  std::vector<HistShardData> hists;
-};
-
-struct Registry::Impl {
-  mutable std::mutex mutex;  // registration, shard list growth, snapshot
-  std::unordered_map<std::string, std::uint32_t> counter_ids;
-  std::vector<std::string> counter_names;
-  std::unordered_map<std::string, std::uint32_t> gauge_ids;
-  std::vector<std::string> gauge_names;
-  std::vector<std::unique_ptr<std::atomic<std::int64_t>>> gauges;
-  std::unordered_map<std::string, std::uint32_t> hist_ids;
-  std::vector<std::string> hist_names;
-  std::vector<std::unique_ptr<Shard>> shards;
-
-  std::vector<TraceEvent> ring;
-  std::atomic<std::uint64_t> events_total{0};
-};
-
-namespace {
-
-struct TlsShardCache {
-  std::uint64_t generation = 0;
-  // Tiny: one entry per live registry this thread records into
-  // (typically just the attached registry).
-  // Stored untyped because Registry::Shard is private.
-  std::vector<std::pair<const void*, void*>> entries;
-};
-
-thread_local TlsShardCache t_shard_cache;
-
-}  // namespace
-
-Registry::Registry(std::size_t trace_capacity)
-    : impl_(std::make_unique<Impl>()), trace_capacity_(trace_capacity) {
-  impl_->ring.resize(trace_capacity_);
-}
+Registry::Registry(std::size_t trace_capacity) : ring_(trace_capacity) {}
 
 Registry::~Registry() {
-  // Invalidate every thread's cached shard pointers into this registry.
-  g_generation.fetch_add(1, std::memory_order_relaxed);
-  if (g_attached.load(std::memory_order_relaxed) == this)
-    g_attached.store(nullptr, std::memory_order_relaxed);
+  if (g_attached == this) g_attached = nullptr;
 }
 
-Registry::Shard& Registry::local_shard() {
-  TlsShardCache& cache = t_shard_cache;
-  if (cache.generation == g_generation.load(std::memory_order_relaxed)) {
-    for (auto& [reg, shard] : cache.entries)
-      if (reg == this) return *static_cast<Shard*>(shard);
+template <class V>
+std::uint32_t Registry::Family<V>::id_of(std::string_view name) {
+  auto [it, inserted] = ids.try_emplace(
+      std::string(name), static_cast<std::uint32_t>(names.size()));
+  if (inserted) {
+    names.emplace_back(name);
+    values.emplace_back();
   }
-  return local_shard_slow();
+  return it->second;
 }
 
-Registry::Shard& Registry::local_shard_slow() {
-  TlsShardCache& cache = t_shard_cache;
-  std::uint64_t generation = g_generation.load(std::memory_order_relaxed);
-  if (cache.generation != generation) {
-    cache.entries.clear();
-    cache.generation = generation;
-  }
-  Shard* shard;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->shards.push_back(std::make_unique<Shard>());
-    shard = impl_->shards.back().get();
-    shard->counters.resize(impl_->counter_names.size(), 0);
-    shard->hists.resize(impl_->hist_names.size());
-  }
-  cache.entries.emplace_back(this, shard);
-  return *shard;
+template <class V>
+const V* Registry::Family<V>::find(std::string_view name) const {
+  auto it = ids.find(std::string(name));
+  return it == ids.end() ? nullptr : &values[it->second];
 }
 
 Counter Registry::counter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  auto [it, inserted] =
-      impl_->counter_ids.try_emplace(std::string(name),
-                                     static_cast<std::uint32_t>(
-                                         impl_->counter_names.size()));
-  if (inserted) impl_->counter_names.emplace_back(name);
-  return Counter(this, it->second);
+  return Counter(this, counters_.id_of(name));
 }
 
 Gauge Registry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  auto [it, inserted] = impl_->gauge_ids.try_emplace(
-      std::string(name),
-      static_cast<std::uint32_t>(impl_->gauge_names.size()));
-  if (inserted) {
-    impl_->gauge_names.emplace_back(name);
-    impl_->gauges.push_back(std::make_unique<std::atomic<std::int64_t>>(0));
-  }
-  return Gauge(this, it->second);
+  return Gauge(this, gauges_.id_of(name));
 }
 
 Histogram Registry::histogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  auto [it, inserted] = impl_->hist_ids.try_emplace(
-      std::string(name),
-      static_cast<std::uint32_t>(impl_->hist_names.size()));
-  if (inserted) impl_->hist_names.emplace_back(name);
-  return Histogram(this, it->second);
+  return Histogram(this, hists_.id_of(name));
 }
 
-void Counter::inc(std::uint64_t n) {
-  if (!reg_) return;
-  Registry::Shard& shard = reg_->local_shard();
-  if (id_ >= shard.counters.size()) {
-    // Metric registered after this thread's shard was created: grow under
-    // the registry mutex so a concurrent snapshot never sees the move.
-    std::lock_guard<std::mutex> lock(reg_->impl_->mutex);
-    shard.counters.resize(id_ + 1, 0);
-  }
-  shard.counters[id_] += n;
+void Registry::Hist::record(std::uint64_t value) {
+  if (buckets.empty()) buckets.resize(kBucketCount, 0);
+  ++buckets[bucket_of(value)];
+  ++count;
+  sum += static_cast<double>(value);
+  min = std::min(min, value);
+  max = std::max(max, value);
 }
 
-std::uint64_t Counter::value() const {
-  if (!reg_) return 0;
-  std::lock_guard<std::mutex> lock(reg_->impl_->mutex);
-  std::uint64_t total = 0;
-  for (const auto& shard : reg_->impl_->shards)
-    if (id_ < shard->counters.size()) total += shard->counters[id_];
-  return total;
-}
-
-void Gauge::set(std::int64_t v) {
-  if (!reg_) return;
-  reg_->impl_->gauges[id_]->store(v, std::memory_order_relaxed);
-}
-
-void Gauge::set_max(std::int64_t v) {
-  if (!reg_) return;
-  std::atomic<std::int64_t>& cell = *reg_->impl_->gauges[id_];
-  std::int64_t cur = cell.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !cell.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-std::int64_t Gauge::value() const {
-  if (!reg_) return 0;
-  return reg_->impl_->gauges[id_]->load(std::memory_order_relaxed);
-}
-
-void Histogram::record(std::uint64_t value) {
-  if (!reg_) return;
-  Registry::Shard& shard = reg_->local_shard();
-  if (id_ >= shard.hists.size()) {
-    std::lock_guard<std::mutex> lock(reg_->impl_->mutex);
-    shard.hists.resize(id_ + 1);
-  }
-  HistShardData& h = shard.hists[id_];
-  if (h.buckets.empty()) {
-    std::lock_guard<std::mutex> lock(reg_->impl_->mutex);
-    h.buckets.resize(kBucketCount, 0);
-  }
-  ++h.buckets[bucket_of(value)];
-  ++h.count;
-  h.sum += static_cast<double>(value);
-  if (value < h.min) h.min = value;
-  if (value > h.max) h.max = value;
-}
-
-void Registry::trace(const TraceEvent& event) {
-  std::uint64_t idx =
-      impl_->events_total.fetch_add(1, std::memory_order_relaxed);
-  if (trace_capacity_ == 0) return;
-  impl_->ring[idx % trace_capacity_] = event;
-}
-
-namespace {
-
-double bucket_quantile(const std::vector<std::uint64_t>& buckets,
-                       std::uint64_t count, double q, std::uint64_t min,
-                       std::uint64_t max) {
-  if (count == 0) return 0;
-  std::uint64_t rank = static_cast<std::uint64_t>(
-      q * static_cast<double>(count - 1) + 0.5);
-  std::uint64_t cum = 0;
-  for (std::uint32_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i] == 0) continue;
-    cum += buckets[i];
-    if (cum > rank) {
-      auto [lo, hi] = bucket_bounds(i);
-      double mid = (static_cast<double>(lo) + static_cast<double>(hi)) / 2;
-      if (mid < static_cast<double>(min)) mid = static_cast<double>(min);
-      if (mid > static_cast<double>(max)) mid = static_cast<double>(max);
-      return mid;
-    }
-  }
-  return static_cast<double>(max);
-}
-
-HistogramSummary summarize_hist(const std::vector<std::uint64_t>& buckets,
-                                std::uint64_t count, std::uint64_t min,
-                                std::uint64_t max, double sum) {
+HistogramSummary Registry::Hist::summary() const {
   HistogramSummary s;
   s.count = count;
   if (count == 0) return s;
@@ -259,122 +91,97 @@ HistogramSummary summarize_hist(const std::vector<std::uint64_t>& buckets,
   s.max = max;
   s.sum = sum;
   s.mean = sum / static_cast<double>(count);
-  s.p50 = bucket_quantile(buckets, count, 0.50, min, max);
-  s.p95 = bucket_quantile(buckets, count, 0.95, min, max);
-  s.p99 = bucket_quantile(buckets, count, 0.99, min, max);
+  // The midpoint of the bucket holding the q-quantile's rank, clamped to
+  // the exact [min, max].
+  auto quantile = [this](double q) {
+    std::uint64_t rank = static_cast<std::uint64_t>(
+        q * static_cast<double>(count - 1) + 0.5);
+    std::uint64_t cum = 0;
+    for (std::uint32_t i = 0; i < buckets.size(); ++i) {
+      cum += buckets[i];
+      if (cum > rank) {
+        auto [lo, hi] = bucket_bounds(i);
+        double mid = (static_cast<double>(lo) + static_cast<double>(hi)) / 2;
+        return std::clamp(mid, static_cast<double>(min),
+                          static_cast<double>(max));
+      }
+    }
+    return static_cast<double>(max);
+  };
+  s.p50 = quantile(0.50);
+  s.p95 = quantile(0.95);
+  s.p99 = quantile(0.99);
   return s;
 }
 
-}  // namespace
+void Counter::inc(std::uint64_t n) {
+  if (reg_) reg_->counters_.values[id_] += n;
+}
+
+std::uint64_t Counter::value() const {
+  return reg_ ? reg_->counters_.values[id_] : 0;
+}
+
+void Gauge::set(std::int64_t v) {
+  if (reg_) reg_->gauges_.values[id_] = v;
+}
+
+void Gauge::set_max(std::int64_t v) {
+  if (reg_ && v > reg_->gauges_.values[id_]) reg_->gauges_.values[id_] = v;
+}
+
+std::int64_t Gauge::value() const {
+  return reg_ ? reg_->gauges_.values[id_] : 0;
+}
+
+void Histogram::record(std::uint64_t value) {
+  if (reg_) reg_->hists_.values[id_].record(value);
+}
+
+void Registry::trace(const TraceEvent& event) {
+  std::uint64_t idx = events_total_++;
+  if (!ring_.empty()) ring_[idx % ring_.size()] = event;
+}
 
 Snapshot Registry::snapshot() const {
   Snapshot out;
-  std::lock_guard<std::mutex> lock(impl_->mutex);
+  for (std::size_t id = 0; id < counters_.values.size(); ++id)
+    out.counters.emplace_back(counters_.names[id], counters_.values[id]);
+  for (std::size_t id = 0; id < gauges_.values.size(); ++id)
+    out.gauges.emplace_back(gauges_.names[id], gauges_.values[id]);
+  for (std::size_t id = 0; id < hists_.values.size(); ++id)
+    out.histograms.emplace_back(hists_.names[id],
+                                hists_.values[id].summary());
 
-  out.counters.reserve(impl_->counter_names.size());
-  for (std::size_t id = 0; id < impl_->counter_names.size(); ++id) {
-    std::uint64_t total = 0;
-    for (const auto& shard : impl_->shards)
-      if (id < shard->counters.size()) total += shard->counters[id];
-    out.counters.emplace_back(impl_->counter_names[id], total);
-  }
-
-  out.gauges.reserve(impl_->gauge_names.size());
-  for (std::size_t id = 0; id < impl_->gauge_names.size(); ++id)
-    out.gauges.emplace_back(
-        impl_->gauge_names[id],
-        impl_->gauges[id]->load(std::memory_order_relaxed));
-
-  out.histograms.reserve(impl_->hist_names.size());
-  std::vector<std::uint64_t> merged(kBucketCount, 0);
-  for (std::size_t id = 0; id < impl_->hist_names.size(); ++id) {
-    std::fill(merged.begin(), merged.end(), 0);
-    std::uint64_t count = 0;
-    std::uint64_t min = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t max = 0;
-    double sum = 0;
-    for (const auto& shard : impl_->shards) {
-      if (id >= shard->hists.size()) continue;
-      const HistShardData& h = shard->hists[id];
-      if (h.count == 0) continue;
-      count += h.count;
-      sum += h.sum;
-      if (h.min < min) min = h.min;
-      if (h.max > max) max = h.max;
-      for (std::size_t b = 0; b < h.buckets.size(); ++b)
-        merged[b] += h.buckets[b];
-    }
-    out.histograms.emplace_back(impl_->hist_names[id],
-                                summarize_hist(merged, count, min, max, sum));
-  }
-
-  std::uint64_t total = impl_->events_total.load(std::memory_order_relaxed);
-  out.events_recorded = total;
-  std::uint64_t kept = trace_capacity_ == 0
-                           ? 0
-                           : std::min<std::uint64_t>(total, trace_capacity_);
-  out.events_dropped = total - kept;
-  out.events.reserve(static_cast<std::size_t>(kept));
-  std::uint64_t start = total > trace_capacity_ && trace_capacity_ > 0
-                            ? total % trace_capacity_
-                            : 0;
-  for (std::uint64_t i = 0; i < kept; ++i)
-    out.events.push_back(
-        impl_->ring[static_cast<std::size_t>((start + i) % trace_capacity_)]);
+  std::uint64_t kept = std::min<std::uint64_t>(events_total_, ring_.size());
+  out.events_recorded = events_total_;
+  out.events_dropped = events_total_ - kept;
+  for (std::uint64_t i = events_total_ - kept; i < events_total_; ++i)
+    out.events.push_back(ring_[i % ring_.size()]);
   return out;
 }
 
 std::uint64_t Registry::counter_value(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  auto it = impl_->counter_ids.find(std::string(name));
-  if (it == impl_->counter_ids.end()) return 0;
-  std::uint64_t total = 0;
-  for (const auto& shard : impl_->shards)
-    if (it->second < shard->counters.size())
-      total += shard->counters[it->second];
-  return total;
+  const std::uint64_t* v = counters_.find(name);
+  return v ? *v : 0;
 }
 
 std::int64_t Registry::gauge_value(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  auto it = impl_->gauge_ids.find(std::string(name));
-  if (it == impl_->gauge_ids.end()) return 0;
-  return impl_->gauges[it->second]->load(std::memory_order_relaxed);
+  const std::int64_t* v = gauges_.find(name);
+  return v ? *v : 0;
 }
 
 HistogramSummary Registry::histogram_summary(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  auto it = impl_->hist_ids.find(std::string(name));
-  if (it == impl_->hist_ids.end()) return {};
-  std::vector<std::uint64_t> merged(kBucketCount, 0);
-  std::uint64_t count = 0;
-  std::uint64_t min = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t max = 0;
-  double sum = 0;
-  for (const auto& shard : impl_->shards) {
-    if (it->second >= shard->hists.size()) continue;
-    const HistShardData& h = shard->hists[it->second];
-    if (h.count == 0) continue;
-    count += h.count;
-    sum += h.sum;
-    if (h.min < min) min = h.min;
-    if (h.max > max) max = h.max;
-    for (std::size_t b = 0; b < h.buckets.size(); ++b)
-      merged[b] += h.buckets[b];
-  }
-  return summarize_hist(merged, count, min, max, sum);
+  const Hist* h = hists_.find(name);
+  return h ? h->summary() : HistogramSummary{};
 }
 
-void attach(Registry* registry) {
-  g_attached.store(registry, std::memory_order_relaxed);
-}
+void attach(Registry* registry) { g_attached = registry; }
 
-Registry* attached() {
-  return g_attached.load(std::memory_order_relaxed);
-}
+Registry* attached() { return g_attached; }
 
 void trace_event(const TraceEvent& event) {
-  if (Registry* reg = attached()) reg->trace(event);
+  if (g_attached) g_attached->trace(event);
 }
 
 std::string_view kind_name(EventKind kind) {
@@ -424,64 +231,69 @@ void append_num(std::string& out, double v) {
   out += buf;
 }
 
+// {"kind":<kind_name>,"t":<time>, then the kind's fields as
+// docs/METRICS.md lists them.
 void append_event(std::string& out, const TraceEvent& e) {
-  char buf[256];
+  char buf[192] = "";
   switch (e.kind) {
     case EventKind::kTcamShift:
       std::snprintf(buf, sizeof(buf),
-                    "{\"kind\":\"tcam_shift\",\"t\":%" PRId64
-                    ",\"slice\":%u,\"shifts\":%u,\"latency_ns\":%" PRId64
-                    "}",
-                    e.time, e.arg, e.a, e.latency_ns);
+                    ",\"slice\":%u,\"shifts\":%u,\"latency_ns\":%" PRId64,
+                    e.arg, e.a, e.latency_ns);
       break;
     case EventKind::kAdmission:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"kind\":\"admission\",\"t\":%" PRId64 ",\"route\":%u}",
-                    e.time, e.arg);
+      std::snprintf(buf, sizeof(buf), ",\"route\":%u", e.arg);
       break;
     case EventKind::kMigrationBatch:
       std::snprintf(buf, sizeof(buf),
-                    "{\"kind\":\"migration_batch\",\"t\":%" PRId64
                     ",\"rules\":%.0f,\"pieces\":%u,\"failures\":%u,"
-                    "\"latency_ns\":%" PRId64 "}",
-                    e.time, e.x, e.a, e.b, e.latency_ns);
+                    "\"latency_ns\":%" PRId64,
+                    e.x, e.a, e.b, e.latency_ns);
       break;
     case EventKind::kPredictorSample:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"kind\":\"predictor_sample\",\"t\":%" PRId64
-                    ",\"forecast\":%.6g,\"actual\":%.6g}",
-                    e.time, e.x, e.y);
+      std::snprintf(buf, sizeof(buf), ",\"forecast\":%.6g,\"actual\":%.6g",
+                    e.x, e.y);
       break;
     case EventKind::kPartitionExpand:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"kind\":\"partition_expand\",\"t\":%" PRId64
-                    ",\"pieces\":%u,\"blockers\":%u}",
-                    e.time, e.a, e.b);
+      std::snprintf(buf, sizeof(buf), ",\"pieces\":%u,\"blockers\":%u", e.a,
+                    e.b);
       break;
     case EventKind::kFaultInjected:
       std::snprintf(buf, sizeof(buf),
-                    "{\"kind\":\"fault_injected\",\"t\":%" PRId64
-                    ",\"slice\":%u,\"fault\":%u,\"stall_ns\":%" PRId64 "}",
-                    e.time, e.arg, e.a, e.latency_ns);
+                    ",\"slice\":%u,\"fault\":%u,\"stall_ns\":%" PRId64, e.arg,
+                    e.a, e.latency_ns);
       break;
     case EventKind::kRetry:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"kind\":\"retry\",\"t\":%" PRId64
-                    ",\"slice\":%u,\"attempt\":%u}",
-                    e.time, e.arg, e.a);
+      std::snprintf(buf, sizeof(buf), ",\"slice\":%u,\"attempt\":%u", e.arg,
+                    e.a);
       break;
     case EventKind::kReconcile:
       std::snprintf(buf, sizeof(buf),
-                    "{\"kind\":\"reconcile\",\"t\":%" PRId64
-                    ",\"rules\":%u,\"pieces\":%u,\"latency_ns\":%" PRId64
-                    "}",
-                    e.time, e.a, e.b, e.latency_ns);
+                    ",\"rules\":%u,\"pieces\":%u,\"latency_ns\":%" PRId64,
+                    e.a, e.b, e.latency_ns);
       break;
-    default:
-      std::snprintf(buf, sizeof(buf), "{\"kind\":\"unknown\"}");
+    case EventKind::kUpdatePhase:
+      std::snprintf(buf, sizeof(buf),
+                    ",\"phase\":%u,\"txn\":%" PRId64
+                    ",\"segment\":%u,\"failed_ops\":%u",
+                    e.arg, e.latency_ns, e.a, e.b);
+      break;
+    case EventKind::kCacheOp:
+      std::snprintf(buf, sizeof(buf), ",\"op\":%u,\"rules\":%u,\"pins\":%u",
+                    e.arg, e.a, e.b);
+      break;
+    case EventKind::kPolicyDecision:
+      std::snprintf(buf, sizeof(buf),
+                    ",\"action\":%u,\"occupancy\":%u,\"capacity\":%u", e.arg,
+                    e.a, e.b);
       break;
   }
+  out += "{\"kind\":\"";
+  out += kind_name(e.kind);
+  out += "\",\"t\":";
+  out += std::to_string(e.time);
   out += buf;
+  out += '}';
 }
 
 }  // namespace

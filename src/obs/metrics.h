@@ -1,37 +1,39 @@
 // Low-overhead metrics registry: counters, gauges and fixed-bucket
 // latency histograms, plus the structured event-trace ring of trace.h.
 //
+// Threading: single-threaded, not reentrant. The library starts no
+// thread; record into a registry only from the thread that drives the
+// pipeline.
+//
 // Design constraints (the hot paths here run inside per-op TCAM
 // bookkeeping measured in hundreds of nanoseconds):
 //
 //  * Null-sink default. Instrumentation handles (Counter / Gauge /
-//    Histogram) are default-constructed detached; every record call on a
-//    detached handle is a single predictable branch. Components capture
-//    the process-attached registry (obs::attached()) AT CONSTRUCTION, so
-//    a program that never calls obs::attach() pays nothing but that
-//    branch.
+//    Histogram) are default-constructed detached; a record call on a
+//    detached handle is a null test and a return. Components capture the
+//    process-attached registry (obs::attached()) AT CONSTRUCTION, so a
+//    program that never calls obs::attach() pays only that per record.
 //
-//  * No locks on the record path. Counter and histogram updates go to a
-//    per-thread shard (registered once per thread per registry under a
-//    mutex, then reached through a small thread-local cache); export
-//    merges the shards. Gauges are single atomics in the registry —
-//    set/set_max are not hot.
+//  * Plain storage. A registry keeps one vector per metric type indexed
+//    by handle id: a counter increment is one add, a gauge write one
+//    store.
 //
 //  * Fixed-bucket histograms. Values are bucketed log-linearly (16
 //    sub-buckets per power of two), so any recorded value lands within
 //    6.25% of its bucket midpoint; p50/p95/p99 are interpolated from the
 //    bucket counts and min/max/sum/count are tracked exactly.
 //
-// Export: obs::export_json(registry) renders the merged registry (and
-// its trace ring) as a schema-versioned JSON document; obs::export_json()
-// uses the attached registry. See README "Observability" for the schema.
+// Export: obs::export_json(registry) renders the registry (and its trace
+// ring) as a schema-versioned JSON document; obs::export_json() uses the
+// attached registry. See README "Observability" for the schema.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.h"
@@ -46,7 +48,7 @@ class Counter {
  public:
   Counter() = default;
   void inc(std::uint64_t n = 1);
-  /// Merged value across all shards (0 when detached). Not hot-path.
+  /// Current value (0 when detached). Not hot-path.
   std::uint64_t value() const;
   bool attached() const { return reg_ != nullptr; }
 
@@ -62,7 +64,7 @@ class Gauge {
  public:
   Gauge() = default;
   void set(std::int64_t v);
-  /// Raises the gauge to `v` if larger (atomic running max).
+  /// Raises the gauge to `v` if larger (running max).
   void set_max(std::int64_t v);
   std::int64_t value() const;
   bool attached() const { return reg_ != nullptr; }
@@ -89,7 +91,7 @@ class Histogram {
   std::uint32_t id_ = 0;
 };
 
-/// Merged histogram statistics (exact count/min/max/sum/mean; bucket-
+/// Histogram statistics (exact count/min/max/sum/mean; bucket-
 /// interpolated quantiles, each within one bucket width — <= 6.25% — of
 /// the true order statistic, clamped to [min, max]).
 struct HistogramSummary {
@@ -103,7 +105,7 @@ struct HistogramSummary {
   double p99 = 0;
 };
 
-/// Point-in-time merged view of a registry (what export_json renders).
+/// Point-in-time view of a registry (what export_json renders).
 struct Snapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, std::int64_t>> gauges;
@@ -113,11 +115,11 @@ struct Snapshot {
   std::uint64_t events_dropped = 0;
 };
 
-/// Metric registry + trace ring. Metric registration (the first
-/// counter("name") call for a name) takes a mutex; the returned handles
-/// record through thread-local shards without locking. Instances are
-/// independent — a component-private registry and the process-attached
-/// one can coexist.
+/// Metric registry + trace ring. Each metric type lists its metrics in
+/// registration order (the order snapshot() and export_json() use).
+/// Instances are independent — a component-private registry and the
+/// process-attached one can coexist. Destroying the attached registry
+/// detaches it.
 class Registry {
  public:
   /// `trace_capacity` bounds the event ring (0 = tracing disabled;
@@ -128,8 +130,9 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Returns the handle for `name`, registering it on first use.
-  /// Re-registering the same name returns a handle to the same metric.
+  /// Returns the handle for `name`, registering it (at zero) on first
+  /// use. Re-registering the same name returns a handle to the same
+  /// metric.
   Counter counter(std::string_view name);
   Gauge gauge(std::string_view name);
   Histogram histogram(std::string_view name);
@@ -137,34 +140,55 @@ class Registry {
   /// Appends an event to the trace ring (drop-oldest when full).
   void trace(const TraceEvent& event);
 
-  /// Merges all shards into a stable snapshot.
   Snapshot snapshot() const;
 
-  /// Merged single-metric reads (0 when the name is unknown).
+  /// Single-metric reads (0 when the name is unknown).
   std::uint64_t counter_value(std::string_view name) const;
   std::int64_t gauge_value(std::string_view name) const;
   HistogramSummary histogram_summary(std::string_view name) const;
 
-  std::size_t trace_capacity() const { return trace_capacity_; }
+  std::size_t trace_capacity() const { return ring_.size(); }
 
  private:
   friend class Counter;
   friend class Gauge;
   friend class Histogram;
-  struct Shard;
-  struct Impl;
 
-  Shard& local_shard();
-  Shard& local_shard_slow();
+  struct Hist {
+    std::vector<std::uint64_t> buckets;  ///< sized on the first record
+    std::uint64_t count = 0;
+    std::uint64_t min = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t max = 0;
+    double sum = 0;
 
-  std::unique_ptr<Impl> impl_;
-  std::size_t trace_capacity_ = 0;
+    void record(std::uint64_t value);
+    HistogramSummary summary() const;
+  };
+
+  /// One metric type: `values[id]` is the metric named `names[id]`.
+  template <class V>
+  struct Family {
+    std::unordered_map<std::string, std::uint32_t> ids;
+    std::vector<std::string> names;
+    std::vector<V> values;
+
+    /// The id of `name`, registering it on first use.
+    std::uint32_t id_of(std::string_view name);
+    /// The value of `name`, or nullptr when it was never registered.
+    const V* find(std::string_view name) const;
+  };
+
+  Family<std::uint64_t> counters_;
+  Family<std::int64_t> gauges_;
+  Family<Hist> hists_;
+  std::vector<TraceEvent> ring_;
+  std::uint64_t events_total_ = 0;
 };
 
 /// Attaches `registry` as the process-wide default captured by newly
 /// constructed components (TcamTable, Asic, GateKeeper, Simulation, ...).
-/// Pass nullptr to detach. Not thread-safe against concurrent component
-/// construction — attach once at startup, before building the pipeline.
+/// Pass nullptr to detach. Attach before building the pipeline:
+/// components constructed earlier keep their detached handles.
 void attach(Registry* registry);
 Registry* attached();
 
@@ -188,7 +212,7 @@ inline Histogram attached_histogram(std::string_view name) {
   return reg ? reg->histogram(name) : Histogram();
 }
 
-/// Renders a merged registry snapshot as a schema-versioned JSON object:
+/// Renders a registry snapshot as a schema-versioned JSON object:
 /// {"schema_version": 1, "counters": {...}, "gauges": {...},
 ///  "histograms": {...}, "events": {...}}.
 std::string export_json(const Registry& registry);

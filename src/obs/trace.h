@@ -32,6 +32,10 @@ enum class EventKind : std::uint8_t {
   kPolicyDecision,   ///< migration policy chose an epoch action
 };
 
+/// Kinds are numbered 0 .. kEventKindCount - 1; keep this after the last.
+inline constexpr int kEventKindCount =
+    static_cast<int>(EventKind::kPolicyDecision) + 1;
+
 std::string_view kind_name(EventKind kind);
 
 /// One fixed-layout trace record. Field meaning depends on `kind`; the
@@ -162,7 +166,8 @@ inline constexpr std::uint8_t kUpdateAbort = 3;
 
 /// A network-wide update transaction `txn` changed phase: began
 /// (a = segment count), flipped a segment entry (a = segment index),
-/// committed, or aborted/rolled back (b = failed ops so far).
+/// committed (a = entries flipped), or aborted/rolled back (b = failed
+/// ops so far).
 inline TraceEvent update_phase_event(TimeNs t, std::uint8_t phase,
                                      std::uint32_t txn, std::uint32_t a,
                                      std::uint32_t b = 0) {

@@ -1,14 +1,16 @@
 // docs/METRICS.md must document EVERY metric the obs layer exports from
-// a full-pipeline run — counters, gauges, histograms, and trace event
-// kinds. This test runs the pipeline (simulation with Hermes backends
-// under fault injection, plus every baseline backend), snapshots the
-// attached registry, and fails on any name the catalog does not mention.
+// a full-pipeline run — counters, gauges and histograms — and every trace
+// event kind with each field its export writes. This test runs the
+// pipeline (simulation with Hermes backends under fault injection, plus
+// every baseline backend), snapshots the attached registry, and fails on
+// any name the catalog does not mention.
 //
-// When this test fails you added (or renamed) a metric: document it in
-// docs/METRICS.md.
+// When this test fails you added (or renamed) a metric, a trace kind or
+// a trace field: document it in docs/METRICS.md.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -140,14 +142,38 @@ TEST(MetricsCatalog, DocumentsEveryExportedName) {
            return joined;
          }();
 
-  // Every trace-event kind the run emitted is cataloged too.
-  std::set<std::string> kinds;
+  std::set<std::string> emitted;
   for (const TraceEvent& e : snap.events)
-    kinds.insert(std::string(kind_name(e.kind)));
-  ASSERT_GT(kinds.size(), 2u);
-  for (const std::string& kind : kinds) {
-    EXPECT_NE(doc.find(kind), std::string::npos)
-        << "trace event kind missing from docs/METRICS.md: " << kind;
+    emitted.insert(std::string(kind_name(e.kind)));
+  ASSERT_GT(emitted.size(), 2u) << "pipeline traced suspiciously little";
+
+  // Every trace-event kind, emitted by this run or not, has a catalog row
+  // whose payload names each field its export writes.
+  const std::regex field_key("\"([a-z_]+)\":");
+  for (int k = 0; k < kEventKindCount; ++k) {
+    TraceEvent e;
+    e.kind = static_cast<EventKind>(k);
+    std::string kind(kind_name(e.kind));
+    std::size_t row = doc.find("| `" + kind + "` |");
+    if (row == std::string::npos) {
+      ADD_FAILURE() << "trace event kind missing from docs/METRICS.md: "
+                    << kind;
+      continue;
+    }
+    std::string line = doc.substr(row, doc.find('\n', row) - row);
+    Registry one(/*trace_capacity=*/1);
+    one.trace(e);
+    const std::string json = export_json(one);
+    const std::string marker = "\"entries\":[";
+    std::string entry = json.substr(json.find(marker) + marker.size());
+    for (std::sregex_iterator it(entry.begin(), entry.end(), field_key), end;
+         it != end; ++it) {
+      std::string key = (*it)[1];
+      if (key == "kind" || key == "t") continue;
+      EXPECT_NE(line.find("`" + key + "`"), std::string::npos)
+          << "docs/METRICS.md row of trace kind " << kind
+          << " does not name its field " << key;
+    }
   }
 }
 

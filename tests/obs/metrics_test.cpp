@@ -1,12 +1,14 @@
 // Unit tests for the obs metrics registry: histogram quantile accuracy,
-// shard-merge determinism, trace-ring bookkeeping, gauges and JSON export.
+// exact and deterministic totals, registration order, trace-ring
+// bookkeeping, gauges, attach/detach and JSON export.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
-#include <thread>
+#include <set>
+#include <string>
 #include <vector>
 
 namespace hermes::obs {
@@ -92,32 +94,25 @@ TEST(ObsHistogram, ZeroAndLargeValues) {
   EXPECT_EQ(s.max, std::uint64_t{1} << 40);
 }
 
-// Concurrent recording lands in per-thread shards; the merged totals must
-// be exact and two merges of an idle registry must agree bit-for-bit.
+// Totals are exact, and a snapshot and an export are pure functions of
+// the recorded state: two of each of an idle registry agree bit-for-bit.
 TEST(ObsRegistry, ShardMergeIsExactAndDeterministic) {
   Registry reg;
-  Counter c = reg.counter("threads.count");
-  Histogram h = reg.histogram("threads.hist");
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 25000;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        c.inc();
-        h.record(static_cast<std::uint64_t>(t * kPerThread + i) % 1000 + 1);
-      }
-    });
+  Counter c = reg.counter("records.count");
+  Histogram h = reg.histogram("records.hist");
+  constexpr int kRecords = 100000;
+  for (int i = 0; i < kRecords; ++i) {
+    c.inc();
+    h.record(static_cast<std::uint64_t>(i) % 1000 + 1);
   }
-  for (auto& w : workers) w.join();
 
-  EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  HistogramSummary s = reg.histogram_summary("threads.hist");
-  EXPECT_EQ(s.count, static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kRecords));
+  HistogramSummary s = reg.histogram_summary("records.hist");
+  EXPECT_EQ(s.count, static_cast<std::uint64_t>(kRecords));
   EXPECT_EQ(s.min, 1u);
   EXPECT_EQ(s.max, 1000u);
+  EXPECT_DOUBLE_EQ(s.sum, 100 * 500500.0);  // 100 passes over 1..1000
 
-  // Merging is a pure function of the recorded state.
   Snapshot first = reg.snapshot();
   Snapshot second = reg.snapshot();
   EXPECT_EQ(first.counters, second.counters);
@@ -131,6 +126,55 @@ TEST(ObsRegistry, ShardMergeIsExactAndDeterministic) {
               second.histograms[i].second.count);
   }
   EXPECT_EQ(export_json(reg), export_json(reg));
+}
+
+TEST(ObsRegistry, LateRegisteredMetricsStartAtZeroInRegistrationOrder) {
+  Registry reg;
+  reg.counter("c.early").inc(3);
+  reg.gauge("g.early").set(-4);
+  reg.histogram("h.early").record(10);
+
+  Counter c = reg.counter("c.late");
+  Gauge g = reg.gauge("g.late");
+  Histogram h = reg.histogram("h.late");
+  Snapshot snap = reg.snapshot();
+  using CounterRow = std::pair<std::string, std::uint64_t>;
+  using GaugeRow = std::pair<std::string, std::int64_t>;
+  EXPECT_EQ(snap.counters,
+            (std::vector<CounterRow>{{"c.early", 3}, {"c.late", 0}}));
+  EXPECT_EQ(snap.gauges,
+            (std::vector<GaugeRow>{{"g.early", -4}, {"g.late", 0}}));
+  ASSERT_EQ(snap.histograms.size(), 2u);
+  EXPECT_EQ(snap.histograms[0].first, "h.early");
+  EXPECT_EQ(snap.histograms[0].second.count, 1u);
+  EXPECT_EQ(snap.histograms[1].first, "h.late");
+  EXPECT_EQ(snap.histograms[1].second.count, 0u);
+
+  // The late metrics record on their own; the early ones are untouched.
+  c.inc(2);
+  g.set(7);
+  h.record(20);
+  h.record(30);
+  EXPECT_EQ(reg.counter_value("c.early"), 3u);
+  EXPECT_EQ(reg.counter_value("c.late"), 2u);
+  EXPECT_EQ(reg.gauge_value("g.early"), -4);
+  EXPECT_EQ(reg.gauge_value("g.late"), 7);
+  EXPECT_EQ(reg.histogram_summary("h.early").count, 1u);
+  EXPECT_EQ(reg.histogram_summary("h.late").count, 2u);
+  EXPECT_EQ(reg.histogram_summary("h.late").min, 20u);
+}
+
+TEST(ObsRegistry, DestroyingTheAttachedRegistryDetachesIt) {
+  ASSERT_EQ(attached(), nullptr);
+  {
+    Registry reg(/*trace_capacity=*/2);
+    attach(&reg);
+    ASSERT_EQ(attached(), &reg);
+  }
+  EXPECT_EQ(attached(), nullptr);
+  trace_event(admission_event(1, 0));  // must not crash, goes nowhere
+  EXPECT_FALSE(attached_counter("after.destroy").attached());
+  EXPECT_EQ(export_json(), "null");
 }
 
 TEST(ObsTrace, RingKeepsNewestAndCountsDrops) {
@@ -173,6 +217,50 @@ TEST(ObsExport, JsonCarriesCountersGaugesHistogramsAndEvents) {
   EXPECT_NE(json.find("\"count\":1"), std::string::npos);
   EXPECT_NE(json.find("\"recorded\":1"), std::string::npos);
   EXPECT_NE(json.find("migration_batch"), std::string::npos);
+}
+
+// Each kind exports under its own kind_name(), then its time and its
+// fields; none falls back to "unknown".
+TEST(ObsExport, EveryEventKindExportsItsOwnName) {
+  Registry reg(/*trace_capacity=*/kEventKindCount);
+  std::set<std::string> names;
+  for (int k = 0; k < kEventKindCount; ++k) {
+    TraceEvent e;
+    e.kind = static_cast<EventKind>(k);
+    e.time = 100 + k;
+    reg.trace(e);
+    names.insert(std::string(kind_name(e.kind)));
+  }
+  EXPECT_EQ(names.size(), static_cast<std::size_t>(kEventKindCount));
+  EXPECT_EQ(names.count("unknown"), 0u);
+
+  std::string json = export_json(reg);
+  EXPECT_EQ(json.find("unknown"), std::string::npos);
+  for (int k = 0; k < kEventKindCount; ++k) {
+    std::string name(kind_name(static_cast<EventKind>(k)));
+    std::string head =
+        "{\"kind\":\"" + name + "\",\"t\":" + std::to_string(100 + k) + ",";
+    EXPECT_NE(json.find(head), std::string::npos) << name;
+  }
+
+  // The fields of the three kinds that once exported as "unknown".
+  Registry fields(/*trace_capacity=*/3);
+  fields.trace(update_phase_event(7, kUpdateFlip, /*txn=*/42, /*a=*/3, 1));
+  fields.trace(cache_op_event(8, kCachePromote, /*rules=*/5, /*aux=*/2));
+  fields.trace(policy_decision_event(9, /*action=*/3, 40, 130));
+  json = export_json(fields);
+  EXPECT_NE(json.find("{\"kind\":\"update_phase\",\"t\":7,\"phase\":1,"
+                      "\"txn\":42,\"segment\":3,\"failed_ops\":1}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\"kind\":\"cache_op\",\"t\":8,\"op\":0,"
+                      "\"rules\":5,\"pins\":2}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\"kind\":\"policy_decision\",\"t\":9,"
+                      "\"action\":3,\"occupancy\":40,\"capacity\":130}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(ObsExport, DetachedProcessExportIsNull) {

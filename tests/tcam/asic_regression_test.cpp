@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "fault/fault_plan.h"
 #include "tcam/asic.h"
@@ -170,45 +171,39 @@ TEST(AsicModifyRollback, OnlyPriorityChangingModifiesBurnDraws) {
   EXPECT_EQ(plan.draws(0), draws_before);
 }
 
+// One slice, and two slices with the rule in the second: a lookup that
+// walks past an empty slice must see the wipe too.
 TEST(AsicResetVisibility, TimeThreadedLookupAppliesPendingResets) {
-  Asic asic(pica8_p3290(), {100});
-  ASSERT_TRUE(asic.apply(0, {FlowModType::kInsert,
-                             make_rule(1, 5, "10.0.0.0/8")}).ok);
+  struct Case {
+    std::vector<int> slice_sizes;
+    int slice;
+  };
+  for (const Case& c : {Case{{100}, 0}, Case{{64, 64}, 1}}) {
+    SCOPED_TRACE(c.slice_sizes.size());
+    Asic asic(pica8_p3290(), c.slice_sizes);
+    ASSERT_TRUE(asic.apply(c.slice, {FlowModType::kInsert,
+                                     make_rule(1, 5, "10.0.0.0/8")}).ok);
 
-  fault::FaultPlanConfig fc;
-  fc.seed = 3;
-  fc.resets = {from_millis(1)};
-  fault::FaultPlan plan(fc);
-  asic.set_fault_plan(&plan);
+    fault::FaultPlanConfig fc;
+    fc.seed = 3;
+    fc.resets = {from_millis(1)};
+    fault::FaultPlan plan(fc);
+    asic.set_fault_plan(&plan);
 
-  net::Ipv4Address addr = net::Ipv4Address::from_octets(10, 1, 2, 3);
-  // Before the reset time the rule is visible.
-  const net::Rule* before = asic.lookup_ptr(from_micros(500), addr);
-  ASSERT_NE(before, nullptr);
-  EXPECT_EQ(before->id, 1u);
-  EXPECT_EQ(asic.reset_epoch(), 0);
+    net::Ipv4Address addr = net::Ipv4Address::from_octets(10, 1, 2, 3);
+    // Before the reset time the rule is visible.
+    const net::Rule* before = asic.lookup_ptr(from_micros(500), addr);
+    ASSERT_NE(before, nullptr);
+    EXPECT_EQ(before->id, 1u);
+    EXPECT_EQ(asic.reset_epoch(), 0);
 
-  // Pre-fix behavior: a data-plane lookup after the scheduled reset —
-  // with NO intervening control-plane op — still returned the rule.
-  // Post-fix: the wipe is observed by the lookup itself.
-  EXPECT_EQ(asic.lookup_ptr(from_millis(2), addr), nullptr);
-  EXPECT_EQ(asic.reset_epoch(), 1);
-  EXPECT_EQ(asic.total_occupancy(), 0);
-}
-
-TEST(AsicResetVisibility, ZeroCopyLookupSeesResetToo) {
-  Asic asic(pica8_p3290(), {64, 64});
-  ASSERT_TRUE(asic.apply(1, {FlowModType::kInsert,
-                             make_rule(1, 5, "10.0.0.0/8")}).ok);
-  fault::FaultPlanConfig fc;
-  fc.resets = {from_millis(1)};
-  fault::FaultPlan plan(fc);
-  asic.set_fault_plan(&plan);
-
-  net::Ipv4Address addr = net::Ipv4Address::from_octets(10, 9, 9, 9);
-  ASSERT_NE(asic.lookup_ptr(from_micros(1), addr), nullptr);
-  EXPECT_EQ(asic.lookup_ptr(from_millis(5), addr), nullptr);
-  EXPECT_EQ(asic.reset_epoch(), 1);
+    // Pre-fix behavior: a data-plane lookup after the scheduled reset —
+    // with NO intervening control-plane op — still returned the rule.
+    // Post-fix: the wipe is observed by the lookup itself.
+    EXPECT_EQ(asic.lookup_ptr(from_millis(2), addr), nullptr);
+    EXPECT_EQ(asic.reset_epoch(), 1);
+    EXPECT_EQ(asic.total_occupancy(), 0);
+  }
 }
 
 }  // namespace
