@@ -1,8 +1,8 @@
 // Hot-path microbenchmark: per-op wall-clock cost of the TCAM bookkeeping
 // primitives that every control-plane action rides on, plus the agent
 // migration drain, a full PlainSwitch backend churn, the rule cache's
-// aborted promotion closure, id lookups in one long equal-priority run
-// and the simulator's max-min rate recompute.
+// aborted promotion closure, id lookups in one long equal-priority run,
+// the simulator's max-min rate recompute and overlap-index churn.
 //
 // Unlike the per-figure harnesses (which report SIMULATED latency from the
 // switch models), this measures REAL nanoseconds of the simulator's own
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "hermes/hermes_agent.h"
+#include "hermes/overlap_index.h"
 #include "baselines/plain_switch.h"
 #include "cache/cache_hierarchy.h"
 #include "net/routing.h"
@@ -539,6 +540,44 @@ void bench_path_query() {
          }));
 }
 
+// Overlap-index churn: ns per erase + insert of a fresh random /32 in an
+// OverlapIndex holding `live` /32s at priorities 100-104, the shape of
+// te_fattree's and flow_cache's rules. 100,000 ops in one timed pass, the
+// victims and the fresh rules drawn before it. An index that keeps every
+// node it ever made grows with the ops, not the live rules. Not gated.
+void bench_overlap_churn(int live) {
+  constexpr int kOps = 100000;
+  std::mt19937_64 rng(0x0C4E ^ static_cast<std::uint64_t>(live));
+  net::RuleId next_id = 1;
+  auto fresh = [&] {
+    const net::RuleId id = next_id++;
+    return net::Rule{
+        id, 100 + static_cast<int>(id % 5),
+        net::Prefix(net::Ipv4Address(static_cast<std::uint32_t>(rng())), 32),
+        net::forward_to(1)};
+  };
+  core::OverlapIndex index;
+  std::vector<net::Rule> slots;
+  for (int i = 0; i < live; ++i) {
+    slots.push_back(fresh());
+    index.insert(slots.back());
+  }
+  std::vector<std::size_t> victims;
+  std::vector<net::Rule> arrivals;
+  for (int i = 0; i < kOps; ++i) {
+    victims.push_back(rng() % slots.size());
+    arrivals.push_back(fresh());
+  }
+  auto start = Clock::now();
+  for (int i = 0; i < kOps; ++i) {
+    net::Rule& slot = slots[victims[i]];
+    index.erase(slot.id, slot.match);
+    slot = arrivals[i];
+    index.insert(slot);
+  }
+  record("overlap_churn", "trie", live, kOps, ns_since(start, kOps));
+}
+
 double ns_of(const std::string& op, const std::string& impl, int rules) {
   for (const Row& r : g_rows)
     if (r.op == op && r.impl == impl && r.rules == rules) return r.ns_per_op;
@@ -586,6 +625,7 @@ int main(int argc, char** argv) {
   const double locate_scaling = bench_locate_run_scaling();
   const double recompute_scaling = bench_rate_recompute_scaling();
   bench_path_query();
+  for (int live : {1024, 65536}) bench_overlap_churn(live);
 
   // Headline indexed-vs-linear ratios at the largest size that ran.
   // Ratios — not raw ns/op — are what CI regression-gates: they are

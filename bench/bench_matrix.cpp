@@ -36,8 +36,6 @@
 //    event count to CI scale)
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <span>
 #include <memory>
 #include <optional>
 #include <string>
@@ -224,31 +222,7 @@ int main(int argc, char** argv) {
               base.simple_threshold, base.migration_watermark));
     }
     rep.derived(name + "_deployed_learned", deploy_learned ? 1.0 : 0.0);
-    if (std::getenv("MATRIX_DEBUG")) {
-      std::span<const double> t = q_policy->table();
-      for (int s = 0; s < q_policy->state_count(); ++s) {
-        const double* row = &t[static_cast<std::size_t>(s) * 4];
-        bool touched = false;
-        for (int a = 0; a < 4; ++a)
-          touched = touched || (row[a] != 0.0 && row[a] != 1e-3);
-        if (!touched) continue;
-        std::printf("    state %2d (occ=%d trend=%d fault=%d): "
-                    "%9.1f %9.1f %9.1f %9.1f\n",
-                    s, s / 9, (s / 3) % 3, s % 3, row[0], row[1], row[2],
-                    row[3]);
-      }
-    }
-    auto before = q_policy->action_counts();
     std::vector<hermes::Duration> q_samples = replay(scenario, q_cfg);
-    if (std::getenv("MATRIX_DEBUG")) {
-      auto after = q_policy->action_counts();
-      std::printf("    measured actions: hold=%llu small=%llu large=%llu "
-                  "expand=%llu\n",
-                  static_cast<unsigned long long>(after[0] - before[0]),
-                  static_cast<unsigned long long>(after[1] - before[1]),
-                  static_cast<unsigned long long>(after[2] - before[2]),
-                  static_cast<unsigned long long>(after[3] - before[3]));
-    }
     deterministic = deterministic && q_samples == replay(scenario, q_cfg);
     Percentiles q = summarize(std::move(q_samples));
     record(name, "q", q);

@@ -151,13 +151,13 @@ int CacheHierarchy::promote_one(Time now, net::RuleId id,
   // 1. Dependency closure: every software-only rule overlapping a
   //    closure member at >= priority must come along, or a TCAM hit on
   //    the promoted rule could mask it.
-  std::vector<net::Rule> closure{entries_.at(id).rule};
+  std::vector<Key> closure{key_of(entries_.at(id).rule)};
   std::unordered_set<net::RuleId> in_closure{id};
   for (std::size_t i = 0; i < closure.size(); ++i) {
-    const net::Rule member = closure[i];
+    const Key member = closure[i];
     const bool fits = uncached_index_.visit(
         member.match, member.priority - 1, kMaxPriority,
-        [&](const net::Rule& s) {
+        [&](const Key& s) {
           if (!in_closure.insert(s.id).second) return true;
           closure.push_back(s);
           return static_cast<int>(closure.size()) <= config_.closure_limit;
@@ -196,7 +196,7 @@ int CacheHierarchy::promote_one(Time now, net::RuleId id,
       blocked.insert(vid);
       continue;
     }
-    std::vector<net::Rule> cascade = demotion_cascade(vit->second.rule);
+    std::vector<Key> cascade = demotion_cascade(key_of(vit->second.rule));
     if (cascade.empty()) {  // cascade exceeded closure_limit: pin
       pinned.insert(vid);
       blocked.insert(vid);
@@ -204,23 +204,27 @@ int CacheHierarchy::promote_one(Time now, net::RuleId id,
       obs_pins_.inc();
       continue;
     }
-    for (const net::Rule& c : cascade) demote(now, c);
+    for (const Key& c : cascade) demote(now, c.id);
     obs::trace_event(obs::cache_op_event(
         now, obs::kCacheDemote, static_cast<int>(cascade.size()), 0));
   }
 
   // 3. Install, highest priority first, arrival order within a priority
   //    level — the TCAM's place-below-equal-priority insert then
-  //    reproduces the software engine's tie-break exactly.
-  std::sort(closure.begin(), closure.end(),
+  //    reproduces the software engine's tie-break exactly. The index
+  //    holds keys; the whole rules come from the software tier.
+  std::vector<net::Rule> batch;
+  batch.reserve(closure.size());
+  for (const Key& k : closure) batch.push_back(entries_.at(k.id).rule);
+  std::sort(batch.begin(), batch.end(),
             [this](const net::Rule& a, const net::Rule& b) {
               if (a.priority != b.priority) return a.priority > b.priority;
               return entries_.at(a.id).seq < entries_.at(b.id).seq;
             });
   tcam::Asic::BatchResult result;
-  asic_.submit_batch_insert(now, 0, closure, &result);
+  asic_.submit_batch_insert(now, 0, batch, &result);
   for (int i = 0; i < result.inserted; ++i) {
-    const net::Rule& r = closure[static_cast<std::size_t>(i)];
+    const net::Rule& r = batch[static_cast<std::size_t>(i)];
     Entry& e = entries_.at(r.id);
     e.cached = true;
     ++cached_count_;
@@ -235,8 +239,8 @@ int CacheHierarchy::promote_one(Time now, net::RuleId id,
   // possible invariant break is an equal-priority overlap straddling the
   // cut — repair it with the insert-path maintenance.
   for (std::size_t i = static_cast<std::size_t>(result.inserted);
-       i < closure.size(); ++i)
-    demote_conflicting(now, closure[i]);
+       i < batch.size(); ++i)
+    demote_conflicting(now, batch[i]);
   obs_software_resident_.set(software_resident());
   return result.inserted;
 }
@@ -245,53 +249,52 @@ void CacheHierarchy::demote_conflicting(Time now, const net::Rule& rule) {
   // BFS from the software-only `rule`: any cached rule at <= priority
   // overlapping an affected rule must leave the TCAM (its hit would mask
   // the software rule), and each demotion can expose further conflicts.
-  std::vector<net::Rule> frontier{rule};
+  std::vector<Key> frontier{key_of(rule)};
   std::unordered_set<net::RuleId> seen{rule.id};
-  std::vector<net::Rule> shadowed;
+  std::vector<Key> shadowed;
   while (!frontier.empty()) {
-    const net::Rule u = frontier.back();
+    const Key u = frontier.back();
     frontier.pop_back();
     // Collect first: demoting mutates the index the visit walks.
     shadowed.clear();
     cached_index_.visit(u.match, kMinPriority, u.priority,
-                        [&](const net::Rule& c) {
+                        [&](const Key& c) {
                           shadowed.push_back(c);
                           return true;
                         });
-    for (const net::Rule& c : shadowed) {
+    for (const Key& c : shadowed) {
       if (!seen.insert(c.id).second) continue;
       auto it = entries_.find(c.id);
       if (it == entries_.end() || !it->second.cached) continue;
-      demote(now, c);
+      demote(now, c.id);
       frontier.push_back(c);
     }
   }
 }
 
-void CacheHierarchy::demote(Time now, const net::Rule& rule) {
-  Entry& e = entries_.at(rule.id);
+void CacheHierarchy::demote(Time now, net::RuleId id) {
+  Entry& e = entries_.at(id);
   assert(e.cached);
   e.cached = false;
   --cached_count_;
-  cached_index_.erase(rule.id, rule.match);
-  uncached_index_.insert(rule);
-  net::FlowMod del{net::FlowModType::kDelete,
-                   net::Rule{rule.id, 0, {}, {}}};
+  cached_index_.erase(id, e.rule.match);
+  uncached_index_.insert(e.rule);
+  net::FlowMod del{net::FlowModType::kDelete, net::Rule{id, 0, {}, {}}};
   asic_.submit(now, 0, del);
-  policy_->on_evict(rule.id);
+  policy_->on_evict(id);
   ++demotions_;
   obs_demotions_.inc();
 }
 
-std::vector<net::Rule> CacheHierarchy::demotion_cascade(
-    const net::Rule& victim) const {
-  std::vector<net::Rule> cascade{victim};
+std::vector<CacheHierarchy::Key> CacheHierarchy::demotion_cascade(
+    const Key& victim) const {
+  std::vector<Key> cascade{victim};
   std::unordered_set<net::RuleId> seen{victim.id};
   for (std::size_t i = 0; i < cascade.size(); ++i) {
-    const net::Rule member = cascade[i];
+    const Key member = cascade[i];
     const bool fits = cached_index_.visit(
         member.match, kMinPriority, member.priority,
-        [&](const net::Rule& c) {
+        [&](const Key& c) {
           if (!seen.insert(c.id).second) return true;
           cascade.push_back(c);
           return static_cast<int>(cascade.size()) <= config_.closure_limit;
@@ -353,7 +356,7 @@ bool CacheHierarchy::check_invariant() const {
     // No software-only rule at >= priority may overlap a cached rule.
     if (!uncached_index_.visit(
             entry.rule.match, entry.rule.priority - 1, kMaxPriority,
-            [id = id](const net::Rule& s) { return s.id == id; }))
+            [id = id](const Key& s) { return s.id == id; }))
       return false;
   }
   if (cached_seen != cached_count_) return false;

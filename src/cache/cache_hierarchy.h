@@ -136,6 +136,8 @@ class CacheHierarchy {
     std::uint64_t seq = 0;  ///< arrival stamp (tie-break order)
     bool cached = false;    ///< TCAM-resident
   };
+  using Key = core::OverlapIndex::Key;
+  static Key key_of(const net::Rule& r) { return {r.id, r.priority, r.match}; }
 
   bool software_erase(net::RuleId id);
   void software_install(const net::Rule& rule);
@@ -152,10 +154,10 @@ class CacheHierarchy {
   void demote_conflicting(Time now, const net::Rule& rule);
   /// Demotes one cached rule (TCAM delete + bookkeeping). The caller
   /// guarantees the cascade is handled.
-  void demote(Time now, const net::Rule& rule);
+  void demote(Time now, net::RuleId id);
   /// Cached rules that must leave with `victim` (victim included),
   /// transitively; empty when the cascade exceeds `closure_limit`.
-  std::vector<net::Rule> demotion_cascade(const net::Rule& victim) const;
+  std::vector<Key> demotion_cascade(const Key& victim) const;
 
   CacheConfig config_;
   tcam::Asic asic_;
@@ -169,7 +171,8 @@ class CacheHierarchy {
   /// Overlap tries over the two residency classes. The uncached
   /// index answers promotion-closure queries ("which software-only rules
   /// overlap R at >= priority?"), the cached index demotion cascades and
-  /// insert-path maintenance.
+  /// insert-path maintenance. They hand out keys; a rule's action is read
+  /// from `entries_`.
   core::OverlapIndex uncached_index_;
   core::OverlapIndex cached_index_;
 

@@ -539,20 +539,19 @@ Time HermesAgent::modify(Time now, const net::Rule& rule) {
   if (rule.priority == lr->original.priority &&
       rule.match == lr->original.match) {
     // Action-only change: constant-time in-place rewrite of every piece
-    // (Section 2.1.1 / 4.1), in the table and in its overlap index. Each
-    // piece is searched for once; the ASIC writes the slot found.
+    // (Section 2.1.1 / 4.1). Each piece is searched for once and the ASIC
+    // writes the slot found. The overlap indexes hold no actions, so
+    // neither is touched, and a piece keeps its place among its prefix's
+    // rules in visit order. The logical rule found above is rewritten
+    // in place.
     Time completion = now;
     int slice_idx = lr->placement == Placement::kShadow ? kShadow : kMain;
-    OverlapIndex& index =
-        lr->placement == Placement::kShadow ? shadow_index_ : main_index_;
     for (net::RuleId pid : lr->physical_ids) {
       const net::Rule* piece = asic_.slice(slice_idx).find_ptr(pid);
       if (!piece) continue;
-      const net::Prefix match = piece->match;
       completion = asic_.submit_action(now, slice_idx, *piece, rule.action);
-      index.set_action(pid, match, rule.action);
     }
-    store_.set_action(rule.id, rule.action);
+    store_.set_action(*lr, rule.action);
     return completion;
   }
   // Match or priority change: delete + insert (Section 4.1).
@@ -568,7 +567,7 @@ void HermesAgent::repartition_shadow_overlaps(Time now,
   std::vector<net::RuleId> logicals;
   shadow_index_.visit(
       main_rule.match, std::numeric_limits<int>::min(),
-      main_rule.priority - 1, [&](const net::Rule& piece) {
+      main_rule.priority - 1, [&](const OverlapIndex::Key& piece) {
         if (auto lid = store_.logical_of(piece.id)) {
           if (std::find(logicals.begin(), logicals.end(), *lid) ==
               logicals.end())

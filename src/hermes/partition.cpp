@@ -9,7 +9,7 @@ namespace hermes::core {
 PartitionResult partition_new_rule(const net::Rule& new_rule,
                                    const OverlapIndex& main_index) {
   PartitionResult result;
-  std::vector<net::Rule> overlaps =
+  std::vector<OverlapIndex::Key> overlaps =
       main_index.overlapping(new_rule.match, new_rule.priority);
 
   // Current residual cover of the new rule's match.
@@ -23,11 +23,11 @@ PartitionResult partition_new_rule(const net::Rule& new_rule,
   // not affect the final set, but cutting the widest first lets wholesale
   // removals short-circuit the loop early.
   std::sort(overlaps.begin(), overlaps.end(),
-            [](const net::Rule& a, const net::Rule& b) {
+            [](const OverlapIndex::Key& a, const OverlapIndex::Key& b) {
               return a.match.length() < b.match.length();
             });
 
-  for (const net::Rule& o : overlaps) {
+  for (const OverlapIndex::Key& o : overlaps) {
     std::vector<net::Prefix> next;
     next.reserve(pieces.size() + 4);
     bool cut_something = false;

@@ -29,12 +29,11 @@ const LogicalRule* RuleStore::find(net::RuleId logical_id) const {
   return it == logical_.end() ? nullptr : &it->second;
 }
 
-bool RuleStore::set_action(net::RuleId logical_id,
+void RuleStore::set_action(const LogicalRule& rule,
                            const net::Action& action) {
-  auto it = logical_.find(logical_id);
-  if (it == logical_.end()) return false;
-  it->second.original.action = action;
-  return true;
+  assert(find(rule.original.id) == &rule);
+  // The record is the store's own; find() hands it out read-only.
+  const_cast<LogicalRule&>(rule).original.action = action;
 }
 
 std::optional<net::RuleId> RuleStore::logical_of(

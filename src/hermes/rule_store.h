@@ -53,8 +53,9 @@ class RuleStore {
   const LogicalRule* find(net::RuleId logical_id) const;
 
   /// Rewrites the action of a logical rule's original (an action-only
-  /// modify). Returns false if the id is unknown.
-  bool set_action(net::RuleId logical_id, const net::Action& action);
+  /// modify). `rule` must be what find() returned, so the rewrite costs
+  /// no second lookup.
+  void set_action(const LogicalRule& rule, const net::Action& action);
 
   /// Logical id owning a physical rule id, or nullopt.
   std::optional<net::RuleId> logical_of(net::RuleId physical_id) const;

@@ -260,6 +260,37 @@ TEST(HermesAgent, ActionOnlyModifyIsCheapAndCorrect) {
   EXPECT_EQ(hit->action.port, 7);
 }
 
+// An action-only modify leaves both overlap indexes alone, so a rule
+// keeps its place among its prefix's rules. A, then B, share a prefix and
+// a priority in main; A's action changes; C, lower and wider, is cut
+// against the first of them in visit order, still A. (An index that
+// re-appended A on the modify would cut C against B.) Deleting A then
+// re-plans C against B: same cover, one no-op unpartition.
+TEST(HermesAgent, ActionOnlyModifyKeepsOverlapOrder) {
+  HermesConfig config = test_config();
+  config.lowest_priority_optimization = false;
+  HermesAgent agent(tcam::pica8_p3290(), 2000, config);
+  agent.insert(0, make_rule(1, 10, "10.1.0.0/16", 1));  // A
+  agent.insert(0, make_rule(2, 10, "10.1.0.0/16", 2));  // B
+  agent.migrate_now(0);
+  ASSERT_EQ(agent.main_occupancy(), 2);
+  agent.modify(0, make_rule(1, 10, "10.1.0.0/16", 7));
+  agent.insert(0, make_rule(3, 5, "10.0.0.0/8", 3));  // C
+  ASSERT_EQ(agent.store().find(3)->placement, Placement::kShadow);
+  EXPECT_EQ(agent.store().find(3)->cut_against,
+            std::vector<net::RuleId>{1});
+  EXPECT_EQ(lookup_at(agent, 0, "10.1.2.3")->action.port, 7);
+  EXPECT_EQ(lookup_at(agent, 0, "10.2.3.4")->action.port, 3);
+
+  agent.erase(0, 1);
+  EXPECT_EQ(agent.stats().unpartitions, 1u);
+  EXPECT_EQ(agent.store().find(3)->cut_against,
+            std::vector<net::RuleId>{2});
+  EXPECT_EQ(agent.shadow_occupancy(), 8);  // C's cover is unchanged
+  EXPECT_EQ(lookup_at(agent, 0, "10.1.2.3")->action.port, 2);
+  EXPECT_EQ(lookup_at(agent, 0, "10.2.3.4")->action.port, 3);
+}
+
 TEST(HermesAgent, PriorityModifyBecomesDeleteInsert) {
   HermesAgent agent(tcam::pica8_p3290(), 2000, test_config());
   agent.insert(0, make_rule(1, 5, "10.0.0.0/8", 1));

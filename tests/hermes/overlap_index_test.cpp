@@ -7,10 +7,36 @@
 #include <random>
 
 namespace hermes::core {
+
+// Reads the trie's shape, which the public API does not show.
+struct OverlapIndexTestPeer {
+  // Nodes reachable from the root, the root included.
+  static std::size_t nodes(const OverlapIndex& idx) {
+    std::size_t count = 0;
+    std::vector<std::uint32_t> stack{0};
+    while (!stack.empty()) {
+      const OverlapIndex::Node& node = idx.nodes_[stack.back()];
+      stack.pop_back();
+      ++count;
+      for (std::uint32_t c : node.child)
+        if (c != 0) stack.push_back(c);
+    }
+    return count;
+  }
+  // Node and record slots held, in use or on a free list.
+  static std::size_t node_slots(const OverlapIndex& idx) {
+    return idx.nodes_.size();
+  }
+  static std::size_t record_slots(const OverlapIndex& idx) {
+    return idx.records_.size();
+  }
+};
+
 namespace {
 
 using net::Prefix;
 using net::Rule;
+using Key = OverlapIndex::Key;
 
 constexpr int kAll = std::numeric_limits<int>::min();
 
@@ -18,9 +44,9 @@ Rule make_rule(net::RuleId id, int priority, std::string_view prefix) {
   return Rule{id, priority, *Prefix::parse(prefix), net::forward_to(1)};
 }
 
-std::vector<net::RuleId> ids_of(const std::vector<Rule>& rules) {
+std::vector<net::RuleId> ids_of(const std::vector<Key>& keys) {
   std::vector<net::RuleId> ids;
-  for (const Rule& r : rules) ids.push_back(r.id);
+  for (const Key& k : keys) ids.push_back(k.id);
   std::sort(ids.begin(), ids.end());
   return ids;
 }
@@ -116,9 +142,9 @@ TEST(OverlapIndex, DefaultRouteOverlapsEverything) {
             1u);
 }
 
-std::vector<net::RuleId> in_order(const std::vector<Rule>& rules) {
+std::vector<net::RuleId> in_order(const std::vector<Key>& keys) {
   std::vector<net::RuleId> ids;
-  for (const Rule& r : rules) ids.push_back(r.id);
+  for (const Key& k : keys) ids.push_back(k.id);
   return ids;
 }
 
@@ -152,79 +178,51 @@ std::vector<Rule> reference_order(const std::vector<Rule>& reference,
   return ancestors;
 }
 
-// Every rule of `idx` in visit order, whole (action included).
-std::vector<Rule> visit_all(const OverlapIndex& idx) {
-  std::vector<Rule> out;
-  idx.visit(Prefix::any(), kAll, std::numeric_limits<int>::max(),
-            [&](const Rule& r) {
-              out.push_back(r);
-              return true;
-            });
-  return out;
+// One step of the property schedule: an insert or an erase, applied to
+// `idx` and mirrored in `reference`, which keeps insertion order. Every
+// third 100-step phase is erase-heavy: it drains most of what the two
+// before it built, so subtree bounds must shrink bottom-up, down to an
+// empty trie at times.
+void random_step(std::mt19937_64& rng, int step, OverlapIndex& idx,
+                 std::vector<Rule>& reference, net::RuleId& next_id) {
+  const bool erase_heavy = step / 100 % 3 == 2;
+  const bool erase = !reference.empty() &&
+                     (erase_heavy ? rng() % 4 != 0 : rng() % 3 == 0);
+  if (!erase) {
+    // A quarter of the inserts reuse a resident prefix, so one node
+    // holds several rules of different priorities.
+    const Prefix match =
+        !reference.empty() && rng() % 4 == 0
+            ? reference[rng() % reference.size()].match
+            : Prefix(net::Ipv4Address(static_cast<std::uint32_t>(rng())),
+                     static_cast<int>(rng() % 17));  // short => dense
+    Rule r{next_id++, static_cast<int>(rng() % 10), match,
+           net::forward_to(1)};
+    idx.insert(r);
+    reference.push_back(r);
+  } else {
+    std::size_t victim = rng() % reference.size();
+    EXPECT_TRUE(idx.erase(reference[victim].id, reference[victim].match));
+    reference.erase(reference.begin() +
+                    static_cast<std::ptrdiff_t>(victim));
+  }
 }
 
+constexpr int kScheduleSteps = 900;
+
 // Property: results agree with a brute-force scan over random rule sets
-// under interleaved insert/erase/set_action. A twin index applies each
-// set_action as erase + insert, and the two must visit identically.
+// under interleaved insert/erase.
 class OverlapIndexProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(OverlapIndexProperty, MatchesBruteForce) {
   std::mt19937_64 rng(GetParam());
   OverlapIndex idx;
-  OverlapIndex twin;
   std::vector<Rule> reference;
   net::RuleId next_id = 1;
 
-  for (int step = 0; step < 900; ++step) {
-    // Every third 100-step phase is erase-heavy: it drains most of
-    // what the two before it built, so subtree bounds must shrink
-    // bottom-up, down to an empty trie at times.
-    const bool erase_heavy = step / 100 % 3 == 2;
-    const bool erase = !reference.empty() &&
-                       (erase_heavy ? rng() % 4 != 0 : rng() % 3 == 0);
-    if (!erase && !reference.empty() && rng() % 5 == 0) {
-      // An action rewrite ends with the rule last among its prefix's
-      // rules, as erase + insert would leave it.
-      std::size_t victim = rng() % reference.size();
-      Rule r = reference[victim];
-      r.action = net::forward_to(static_cast<int>(rng() % 8));
-      EXPECT_TRUE(idx.set_action(r.id, r.match, r.action));
-      EXPECT_TRUE(twin.erase(r.id, r.match));
-      twin.insert(r);
-      reference.erase(reference.begin() +
-                      static_cast<std::ptrdiff_t>(victim));
-      reference.push_back(r);
-      bool carries = false;
-      idx.visit(r.match, r.priority - 1, r.priority, [&](const Rule& got) {
-        if (got.id == r.id) carries = got == r;
-        return got.id != r.id;
-      });
-      EXPECT_TRUE(carries) << "step " << step;
-      EXPECT_FALSE(idx.set_action(next_id, r.match, r.action));
-      ASSERT_EQ(visit_all(idx), visit_all(twin)) << "step " << step;
-    } else if (!erase) {
-      // A quarter of the inserts reuse a resident prefix, so one node
-      // holds several rules of different priorities.
-      const Prefix match =
-          !reference.empty() && rng() % 4 == 0
-              ? reference[rng() % reference.size()].match
-              : Prefix(net::Ipv4Address(static_cast<std::uint32_t>(rng())),
-                       static_cast<int>(rng() % 17));  // short => dense
-      Rule r{next_id++, static_cast<int>(rng() % 10), match,
-             net::forward_to(1)};
-      idx.insert(r);
-      twin.insert(r);
-      reference.push_back(r);
-    } else {
-      std::size_t victim = rng() % reference.size();
-      EXPECT_TRUE(
-          idx.erase(reference[victim].id, reference[victim].match));
-      EXPECT_TRUE(
-          twin.erase(reference[victim].id, reference[victim].match));
-      reference.erase(reference.begin() +
-                      static_cast<std::ptrdiff_t>(victim));
-    }
+  for (int step = 0; step < kScheduleSteps; ++step) {
+    random_step(rng, step, idx, reference, next_id);
     ASSERT_EQ(idx.size(), reference.size());
 
     Prefix probe(net::Ipv4Address(static_cast<std::uint32_t>(rng())),
@@ -253,8 +251,8 @@ TEST_P(OverlapIndexProperty, MatchesBruteForce) {
     for (const Rule& r : reference_order(reference, probe))
       if (r.priority > lo && r.priority <= hi) windowed.push_back(r.id);
     std::vector<net::RuleId> visited;
-    EXPECT_TRUE(idx.visit(probe, lo, hi, [&](const Rule& r) {
-      visited.push_back(r.id);
+    EXPECT_TRUE(idx.visit(probe, lo, hi, [&](const Key& k) {
+      visited.push_back(k.id);
       return true;
     }));
     EXPECT_EQ(visited, windowed);
@@ -263,8 +261,8 @@ TEST_P(OverlapIndexProperty, MatchesBruteForce) {
     // visit reports the stop.
     const std::size_t k = 1 + rng() % (windowed.size() + 1);
     visited.clear();
-    const bool finished = idx.visit(probe, lo, hi, [&](const Rule& r) {
-      visited.push_back(r.id);
+    const bool finished = idx.visit(probe, lo, hi, [&](const Key& key) {
+      visited.push_back(key.id);
       return visited.size() < k;
     });
     EXPECT_EQ(finished, k > windowed.size());
@@ -273,8 +271,66 @@ TEST_P(OverlapIndexProperty, MatchesBruteForce) {
   }
 }
 
+// The trie holds one node per live prefix plus one per branch point,
+// whatever it held before: at most 2 x (distinct live prefixes) + 1, and
+// the root alone once drained.
+TEST_P(OverlapIndexProperty, NodesStayBoundedByLivePrefixes) {
+  std::mt19937_64 rng(GetParam());
+  OverlapIndex idx;
+  std::vector<Rule> reference;
+  net::RuleId next_id = 1;
+  auto bound = [&] {
+    std::vector<Prefix> prefixes;
+    for (const Rule& r : reference) prefixes.push_back(r.match);
+    std::sort(prefixes.begin(), prefixes.end());
+    prefixes.erase(std::unique(prefixes.begin(), prefixes.end()),
+                   prefixes.end());
+    return 2 * prefixes.size() + 1;
+  };
+  for (int step = 0; step < kScheduleSteps; ++step) {
+    random_step(rng, step, idx, reference, next_id);
+    ASSERT_LE(OverlapIndexTestPeer::nodes(idx), bound()) << "step " << step;
+  }
+  for (const Rule& r : reference) EXPECT_TRUE(idx.erase(r.id, r.match));
+  EXPECT_TRUE(idx.empty());
+  EXPECT_EQ(OverlapIndexTestPeer::nodes(idx), 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, OverlapIndexProperty,
                          ::testing::Values(3, 14, 159, 2653));
+
+
+// Erase + insert of fresh random /32s at a steady 1,024 live rules:
+// the freed nodes and records are reused, so the index stays the size of
+// its live rules however many it has held.
+TEST(OverlapIndex, SlashThirtyTwoChurnDoesNotGrow) {
+  constexpr std::size_t kLive = 1024;
+  constexpr int kOps = 100000;
+  std::mt19937_64 rng(0x32);
+  auto fresh = [&](net::RuleId id) {
+    return Rule{id, 100 + static_cast<int>(id % 5),
+                Prefix(net::Ipv4Address(static_cast<std::uint32_t>(rng())),
+                       32),
+                net::forward_to(1)};
+  };
+  OverlapIndex idx;
+  std::vector<Rule> live;
+  net::RuleId next_id = 1;
+  for (std::size_t i = 0; i < kLive; ++i) {
+    live.push_back(fresh(next_id++));
+    idx.insert(live.back());
+  }
+  for (int op = 0; op < kOps; ++op) {
+    Rule& slot = live[rng() % kLive];
+    ASSERT_TRUE(idx.erase(slot.id, slot.match));
+    slot = fresh(next_id++);
+    idx.insert(slot);
+  }
+  EXPECT_EQ(idx.size(), kLive);
+  EXPECT_LE(OverlapIndexTestPeer::nodes(idx), 2 * kLive + 1);
+  EXPECT_LE(OverlapIndexTestPeer::node_slots(idx), 2 * kLive + 1);
+  EXPECT_EQ(OverlapIndexTestPeer::record_slots(idx), kLive);
+}
 
 }  // namespace
 }  // namespace hermes::core

@@ -136,10 +136,11 @@ TEST(RuleStore, ClearEmptiesEverything) {
 TEST(RuleStore, SetActionRewritesOnlyTheAction) {
   RuleStore store;
   store.add(simple(1));
-  EXPECT_TRUE(store.set_action(1, net::forward_to(7)));
+  store.add(simple(2));
+  store.set_action(*store.find(1), net::forward_to(7));
   EXPECT_EQ(store.find(1)->original.action, net::forward_to(7));
   EXPECT_EQ(store.find(1)->placement, Placement::kShadow);
-  EXPECT_FALSE(store.set_action(2, net::forward_to(7)));
+  EXPECT_EQ(store.find(2)->original.action, net::forward_to(1));
 }
 
 TEST(RuleStore, SortByPriorityBreaksTiesByAscendingId) {
