@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
   shadow.tick(shadow_now + hermes::from_millis(40));
 
   const double software_ns = static_cast<double>(
-      hermes::cache::CacheConfig{}.software_latency);
+      hermes::cache::CacheHierarchy::kSoftwareLatency);
   rep.derived("fdrc_vs_lru_hit_improvement", best_improvement_lru);
   rep.derived("fdrc_vs_lfu_hit_improvement", best_improvement_lfu);
   rep.derived("miss_path_latency_ratio",

@@ -301,7 +301,7 @@ void bench_backend(int n) {
 
 // Aborted promotion round: a /12 aggregate at priority 1 with
 // `descendants` /32s at priority 9 spread under it, so its dependency
-// closure holds every /32 and always exceeds `closure_limit`. One round =
+// closure holds every /32 and always exceeds `kClosureLimit`. One round =
 // classify an address only the /12 matches (LRU re-queues it on every
 // miss) + a forced promotion round that aborts the closure.
 struct ClosureAbort {
@@ -346,7 +346,7 @@ struct ClosureAbort {
 
 // Closure-abort scaling: the cost of an aborted round with 65,536 /32s
 // under the aggregate divided by the cost with 256. The closure query
-// stops at closure_limit + 1 members, so the ratio should not grow with
+// stops at kClosureLimit + 1 members, so the ratio should not grow with
 // the number of /32s.
 // The two sizes run in alternating blocks, so drift hits both alike; each
 // is the median over its blocks of ns/round.

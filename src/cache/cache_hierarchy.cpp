@@ -35,12 +35,12 @@ bool CacheHierarchy::software_erase(net::RuleId id) {
 
 void CacheHierarchy::software_install(const net::Rule& rule) {
   software_erase(rule.id);
-  entries_.emplace(rule.id, Entry{rule, seq_, false});
+  entries_.emplace(rule.id, Entry{rule, seq_});
   sw_engine_.insert(rule, seq_++);
 }
 
 int CacheHierarchy::software_resident() const {
-  return static_cast<int>(entries_.size()) - cached_count_;
+  return static_cast<int>(entries_.size()) - tcam_occupancy();
 }
 
 // --- Control plane ------------------------------------------------------------
@@ -76,17 +76,16 @@ Time CacheHierarchy::cache_insert(Time now, const net::Rule& rule) {
   // priority cached rule it overlaps: demote any such rule now.
   demote_conflicting(now, rule);
   obs_software_resident_.set(software_resident());
-  return now + config_.software_insert;
+  return now + kSoftwareInsert;
 }
 
 Time CacheHierarchy::cache_erase(Time now, net::RuleId id) {
   auto it = entries_.find(id);
   if (it == entries_.end()) return now;
   const Entry entry = it->second;
-  Time completion = now + config_.software_insert;
-  if (entry.cached) {
+  Time completion = now + kSoftwareInsert;
+  if (cached(id)) {
     cached_index_.erase(id, entry.rule.match);
-    --cached_count_;
     net::FlowMod del{net::FlowModType::kDelete, net::Rule{id, 0, {}, {}}};
     completion = asic_.submit(now, 0, del);
   } else {
@@ -103,17 +102,15 @@ void CacheHierarchy::note_reset_if_any(Time now) {
   asic_.poll(now);
   if (asic_.reset_epoch() == seen_reset_epoch_) return;
   seen_reset_epoch_ = asic_.reset_epoch();
-  // The wipe emptied the TCAM tier; the software tier is inclusive, so
-  // no rule is lost — flip every cached rule back to software-only and
-  // let popularity re-fill the cache.
-  for (auto& [id, entry] : entries_) {
-    if (!entry.cached) continue;
-    entry.cached = false;
-    cached_index_.erase(id, entry.rule.match);
+  // The wipe emptied the TCAM tier and left no trace of what it held:
+  // the cached index still does, at every priority. The software tier is
+  // inclusive, so no rule is lost — move every cached rule back to
+  // software-only and let popularity re-fill the cache.
+  for (const auto& [id, entry] : entries_) {
+    if (!cached_index_.erase(id, entry.rule.match)) continue;
     uncached_index_.insert(entry.rule);
     policy_->on_evict(id);
   }
-  cached_count_ = 0;
   obs_software_resident_.set(software_resident());
 }
 
@@ -132,8 +129,7 @@ void CacheHierarchy::promote_round(Time now) {
     const net::RuleId id = promo_queue_.front();
     promo_queue_.pop_front();
     in_queue_.erase(id);
-    auto it = entries_.find(id);
-    if (it == entries_.end() || it->second.cached) continue;
+    if (entries_.count(id) == 0 || cached(id)) continue;
     const int installed = promote_one(now, id, pinned);
     installed_total += installed;
     budget -= std::max(installed, 1);
@@ -160,7 +156,7 @@ int CacheHierarchy::promote_one(Time now, net::RuleId id,
         [&](const Key& s) {
           if (!in_closure.insert(s.id).second) return true;
           closure.push_back(s);
-          return static_cast<int>(closure.size()) <= config_.closure_limit;
+          return static_cast<int>(closure.size()) <= kClosureLimit;
         });
     if (!fits) {
       ++promotion_aborts_;
@@ -176,7 +172,7 @@ int CacheHierarchy::promote_one(Time now, net::RuleId id,
   std::unordered_set<net::RuleId> blocked = pinned;
   blocked.insert(in_closure.begin(), in_closure.end());
   const tcam::TcamTable& tier = asic_.slice(0);
-  int guard = 4 * config_.closure_limit + 8;
+  int guard = 4 * kClosureLimit + 8;
   while (tier.capacity() - tier.occupancy() <
          static_cast<int>(closure.size())) {
     if (--guard < 0) {
@@ -191,13 +187,13 @@ int CacheHierarchy::promote_one(Time now, net::RuleId id,
       return 0;
     }
     auto vit = entries_.find(vid);
-    if (vit == entries_.end() || !vit->second.cached) {
+    if (vit == entries_.end() || !cached(vid)) {
       // Stale policy state (should not happen); quarantine the id.
       blocked.insert(vid);
       continue;
     }
     std::vector<Key> cascade = demotion_cascade(key_of(vit->second.rule));
-    if (cascade.empty()) {  // cascade exceeded closure_limit: pin
+    if (cascade.empty()) {  // cascade exceeded kClosureLimit: pin
       pinned.insert(vid);
       blocked.insert(vid);
       ++pins_;
@@ -225,9 +221,6 @@ int CacheHierarchy::promote_one(Time now, net::RuleId id,
   asic_.submit_batch_insert(now, 0, batch, &result);
   for (int i = 0; i < result.inserted; ++i) {
     const net::Rule& r = batch[static_cast<std::size_t>(i)];
-    Entry& e = entries_.at(r.id);
-    e.cached = true;
-    ++cached_count_;
     uncached_index_.erase(r.id, r.match);
     cached_index_.insert(r);
     policy_->on_admit(r.id);
@@ -263,9 +256,7 @@ void CacheHierarchy::demote_conflicting(Time now, const net::Rule& rule) {
                           return true;
                         });
     for (const Key& c : shadowed) {
-      if (!seen.insert(c.id).second) continue;
-      auto it = entries_.find(c.id);
-      if (it == entries_.end() || !it->second.cached) continue;
+      if (!seen.insert(c.id).second || !cached(c.id)) continue;
       demote(now, c.id);
       frontier.push_back(c);
     }
@@ -273,10 +264,8 @@ void CacheHierarchy::demote_conflicting(Time now, const net::Rule& rule) {
 }
 
 void CacheHierarchy::demote(Time now, net::RuleId id) {
-  Entry& e = entries_.at(id);
-  assert(e.cached);
-  e.cached = false;
-  --cached_count_;
+  const Entry& e = entries_.at(id);
+  assert(cached(id));
   cached_index_.erase(id, e.rule.match);
   uncached_index_.insert(e.rule);
   net::FlowMod del{net::FlowModType::kDelete, net::Rule{id, 0, {}, {}}};
@@ -297,7 +286,7 @@ std::vector<CacheHierarchy::Key> CacheHierarchy::demotion_cascade(
         [&](const Key& c) {
           if (!seen.insert(c.id).second) return true;
           cascade.push_back(c);
-          return static_cast<int>(cascade.size()) <= config_.closure_limit;
+          return static_cast<int>(cascade.size()) <= kClosureLimit;
         });
     if (!fits) return {};
   }
@@ -322,14 +311,13 @@ CacheHierarchy::LookupResult CacheHierarchy::classify(
   } else {
     const net::Rule* sw = sw_engine_.lookup(addr);
     res.rule = sw;
-    res.latency = config_.software_latency;
+    res.latency = kSoftwareLatency;
     ++misses_;
     obs_misses_.inc();
     obs_miss_latency_.record(static_cast<std::uint64_t>(res.latency));
     if (sw != nullptr) {
       policy_->on_miss(sw->id);
-      const Entry& e = entries_.at(sw->id);
-      if (!e.cached && policy_->should_promote(sw->id))
+      if (!cached(sw->id) && policy_->should_promote(sw->id))
         enqueue_promotion(sw->id);
     }
   }
@@ -348,24 +336,20 @@ CacheHierarchy::LookupResult CacheHierarchy::classify(
 // --- Invariant oracle ---------------------------------------------------------
 
 bool CacheHierarchy::check_invariant() const {
-  int cached_seen = 0;
+  std::size_t cached_seen = 0;
   for (const auto& [id, entry] : entries_) {
-    if (!entry.cached) continue;
+    if (!cached(id)) continue;
     ++cached_seen;
-    if (!asic_.slice(0).contains(id)) return false;
     // No software-only rule at >= priority may overlap a cached rule.
     if (!uncached_index_.visit(
             entry.rule.match, entry.rule.priority - 1, kMaxPriority,
             [id = id](const Key& s) { return s.id == id; }))
       return false;
   }
-  if (cached_seen != cached_count_) return false;
-  if (cached_count_ != asic_.slice(0).occupancy()) return false;
-  if (cached_index_.size() != static_cast<std::size_t>(cached_count_))
-    return false;
-  if (uncached_index_.size() !=
-      entries_.size() - static_cast<std::size_t>(cached_count_))
-    return false;
+  // Every TCAM entry is a known rule, and each index holds its class.
+  if (cached_seen != static_cast<std::size_t>(tcam_occupancy())) return false;
+  if (cached_index_.size() != cached_seen) return false;
+  if (uncached_index_.size() != entries_.size() - cached_seen) return false;
   return sw_engine_.check_invariant();
 }
 

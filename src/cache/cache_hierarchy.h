@@ -18,13 +18,19 @@
 //
 //   * promotion closures — promoting R co-promotes every software-only
 //     rule that overlaps it at >= priority, transitively (bounded by
-//     `closure_limit`; oversized closures abort the promotion);
+//     `kClosureLimit`; oversized closures abort the promotion);
 //   * demotion cascades — demoting V also demotes every cached rule V
 //     would shadow from software (priority <= V's, overlapping),
-//     transitively; a victim whose cascade exceeds `closure_limit` is
+//     transitively; a victim whose cascade exceeds `kClosureLimit` is
 //     pinned and another victim is chosen;
 //   * insert-path maintenance — a new software rule demotes any cached
 //     rule it would shadow.
+//
+// Residency is the TCAM tier's own: a rule is cached iff the tier holds
+// its id, and the cached count is the tier's occupancy. The hierarchy
+// keeps the two overlap indexes below, one per residency class, and no
+// flag or count of its own. A reset wipes the tier without a trace, so
+// the index of cached rules is what says which rules to move back.
 //
 // `verify_lookups` turns every lookup into a differential oracle (the
 // answer is compared against the full software engine; mismatches count
@@ -55,16 +61,6 @@ enum class Mode : std::uint8_t { kCache };
 struct CacheConfig {
   Mode mode = Mode::kCache;
   PolicyKind policy = PolicyKind::kFdrc;
-
-  /// Control-plane cost of accepting a rule into the software tier.
-  Duration software_insert = from_micros(30);
-  /// Data-plane penalty of a software-tier (miss-path) match — the slow
-  /// path the sim charges when the TCAM does not answer.
-  Duration software_latency = from_micros(20);
-
-  /// Promotion closures / demotion cascades larger than this abort
-  /// (closure) or pin (cascade) instead of churning the TCAM.
-  int closure_limit = 16;
   /// Differential oracle on every lookup (counts mismatches as
   /// cache.dependency_violations). Costs one extra software lookup per
   /// TCAM hit; meant for tests and the gated bench.
@@ -73,6 +69,15 @@ struct CacheConfig {
 
 class CacheHierarchy {
  public:
+  /// Control-plane cost of accepting a rule into the software tier.
+  static constexpr Duration kSoftwareInsert = from_micros(30);
+  /// Data-plane penalty of a software-tier (miss-path) match — the slow
+  /// path the sim charges when the TCAM does not answer.
+  static constexpr Duration kSoftwareLatency = from_micros(20);
+  /// Promotion closures / demotion cascades larger than this abort
+  /// (closure) or pin (cascade) instead of churning the TCAM.
+  static constexpr int kClosureLimit = 16;
+
   CacheHierarchy(const tcam::SwitchModel& model, int tcam_capacity,
                  CacheConfig config = {});
 
@@ -126,18 +131,20 @@ class CacheHierarchy {
   }
 
   /// Invariant oracle for tests: every cached rule has no
-  /// software-only overlapping rule at >= priority, and the cached /
-  /// uncached bookkeeping (flags, indexes, counts) is consistent.
+  /// software-only overlapping rule at >= priority, every TCAM entry is
+  /// a known rule, and each overlap index holds exactly its residency
+  /// class.
   bool check_invariant() const;
 
  private:
   struct Entry {
     net::Rule rule;
     std::uint64_t seq = 0;  ///< arrival stamp (tie-break order)
-    bool cached = false;    ///< TCAM-resident
   };
   using Key = core::OverlapIndex::Key;
   static Key key_of(const net::Rule& r) { return {r.id, r.priority, r.match}; }
+  /// TCAM-resident (the tier is the record).
+  bool cached(net::RuleId id) const { return asic_.slice(0).contains(id); }
 
   bool software_erase(net::RuleId id);
   void software_install(const net::Rule& rule);
@@ -156,7 +163,7 @@ class CacheHierarchy {
   /// guarantees the cascade is handled.
   void demote(Time now, net::RuleId id);
   /// Cached rules that must leave with `victim` (victim included),
-  /// transitively; empty when the cascade exceeds `closure_limit`.
+  /// transitively; empty when the cascade exceeds `kClosureLimit`.
   std::vector<Key> demotion_cascade(const Key& victim) const;
 
   CacheConfig config_;
@@ -166,7 +173,6 @@ class CacheHierarchy {
   std::unordered_map<net::RuleId, Entry> entries_;
   tcam::LookupEngine sw_engine_;
   std::uint64_t seq_ = 0;
-  int cached_count_ = 0;
 
   /// Overlap tries over the two residency classes. The uncached
   /// index answers promotion-closure queries ("which software-only rules

@@ -39,9 +39,6 @@ class TokenBucket {
   /// Tokens available at `now` (without consuming).
   double available(Time now) const;
 
-  double rate() const { return rate_; }
-  double burst() const { return burst_; }
-
  private:
   void refill(Time now);
 

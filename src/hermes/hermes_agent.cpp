@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 
 namespace hermes::core {
 
 namespace {
 
-// Physical piece ids live in their own namespace so they can never
-// collide with controller-chosen logical ids (which we require < 2^32).
-constexpr net::RuleId kPieceIdBase = net::RuleId{1} << 32;
+// Controller-chosen logical ids must leave the high 32 bits of an id to
+// a piece's mint (RuleStore::piece_id).
+constexpr net::RuleId kLogicalIdLimit = net::RuleId{1} << 32;
 
 // Expected partitions per rule, r_p in Equation 2, when the admitted
 // rate is derived rather than configured.
@@ -30,8 +29,7 @@ HermesAgent::HermesAgent(const tcam::SwitchModel& model,
                                                         config_.guarantee);
               shadow = std::clamp(shadow, 1, total_tcam_capacity / 2);
               return std::vector<int>{shadow, total_tcam_capacity - shadow};
-            }()),
-      piece_id_counter_(kPieceIdBase) {
+            }()) {
   int shadow = asic_.slice(kShadow).capacity();
   double rate = config_.token_rate > 0
                     ? config_.token_rate
@@ -120,8 +118,10 @@ void HermesAgent::note_retry(Time at, int slice, int attempt) {
 HermesAgent::RetriedInsert HermesAgent::submit_insert_with_retry(
     Time now, int slice, const net::Rule& rule) {
   auto submit = [&](Time at, tcam::ApplyResult* result) {
-    return slice == kShadow ? submit_shadow_insert(at, rule, result)
-                            : submit_main_insert(at, rule, result);
+    return slice == kShadow
+               ? asic_.submit(at, kShadow, {net::FlowModType::kInsert, rule},
+                              result)
+               : submit_main_insert(at, rule, result);
   };
   RetriedInsert r;
   r.completion = submit(now, &r.last);
@@ -172,8 +172,9 @@ HermesAgent::InsertPlan HermesAgent::plan_insert(const net::Rule& rule) const {
   plan.partition = partition_new_rule(rule, main_index_);
   plan.cut = !(plan.partition.pieces.size() == 1 &&
                plan.partition.pieces[0] == rule.match);
+  // Every main_index_ key is a live main piece, so its id names its owner.
   for (net::RuleId pid : plan.partition.cut_against)
-    if (auto lid = store_.logical_of(pid)) plan.blockers.push_back(*lid);
+    plan.blockers.push_back(RuleStore::owner_of(pid));
   return plan;
 }
 
@@ -182,8 +183,10 @@ std::vector<net::Rule> HermesAgent::mint_pieces(const net::Rule& rule,
                                                 bool keep_uncut_id) {
   if (keep_uncut_id && !plan.cut) return {rule};
   std::vector<net::Rule> pieces =
-      materialize_partitions(rule, plan.partition, piece_id_counter_);
-  piece_id_counter_ += pieces.size();
+      materialize_partitions(rule, plan.partition, rule.id);
+  for (net::Rule& piece : pieces)
+    piece.id = RuleStore::piece_id(next_mint_++, rule.id);
+  assert(next_mint_ < kLogicalIdLimit && "piece mints must fit 32 bits");
   return pieces;
 }
 
@@ -254,7 +257,7 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
   rules.reserve(run.size());
   for (std::size_t i : run) {
     const net::Rule& rule = batch.mod(i).rule;
-    assert(rule.id < kPieceIdBase && "logical rule ids must be < 2^32");
+    assert(rule.id < kLogicalIdLimit && "logical rule ids must be < 2^32");
     rules.push_back(rule);
     ++stats_.inserts;
   }
@@ -315,8 +318,6 @@ Time HermesAgent::flush_insert_run(Time now, net::FlowModBatch& batch,
     for (Duration latency : land.latencies) note_guaranteed_latency(latency);
     stats_.worst_guaranteed_latency =
         std::max(stats_.worst_guaranteed_latency, land.completion - now);
-    for (std::size_t i = 0; i < land.landed; ++i)
-      shadow_index_.insert(all_pieces[i]);
     for (Planned& p : planned) {
       const std::size_t count = p.end - p.first_piece;
       std::vector<net::RuleId> landed;
@@ -410,16 +411,12 @@ void HermesAgent::commit_shadow(Time now, const net::Rule& rule,
 
 Time HermesAgent::rollback_exhausted(Time at,
                                      const std::vector<net::RuleId>& landed) {
-  for (net::RuleId pid : landed) {
-    if (const net::Rule* piece = asic_.slice(kShadow).find_ptr(pid))
-      shadow_index_.erase(pid, piece->match);
-  }
   ++stats_.violations;
   return std::max(at, asic_.submit_batch_delete(at, kShadow, landed));
 }
 
 Time HermesAgent::insert(Time now, const net::Rule& rule) {
-  assert(rule.id < kPieceIdBase && "logical rule ids must be < 2^32");
+  assert(rule.id < kLogicalIdLimit && "logical rule ids must be < 2^32");
   if (store_.contains(rule.id)) return modify(now, rule);
   ++stats_.inserts;
 
@@ -521,8 +518,9 @@ Time HermesAgent::erase(Time now, net::RuleId logical_id) {
     }
   } else {
     for (net::RuleId pid : lr->physical_ids) {
-      if (const net::Rule* rule = asic_.slice(kShadow).find_ptr(pid))
-        completion = submit_shadow_delete(now, pid, rule->match);
+      if (!asic_.slice(kShadow).contains(pid)) continue;
+      net::FlowMod del{net::FlowModType::kDelete, net::Rule{pid, 0, {}, {}}};
+      completion = asic_.submit(now, kShadow, del);
     }
   }
   store_.remove(logical_id);
@@ -564,17 +562,38 @@ Time HermesAgent::modify(Time now, const net::Rule& rule) {
 
 void HermesAgent::repartition_shadow_overlaps(Time now,
                                               const net::Rule& main_rule) {
+  // The slice is sorted by priority, highest first: the pieces the main
+  // rule outranks are the suffix after the partition point.
+  const std::vector<net::Rule>& shadow = asic_.slice(kShadow).rules_view();
+  auto below = std::partition_point(
+      shadow.begin(), shadow.end(),
+      [&](const net::Rule& r) { return r.priority >= main_rule.priority; });
+  // Two prefixes overlap iff they agree on the shorter one's bits: one
+  // mask per piece, the Prefix::overlaps test without its two branches
+  // (a set-up insert into main scans a full shadow).
+  std::vector<const net::Rule*> masked;
+  const std::uint32_t addr = main_rule.match.address().value();
+  const int len = main_rule.match.length();
+  for (auto it = below; it != shadow.end(); ++it) {
+    const int shorter = std::min(it->match.length(), len);
+    if (((it->match.address().value() ^ addr) &
+         net::Prefix::mask_for(shorter)) == 0)
+      masked.push_back(&*it);
+  }
+  // (address, length) order, priority order within one prefix.
+  std::stable_sort(masked.begin(), masked.end(),
+                   [](const net::Rule* a, const net::Rule* b) {
+                     return a->match < b->match;
+                   });
   std::vector<net::RuleId> logicals;
-  shadow_index_.visit(
-      main_rule.match, std::numeric_limits<int>::min(),
-      main_rule.priority - 1, [&](const OverlapIndex::Key& piece) {
-        if (auto lid = store_.logical_of(piece.id)) {
-          if (std::find(logicals.begin(), logicals.end(), *lid) ==
-              logicals.end())
-            logicals.push_back(*lid);
-        }
-        return true;
-      });
+  for (const net::Rule* piece : masked) {
+    if (auto lid = store_.logical_of(piece->id)) {
+      if (std::find(logicals.begin(), logicals.end(), *lid) ==
+          logicals.end())
+        logicals.push_back(*lid);
+    }
+  }
+  // Re-cutting mutates the slice, so every pointer above is dead here.
   for (net::RuleId lid : logicals) {
     repartition_logical(now, lid);
     ++stats_.repartitions;
@@ -636,12 +655,12 @@ void HermesAgent::repartition_logical(Time now, net::RuleId logical_id) {
     }
   }
   for (net::RuleId pid : old_pieces) {
-    if (const net::Rule* rule = asic_.slice(slice).find_ptr(pid)) {
-      if (placement == Placement::kShadow) {
-        submit_shadow_delete(now, pid, rule->match);
-      } else {
+    if (placement == Placement::kMain) {
+      if (const net::Rule* rule = asic_.slice(kMain).find_ptr(pid))
         submit_main_delete(now, pid, rule->match);
-      }
+    } else if (asic_.slice(kShadow).contains(pid)) {
+      net::FlowMod del{net::FlowModType::kDelete, net::Rule{pid, 0, {}, {}}};
+      asic_.submit(now, kShadow, del);
     }
   }
   store_.rebind(logical_id, to_main ? Placement::kMain : placement,
@@ -651,24 +670,7 @@ void HermesAgent::repartition_logical(Time now, net::RuleId logical_id) {
   if (to_main) repartition_shadow_overlaps(now, original);
 }
 
-// --- Physical mutation helpers -------------------------------------------------
-
-Time HermesAgent::submit_shadow_insert(Time now, const net::Rule& rule,
-                                       tcam::ApplyResult* result) {
-  tcam::ApplyResult local;
-  Time done =
-      asic_.submit(now, kShadow, {net::FlowModType::kInsert, rule}, &local);
-  if (local.ok) shadow_index_.insert(rule);
-  if (result) *result = local;
-  return done;
-}
-
-Time HermesAgent::submit_shadow_delete(Time now, net::RuleId id,
-                                       const net::Prefix& match) {
-  shadow_index_.erase(id, match);
-  net::FlowMod del{net::FlowModType::kDelete, net::Rule{id, 0, {}, {}}};
-  return asic_.submit(now, kShadow, del);
-}
+// --- Main-table mutation helpers -----------------------------------------------
 
 Time HermesAgent::submit_main_insert(Time now, const net::Rule& rule,
                                      tcam::ApplyResult* result) {

@@ -14,6 +14,11 @@
 // mutates immediately; latency only affects the returned timestamps (and
 // per-slice control-channel serialization inside tcam::Asic).
 //
+// State: the ASIC slices hold the pieces and the RuleStore the logical
+// rules; a piece's id names its logical rule. One OverlapIndex covers the
+// main slice for Algorithm 1. Nothing mirrors the shadow slice: shadow
+// overlaps are found by scanning it.
+//
 // Threading: single-threaded, not reentrant.
 #pragma once
 
@@ -109,10 +114,6 @@ class HermesAgent {
   /// Forces a migration immediately (used by tests and ablations).
   Time migrate_now(Time now);
 
-  /// The migration policy steering tick()'s epoch decisions (the seam
-  /// sibling of the predictor; resolved from config at construction).
-  const MigrationPolicy& migration_policy() const { return *policy_; }
-
   // --- Data plane ---------------------------------------------------------
   /// The data-plane read at `now`: applies any scheduled reset that fired
   /// at-or-before `now`, then matches shadow before main (the data plane
@@ -198,8 +199,9 @@ class HermesAgent {
   InsertPlan plan_insert(const net::Rule& rule) const;
   /// The plan's physical pieces. With `keep_uncut_id` (fresh and
   /// reconciled shadow rules) an uncut rule keeps the controller's id;
-  /// otherwise (migration, un-partitioning) every piece gets a fresh id.
-  /// A redundant plan yields no pieces.
+  /// otherwise (migration, un-partitioning) every piece gets a fresh id,
+  /// RuleStore::piece_id of the next mint and the rule's id. A redundant
+  /// plan yields no pieces.
   std::vector<net::Rule> mint_pieces(const net::Rule& rule,
                                      const InsertPlan& plan,
                                      bool keep_uncut_id);
@@ -262,7 +264,10 @@ class HermesAgent {
 
   /// A higher-priority rule landed in main: cut any overlapping
   /// lower-priority shadow-resident rules against it (the symmetric form
-  /// of the Figure 4 violation).
+  /// of the Figure 4 violation). The shadow slice is small and sorted by
+  /// priority, so this scans its lower-priority suffix. The owners are
+  /// re-cut in the (address, length) order of their overlapping pieces,
+  /// highest priority first on one prefix.
   void repartition_shadow_overlaps(Time now, const net::Rule& main_rule);
 
   /// Re-derives a logical rule's partitions against the current main
@@ -270,11 +275,7 @@ class HermesAgent {
   /// delete old: per-packet consistency).
   void repartition_logical(Time now, net::RuleId logical_id);
 
-  // --- Physical table mutation (keeps indices + priority set in sync) -----
-  Time submit_shadow_insert(Time now, const net::Rule& rule,
-                            tcam::ApplyResult* result = nullptr);
-  Time submit_shadow_delete(Time now, net::RuleId id,
-                            const net::Prefix& match);
+  // --- Main-table mutation (keeps main_index_ in step with the slice) ------
   Time submit_main_insert(Time now, const net::Rule& rule,
                           tcam::ApplyResult* result = nullptr);
   Time submit_main_delete(Time now, net::RuleId id, const net::Prefix& match);
@@ -319,11 +320,13 @@ class HermesAgent {
   std::unique_ptr<GrowthEstimator> estimator_;
   std::shared_ptr<MigrationPolicy> policy_;
   RuleStore store_;
+  /// Algorithm 1's index over the main slice: every key is a live main
+  /// piece.
   OverlapIndex main_index_;
-  OverlapIndex shadow_index_;
 
   double admitted_rate_ = 0.0;
-  net::RuleId piece_id_counter_;
+  /// The next piece's mint (RuleStore::piece_id).
+  std::uint64_t next_mint_ = 1;
   Time epoch_start_ = 0;
   double arrivals_this_epoch_ = 0;
 

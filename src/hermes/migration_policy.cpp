@@ -2,20 +2,6 @@
 
 namespace hermes::core {
 
-std::string_view action_name(MigrationAction action) {
-  switch (action) {
-    case MigrationAction::kHold:
-      return "hold";
-    case MigrationAction::kMigrateSmall:
-      return "migrate_small";
-    case MigrationAction::kMigrateLarge:
-      return "migrate_large";
-    case MigrationAction::kExpandPartition:
-      return "expand_partition";
-  }
-  return "unknown";
-}
-
 ThresholdMigrationPolicy::ThresholdMigrationPolicy(double simple_threshold,
                                                    double migration_watermark)
     : simple_threshold_(simple_threshold),

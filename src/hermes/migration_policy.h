@@ -37,8 +37,6 @@ enum class MigrationAction : std::uint8_t {
                         ///< main slice's expense (bounded by the agent)
 };
 
-std::string_view action_name(MigrationAction action);
-
 /// Per-epoch snapshot the agent hands to decide().
 struct PolicyState {
   Time now = 0;
@@ -91,9 +89,6 @@ class ThresholdMigrationPolicy final : public MigrationPolicy {
 
   MigrationAction decide(const PolicyState& state) override;
   std::string_view name() const override { return "Threshold"; }
-
-  double simple_threshold() const { return simple_threshold_; }
-  double migration_watermark() const { return migration_watermark_; }
 
  private:
   double simple_threshold_;

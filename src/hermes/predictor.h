@@ -92,7 +92,6 @@ class SlackCorrector final : public Corrector {
   explicit SlackCorrector(double factor);
   double correct(double predicted) const override;
   std::string_view name() const override { return "Slack"; }
-  double factor() const { return factor_; }
 
  private:
   double factor_;
@@ -104,7 +103,6 @@ class DeadzoneCorrector final : public Corrector {
   explicit DeadzoneCorrector(double constant);
   double correct(double predicted) const override;
   std::string_view name() const override { return "Deadzone"; }
-  double constant() const { return constant_; }
 
  private:
   double constant_;
@@ -128,8 +126,6 @@ class GrowthEstimator {
   /// forecast is a pure function of the history.
   double raw_prediction() const;
 
-  const Predictor& predictor() const { return *predictor_; }
-  const Corrector& corrector() const { return *corrector_; }
   /// The last min(n, max_history) observed counts, oldest first.
   std::span<const double> history() const {
     return std::span<const double>(history_).subspan(first_);

@@ -258,12 +258,8 @@ Time HermesAgent::run_migration(Time now, int max_rules) {
   std::vector<net::RuleId> drained;
   for (std::size_t i : migrated) {
     const LogicalRule* lr = store_.find(plan[i].lid);
-    for (net::RuleId pid : lr->physical_ids) {
-      if (const net::Rule* rule = asic_.slice(kShadow).find_ptr(pid)) {
-        shadow_index_.erase(pid, rule->match);
-        drained.push_back(pid);
-      }
-    }
+    for (net::RuleId pid : lr->physical_ids)
+      if (asic_.slice(kShadow).contains(pid)) drained.push_back(pid);
   }
   Time shadow_done =
       drained.empty() ? now
@@ -350,16 +346,16 @@ Time HermesAgent::reconcile(Time now) {
   std::uint64_t rules_reinstalled = 0;
   std::uint64_t pieces_reinstalled = 0;
 
-  // The overlap indices are rebuilt from scratch off what the diff below
-  // finds intact (plus what gets reinstalled).
+  // The main index is rebuilt from scratch off what the diff below finds
+  // intact (plus what gets reinstalled).
   main_index_.clear();
-  shadow_index_.clear();
 
   // 1. Purge physical entries no logical rule claims, then classify each
-  //    placed rule as intact (all pieces present: reindex) or damaged
-  //    (purge the surviving partial cover, reinstall below).
-  auto survey = [&](Placement placement, int slice,
-                    OverlapIndex& index) -> std::vector<net::RuleId> {
+  //    placed rule as intact (all pieces present; main pieces are
+  //    reindexed) or damaged (purge the surviving partial cover,
+  //    reinstall below).
+  auto survey = [&](Placement placement,
+                    int slice) -> std::vector<net::RuleId> {
     const tcam::TcamTable& table = asic_.slice(slice);
     std::vector<net::RuleId> purge;
     for (const net::Rule& resident : table.rules_view())
@@ -372,8 +368,9 @@ Time HermesAgent::reconcile(Time now) {
       for (net::RuleId pid : lr->physical_ids)
         if (!table.contains(pid)) intact = false;
       if (intact) {
-        for (net::RuleId pid : lr->physical_ids)
-          index.insert(*table.find_ptr(pid));
+        if (slice == kMain)
+          for (net::RuleId pid : lr->physical_ids)
+            main_index_.insert(*table.find_ptr(pid));
       } else {
         for (net::RuleId pid : lr->physical_ids)
           if (table.contains(pid)) purge.push_back(pid);
@@ -384,10 +381,9 @@ Time HermesAgent::reconcile(Time now) {
       done = std::max(done, asic_.submit_batch_delete(now, slice, purge));
     return damaged;
   };
-  std::vector<net::RuleId> damaged_main =
-      survey(Placement::kMain, kMain, main_index_);
+  std::vector<net::RuleId> damaged_main = survey(Placement::kMain, kMain);
   std::vector<net::RuleId> damaged_shadow =
-      survey(Placement::kShadow, kShadow, shadow_index_);
+      survey(Placement::kShadow, kShadow);
 
   // 2. Reinstall damaged MAIN rules whole (ids are the logical ids, so no
   //    piece bookkeeping) as one batch, highest priority first — the main
@@ -470,10 +466,8 @@ Time HermesAgent::reconcile(Time now) {
     if (span.end <= shadow_land.landed) {
       std::vector<net::RuleId> ids;
       ids.reserve(span.end - span.begin);
-      for (std::size_t i = span.begin; i < span.end; ++i) {
-        shadow_index_.insert(shadow_batch[i]);
+      for (std::size_t i = span.begin; i < span.end; ++i)
         ids.push_back(shadow_batch[i].id);
-      }
       pieces_reinstalled += ids.size();
       ++rules_reinstalled;
       store_.rebind(span.lid, Placement::kShadow, std::move(ids),

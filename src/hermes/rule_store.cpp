@@ -38,9 +38,12 @@ void RuleStore::set_action(const LogicalRule& rule,
 
 std::optional<net::RuleId> RuleStore::logical_of(
     net::RuleId physical_id) const {
-  auto it = physical_to_logical_.find(physical_id);
-  if (it == physical_to_logical_.end()) return std::nullopt;
-  return it->second;
+  const LogicalRule* rule = find(owner_of(physical_id));
+  if (rule == nullptr ||
+      std::find(rule->physical_ids.begin(), rule->physical_ids.end(),
+                physical_id) == rule->physical_ids.end())
+    return std::nullopt;
+  return rule->original.id;
 }
 
 std::vector<net::RuleId> RuleStore::dependents_of(
@@ -96,14 +99,12 @@ std::vector<net::Rule> RuleStore::all_originals() const {
 
 void RuleStore::clear() {
   logical_.clear();
-  physical_to_logical_.clear();
   dependents_.clear();
   shadow_.clear();
 }
 
 void RuleStore::unlink(const LogicalRule& rule) {
   if (rule.placement == Placement::kShadow) shadow_.erase(rule.original.id);
-  for (net::RuleId pid : rule.physical_ids) physical_to_logical_.erase(pid);
   for (net::RuleId blocker : rule.cut_against) {
     auto it = dependents_.find(blocker);
     if (it != dependents_.end()) {
@@ -115,8 +116,6 @@ void RuleStore::unlink(const LogicalRule& rule) {
 
 void RuleStore::link(const LogicalRule& rule) {
   if (rule.placement == Placement::kShadow) shadow_.insert(rule.original.id);
-  for (net::RuleId pid : rule.physical_ids)
-    physical_to_logical_.emplace(pid, rule.original.id);
   for (net::RuleId blocker : rule.cut_against)
     dependents_[blocker].insert(rule.original.id);
 }

@@ -1,11 +1,11 @@
 // Logical-rule bookkeeping: the "mapping set M" of Algorithm 1, extended
 // with the reverse dependencies needed for deletion (Section 4.1).
 //
-// The controller thinks in LOGICAL rules (one id per flow-mod). Hermes may
-// physically represent a logical rule as several partition pieces, spread
-// across the shadow and main tables. This store records:
+// The controller thinks in LOGICAL rules (one id per flow-mod, below
+// 2^32). Hermes may physically represent a logical rule as several
+// partition pieces, spread across the shadow and main tables. This store
+// records:
 //   * logical id -> {original rule, where the pieces live, piece ids},
-//   * physical id -> owning logical id,
 //   * blocking main rule (logical id) -> logical rules partitioned
 //     because of it (to "un-partition" when the blocker is deleted,
 //     Figure 6),
@@ -16,6 +16,14 @@
 //     There is no main-resident set: ids_with_placement(kMain) still
 //     scans every logical rule (in the agent only reconciliation asks
 //     for it).
+//
+// Physical ids name their owner, so there is no physical -> logical map.
+// An uncut rule's one piece keeps the logical id. Every other piece is
+// piece_id(mint, logical id): the logical id in the low 32 bits and a
+// mint >= 1 in the high 32, where the agent draws each mint from one
+// counter, so no two pieces it makes share an id. owner_of() reads the
+// low bits back. logical_of() also checks that the owner still lists the
+// piece, which is how reconciliation tells a stray entry from a live one.
 #pragma once
 
 #include <optional>
@@ -57,7 +65,18 @@ class RuleStore {
   /// no second lookup.
   void set_action(const LogicalRule& rule, const net::Action& action);
 
-  /// Logical id owning a physical rule id, or nullopt.
+  /// Physical id of a logical rule's piece minted as `mint` (>= 1).
+  static constexpr net::RuleId piece_id(std::uint64_t mint,
+                                        net::RuleId logical_id) {
+    return (mint << 32) | logical_id;
+  }
+  /// The logical id a physical id names, listed or not.
+  static constexpr net::RuleId owner_of(net::RuleId physical_id) {
+    return physical_id & 0xFFFFFFFFu;
+  }
+
+  /// Logical id owning a physical rule id, or nullopt when no live rule
+  /// lists that piece.
   std::optional<net::RuleId> logical_of(net::RuleId physical_id) const;
 
   /// Logical rules that were partitioned because of `blocker_logical_id`
@@ -65,7 +84,7 @@ class RuleStore {
   std::vector<net::RuleId> dependents_of(net::RuleId blocker_logical_id) const;
 
   /// Rebinds a logical rule's physical pieces (e.g. after re-partitioning
-  /// or migration). Updates the physical->logical map and dependency edges.
+  /// or migration). Updates the shadow set and dependency edges.
   void rebind(net::RuleId logical_id, Placement placement,
               std::vector<net::RuleId> physical_ids,
               std::vector<net::RuleId> cut_against);
@@ -96,7 +115,6 @@ class RuleStore {
   void link(const LogicalRule& rule);
 
   std::unordered_map<net::RuleId, LogicalRule> logical_;
-  std::unordered_map<net::RuleId, net::RuleId> physical_to_logical_;
   std::unordered_map<net::RuleId, std::unordered_set<net::RuleId>>
       dependents_;
   std::unordered_set<net::RuleId> shadow_;  // placement == kShadow

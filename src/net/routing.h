@@ -70,8 +70,6 @@ class PathDatabase {
   /// Candidate paths for src -> dst (empty when unreachable). Memoized.
   const std::vector<Path>& paths(NodeId src, NodeId dst);
 
-  int paths_per_pair() const { return paths_per_pair_; }
-
  private:
   /// Where `node`'s paths to `other` are enumerated from: its neighbour
   /// when it is a stub whose neighbour is not `other`, else itself.

@@ -42,20 +42,8 @@ Simulation::Simulation(const net::Topology& topology, SimConfig config)
     throw std::invalid_argument("SimConfig::controller_threads must be 1");
   if (config_.backend_factory) {
     for (net::NodeId sw : topology.switches()) {
-      auto backend = config_.backend_factory(sw, topology.node(sw).name);
-      if (config_.faults_enabled) {
-        // One deterministic plan per switch: same profile and reset
-        // schedule, seed decorrelated by node id so switches don't fail
-        // in lockstep.
-        fault::FaultPlanConfig fc;
-        fc.seed = config_.fault_seed ^
-                  (static_cast<std::uint64_t>(sw) * 0x9E3779B97F4A7C15ULL);
-        fc.default_slice = config_.fault_slice;
-        fc.resets = config_.fault_resets;
-        fault_plans_.push_back(std::make_unique<fault::FaultPlan>(fc));
-        backend->set_fault_plan(fault_plans_.back().get());
-      }
-      backends_.emplace(sw, Switch{std::move(backend)});
+      backends_.emplace(
+          sw, Switch{config_.backend_factory(sw, topology.node(sw).name)});
     }
   }
   // Consistent-update coordinator for TE moves. Every operation it

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "baselines/switch_backend.h"
-#include "fault/fault_plan.h"
 #include "net/routing.h"
 #include "net/topology.h"
 #include "obs/metrics.h"
@@ -58,16 +57,6 @@ struct SimConfig {
   int controller_threads = 1;
 
   std::uint64_t seed = 1;
-
-  // Fault injection (src/fault/): when enabled, every switch backend gets
-  // its own deterministic FaultPlan (seed derived from fault_seed and the
-  // switch's node id) with the same per-slice fault profile and reset
-  // schedule. Retries run in virtual time through the backends' own
-  // recovery policies.
-  bool faults_enabled = false;
-  fault::SliceFaults fault_slice;
-  std::vector<Time> fault_resets;
-  std::uint64_t fault_seed = 0x5eed;
 };
 
 struct FlowResult {
@@ -198,7 +187,6 @@ class Simulation {
   std::unordered_map<net::NodeId, Switch> backends_;
   /// Virtual time of every tick fired so far, in firing order.
   std::vector<Time> tick_times_;
-  std::vector<std::unique_ptr<fault::FaultPlan>> fault_plans_;
 
   /// Consistent-update transaction coordinator for TE moves.
   std::unique_ptr<update::UpdateCoordinator> coordinator_;

@@ -85,8 +85,6 @@ class SwitchModel {
   /// Returns 0 when even a bare write exceeds the bound.
   int max_shifts_within(Duration bound) const;
 
-  const std::vector<CalibrationPoint>& calibration() const { return points_; }
-
  private:
   std::string name_;
   std::vector<CalibrationPoint> points_;

@@ -154,10 +154,6 @@ class TcamTable {
   /// by any table mutation; use it immediately.
   const net::Rule* find_ptr(net::RuleId id) const;
 
-  /// Highest resident priority (first slot); 0 when empty.
-  int max_priority() const {
-    return entries_.empty() ? 0 : entries_.front().priority;
-  }
   /// Lowest resident priority (last slot); 0 when empty.
   int min_priority() const {
     return entries_.empty() ? 0 : entries_.back().priority;

@@ -57,7 +57,7 @@ TEST(CacheHierarchy, PopularFlowIsPromotedAndHitsTcam) {
   auto first = h.classify(0, addr_of("10.0.0.1"));
   ASSERT_NE(first.rule, nullptr);
   EXPECT_FALSE(first.tcam_hit);
-  EXPECT_EQ(first.latency, h.config().software_latency);
+  EXPECT_EQ(first.latency, CacheHierarchy::kSoftwareLatency);
 
   touch(h, 0, addr_of("10.0.0.1"));
   h.tick(from_millis(1));
@@ -93,13 +93,12 @@ TEST(CacheHierarchy, PromotionDragsDependencyClosureAlong) {
 }
 
 TEST(CacheHierarchy, OversizedClosureAbortsPromotion) {
-  CacheConfig config = cache_config();
-  config.closure_limit = 4;
-  CacheHierarchy h(tcam::pica8_p3290(), 64, config);
+  CacheHierarchy h(tcam::pica8_p3290(), 64, cache_config());
   // A wide low-priority rule overlapped by more higher-priority /32s
   // than the closure limit allows.
   h.handle(0, {FlowModType::kInsert, make_rule(1, 1, "10.0.0.0/8", 1)});
-  for (net::RuleId id = 2; id <= 9; ++id) {
+  const auto last = static_cast<net::RuleId>(CacheHierarchy::kClosureLimit) + 1;
+  for (net::RuleId id = 2; id <= last; ++id) {
     std::string p = "10.0.0." + std::to_string(id) + "/32";
     h.handle(0, {FlowModType::kInsert,
                  make_rule(id, 9, p, static_cast<int>(id))});
@@ -113,7 +112,7 @@ TEST(CacheHierarchy, OversizedClosureAbortsPromotion) {
 }
 
 // The closure and cascade queries stop as soon as a set passes
-// `closure_limit`; these four pin both sides of each stop.
+// `kClosureLimit`; these four pin both sides of each stop.
 
 /// A /8 at priority 1 plus `n` higher-priority /32s under it, then one
 /// promotion attempt for the /8 (its closure is the /8 plus every /32).
@@ -128,21 +127,17 @@ void promote_wide_rule(CacheHierarchy& h, int n) {
 }
 
 TEST(CacheHierarchy, ClosureOfExactlyTheLimitIsInstalled) {
-  CacheConfig config = cache_config();
-  config.closure_limit = 4;
-  CacheHierarchy h(tcam::pica8_p3290(), 64, config);
-  promote_wide_rule(h, config.closure_limit - 1);
+  CacheHierarchy h(tcam::pica8_p3290(), 64, cache_config());
+  promote_wide_rule(h, CacheHierarchy::kClosureLimit - 1);
   EXPECT_EQ(h.promotion_aborts(), 0u);
-  EXPECT_EQ(h.tcam_occupancy(), config.closure_limit);
+  EXPECT_EQ(h.tcam_occupancy(), CacheHierarchy::kClosureLimit);
   EXPECT_EQ(h.dependency_violations(), 0u);
   EXPECT_TRUE(h.check_invariant());
 }
 
 TEST(CacheHierarchy, ClosureOneOverTheLimitAborts) {
-  CacheConfig config = cache_config();
-  config.closure_limit = 4;
-  CacheHierarchy h(tcam::pica8_p3290(), 64, config);
-  promote_wide_rule(h, config.closure_limit);
+  CacheHierarchy h(tcam::pica8_p3290(), 64, cache_config());
+  promote_wide_rule(h, CacheHierarchy::kClosureLimit);
   EXPECT_EQ(h.promotion_aborts(), 1u);
   EXPECT_EQ(h.tcam_occupancy(), 0);
   EXPECT_TRUE(h.check_invariant());
@@ -177,10 +172,8 @@ void cascade_from_wide_victim(CacheHierarchy& h, int n) {
 }
 
 TEST(CacheHierarchy, CascadeOfExactlyTheLimitIsDemoted) {
-  CacheConfig config = cache_config(PolicyKind::kLru);
-  config.closure_limit = 4;
-  const int n = config.closure_limit - 1;
-  CacheHierarchy h(tcam::pica8_p3290(), n + 2, config);
+  const int n = CacheHierarchy::kClosureLimit - 1;
+  CacheHierarchy h(tcam::pica8_p3290(), n + 2, cache_config(PolicyKind::kLru));
   cascade_from_wide_victim(h, n);
   EXPECT_EQ(h.pins(), 0u);
   EXPECT_EQ(h.demotions(), static_cast<std::uint64_t>(n + 1));
@@ -190,10 +183,8 @@ TEST(CacheHierarchy, CascadeOfExactlyTheLimitIsDemoted) {
 }
 
 TEST(CacheHierarchy, CascadeOneOverTheLimitPinsTheVictim) {
-  CacheConfig config = cache_config(PolicyKind::kLru);
-  config.closure_limit = 4;
-  const int n = config.closure_limit;
-  CacheHierarchy h(tcam::pica8_p3290(), n + 2, config);
+  const int n = CacheHierarchy::kClosureLimit;
+  CacheHierarchy h(tcam::pica8_p3290(), n + 2, cache_config(PolicyKind::kLru));
   cascade_from_wide_victim(h, n);
   EXPECT_EQ(h.pins(), 1u);
   // The next LRU victim, the oldest /32, leaves alone.

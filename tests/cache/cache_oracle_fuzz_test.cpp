@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cache/cache_hierarchy.h"
+#include "fault/fault_plan.h"
 #include "tcam/lookup_engine.h"
 #include "tcam/switch_model.h"
 
@@ -78,20 +79,27 @@ net::Ipv4Address fuzz_addr(std::uint64_t& state) {
       (static_cast<std::uint32_t>(next_state(state)) & 0x0000FFFFu));
 }
 
-void run_fuzz(PolicyKind policy, std::uint64_t seed) {
+/// With `faults` attached, the invariant is checked after every op, and
+/// the plan must have failed a write and fired one reset into a TCAM
+/// tier that held rules.
+void run_fuzz(PolicyKind policy, std::uint64_t seed,
+              fault::FaultPlan* faults = nullptr) {
   CacheConfig config;
   config.policy = policy;
   config.verify_lookups = true;
-  config.closure_limit = 8;
   CacheHierarchy h(tcam::pica8_p3290(), 32, config);
+  h.set_fault_plan(faults);
   Oracle oracle;
 
   std::uint64_t state = seed;
   Time now = 0;
   constexpr int kOps = 6000;
   constexpr net::RuleId kIdSpace = 300;  // small: collisions guaranteed
+  int wiped = 0;  // TCAM rules resident when the reset fired
   for (int op = 0; op < kOps; ++op) {
     now += from_micros(50);
+    const int resident = h.tcam_occupancy();
+    const std::uint64_t resets = faults ? faults->resets_fired() : 0;
     const std::uint64_t dice = next_state(state) % 100;
     net::RuleId id = 1 + next_state(state) % kIdSpace;
     if (dice < 45) {
@@ -123,8 +131,9 @@ void run_fuzz(PolicyKind policy, std::uint64_t seed) {
         }
       }
     }
-    if (op % 64 == 0) {
-      h.tick(now);
+    if (op % 64 == 0) h.tick(now);
+    if (faults != nullptr && faults->resets_fired() > resets) wiped = resident;
+    if (faults != nullptr || op % 64 == 0) {
       ASSERT_TRUE(h.check_invariant())
           << policy_name(policy) << " op " << op;
     }
@@ -135,7 +144,14 @@ void run_fuzz(PolicyKind policy, std::uint64_t seed) {
   EXPECT_EQ(h.dependency_violations(), 0u) << policy_name(policy);
   // The churn must actually have exercised the cache machinery.
   EXPECT_GT(h.promotions(), 0u) << policy_name(policy);
+  EXPECT_GT(h.promotion_aborts(), 0u) << policy_name(policy);
   EXPECT_GT(h.hits() + h.misses(), 0u);
+  if (faults != nullptr) {
+    // Every TCAM write is a promotion batch: a failed one truncated it.
+    EXPECT_GT(faults->write_failures(), 0u);
+    EXPECT_EQ(faults->resets_fired(), 1u);
+    EXPECT_GT(wiped, 0);
+  }
 }
 
 TEST(CacheOracleFuzz, LruMatchesMonolithicTable) {
@@ -152,6 +168,18 @@ TEST(CacheOracleFuzz, FdrcMatchesMonolithicTable) {
 
 TEST(CacheOracleFuzz, FdrcSecondSeedMatchesMonolithicTable) {
   run_fuzz(PolicyKind::kFdrc, 0xDEADBEEF);
+}
+
+// Write failures truncate promotion batches, and one reset wipes the
+// tier. The churn soon leaves no rule cacheable, so the reset comes
+// early, just after a promotion round.
+TEST(CacheOracleFuzz, FdrcUnderWriteFailuresAndAResetMatchesMonolithicTable) {
+  fault::FaultPlanConfig fc;
+  fc.seed = 0xFA17;
+  fc.default_slice.write_failure_prob = 0.05;
+  fc.resets = {from_micros(19'300)};
+  fault::FaultPlan plan(fc);
+  run_fuzz(PolicyKind::kFdrc, 0xC0FFEE04, &plan);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "sim/simulation.h"
+#include "support/switch_faults.h"
 #include "tcam/asic.h"
 #include "tcam/switch_model.h"
 #include "workloads/trace.h"
@@ -195,18 +196,21 @@ SimRecord drive_simulation(const SimProfile& profile) {
   net::Topology topo = net::fat_tree(4);
   sim::SimConfig config;
   config.congestion_threshold = 0.5;
-  config.backend_factory = [](net::NodeId, const std::string&) {
-    return std::make_unique<baselines::HermesBackend>(tcam::pica8_p3290(),
-                                                      4000);
-  };
-  config.faults_enabled = true;
-  config.fault_slice.write_failure_prob = profile.write_failure_prob;
+  test_support::SwitchFaults faults;
+  faults.slice.write_failure_prob = profile.write_failure_prob;
   if (profile.stalls_and_reset) {
-    config.fault_seed = 0xFEED;
-    config.fault_slice.stall_min = from_micros(1);
-    config.fault_slice.stall_max = from_micros(30);
-    config.fault_resets = {from_millis(300)};
+    faults.seed = 0xFEED;
+    faults.slice.stall_min = from_micros(1);
+    faults.slice.stall_max = from_micros(30);
+    faults.resets = {from_millis(300)};
   }
+  config.backend_factory = test_support::with_faults(
+      [](net::NodeId, const std::string&)
+          -> std::unique_ptr<baselines::SwitchBackend> {
+        return std::make_unique<baselines::HermesBackend>(
+            tcam::pica8_p3290(), 4000);
+      },
+      faults);
   auto hosts = topo.hosts();
   std::vector<workloads::Job> jobs;
   for (int i = 0; i < profile.jobs; ++i) {

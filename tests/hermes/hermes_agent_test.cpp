@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <random>
 #include <stdexcept>
@@ -172,6 +173,56 @@ TEST(HermesAgent, MainInsertRepartitionsShadowResidents) {
   hit = lookup_at(agent, 0, "192.168.3.7");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 1);  // untouched remainder of the /16
+}
+
+// The shadow overlap scan re-cuts owners in the (address, length) order
+// of their masked pieces and, on one prefix, highest priority first: B
+// is re-cut before A although A arrived first, so B's new pieces carry
+// the smaller mints (RuleStore::piece_id).
+TEST(HermesAgent, SamePrefixShadowRulesRecutHighestPriorityFirst) {
+  HermesConfig config = test_config();
+  config.lowest_priority_optimization = false;
+  config.predicate = [](const net::Rule& r) { return r.id < 100; };
+  HermesAgent agent(tcam::pica8_p3290(), 2000, config);
+  agent.insert(0, make_rule(1, 3, "10.1.0.0/16", 1));  // A
+  agent.insert(0, make_rule(2, 4, "10.1.0.0/16", 2));  // B
+  ASSERT_EQ(agent.shadow_occupancy(), 2);
+  agent.insert(0, make_rule(100, 9, "10.1.2.0/24", 9));  // main
+  ASSERT_EQ(agent.store().find(100)->placement, Placement::kMain);
+  EXPECT_EQ(agent.stats().repartitions, 2u);
+
+  auto mints = [&](net::RuleId lid) {
+    std::vector<net::RuleId> out;
+    for (net::RuleId pid : agent.store().find(lid)->physical_ids) {
+      EXPECT_EQ(RuleStore::owner_of(pid), lid);
+      out.push_back(pid >> 32);
+    }
+    return out;
+  };
+  const std::vector<net::RuleId> a = mints(1);
+  const std::vector<net::RuleId> b = mints(2);
+  ASSERT_EQ(a.size(), 8u);
+  ASSERT_EQ(b.size(), 8u);
+  EXPECT_LT(*std::max_element(b.begin(), b.end()),
+            *std::min_element(a.begin(), a.end()));
+  EXPECT_EQ(lookup_at(agent, 0, "10.1.2.3")->action.port, 9);
+  EXPECT_EQ(lookup_at(agent, 0, "10.1.3.3")->action.port, 2);
+}
+
+// Every shadow piece below the main rule's priority is a candidate for
+// the cut, the lowest representable priority included.
+TEST(HermesAgent, MainInsertRecutsAShadowRuleAtTheLowestPriority) {
+  HermesConfig config = test_config();
+  config.lowest_priority_optimization = false;
+  config.predicate = [](const net::Rule& r) { return r.id < 100; };
+  HermesAgent agent(tcam::pica8_p3290(), 2000, config);
+  agent.insert(0, make_rule(1, std::numeric_limits<int>::min(),
+                            "10.0.0.0/8", 1));
+  ASSERT_EQ(agent.shadow_occupancy(), 1);
+  agent.insert(0, make_rule(100, 5, "10.1.0.0/16", 5));  // main
+  EXPECT_EQ(agent.stats().repartitions, 1u);
+  EXPECT_EQ(lookup_at(agent, 0, "10.1.2.3")->action.port, 5);
+  EXPECT_EQ(lookup_at(agent, 0, "10.2.3.4")->action.port, 1);
 }
 
 TEST(HermesAgent, MigrationEmptiesShadowAndPreservesLookups) {

@@ -13,7 +13,8 @@
 //
 // Mid-batch failures are injected by pre-inserting a rule directly into
 // the main ASIC slice whose id collides with a piece id the next
-// migration will allocate (ids are sequential from kPieceIdBase = 2^32).
+// migration will allocate (RuleStore::piece_id(mint, logical id), with
+// the agent's mints sequential from 1).
 #include <gtest/gtest.h>
 
 #include "hermes/hermes_agent.h"
@@ -39,7 +40,6 @@ namespace {
 using net::Prefix;
 using net::Rule;
 
-constexpr net::RuleId kPieceIdBase = net::RuleId{1} << 32;
 constexpr int kMainSlice = 1;
 
 Rule make_rule(net::RuleId id, int priority, std::string_view prefix,
@@ -77,8 +77,8 @@ TEST(MigrationFailure, RejectedPieceIsNotIndexedOrRebound) {
   agent.insert(0, make_rule(1, 10, "10.0.0.0/8", 1));
   ASSERT_EQ(agent.shadow_occupancy(), 1);
   // The (unpartitioned) rule kept controller id 1 in the shadow table, so
-  // the migration will allocate kPieceIdBase for its fresh main piece.
-  poison_main(agent, kPieceIdBase);
+  // the migration will allocate mint 1 for its fresh main piece.
+  poison_main(agent, RuleStore::piece_id(1, 1));
 
   agent.migrate_now(from_millis(1));
 
@@ -96,12 +96,11 @@ TEST(MigrationFailure, RejectedPieceIsNotIndexedOrRebound) {
 
 TEST(MigrationFailure, PrefixOfBatchLandsRestStaysInShadow) {
   HermesAgent agent(tcam::pica8_p3290(), 2000, test_config());
-  // Plan order is by descending priority: R1's piece gets kPieceIdBase,
-  // R2's gets kPieceIdBase + 1 — poison the latter so the batch stops
-  // after R1.
+  // Plan order is by descending priority: R1's piece gets mint 1, R2's
+  // gets mint 2 — poison the latter so the batch stops after R1.
   agent.insert(0, make_rule(1, 20, "10.0.0.0/8", 1));
   agent.insert(0, make_rule(2, 10, "11.0.0.0/8", 2));
-  poison_main(agent, kPieceIdBase + 1);
+  poison_main(agent, RuleStore::piece_id(2, 2));
 
   agent.migrate_now(from_millis(1));
 
@@ -126,13 +125,13 @@ TEST(MigrationFailure, LandedSiblingPiecesAreRolledBack) {
   HermesAgent agent(tcam::pica8_p3290(), 2000, config);
 
   // Blocker (id >= 100 fails the predicate, so it lands in main) cuts the
-  // shadow-bound rule into two pieces: ids kPieceIdBase, kPieceIdBase+1.
+  // shadow-bound rule into two pieces: mints 1 and 2.
   agent.insert(0, make_rule(200, 50, "10.64.0.0/10", 5));
   agent.insert(0, make_rule(1, 10, "10.0.0.0/8", 1));
   ASSERT_EQ(agent.shadow_occupancy(), 2);
-  // The migration re-materializes both pieces with the NEXT two ids;
+  // The migration re-materializes both pieces with the NEXT two mints;
   // poison the second so exactly one sibling lands first.
-  poison_main(agent, kPieceIdBase + 3);
+  poison_main(agent, RuleStore::piece_id(4, 1));
 
   agent.migrate_now(from_millis(1));
 

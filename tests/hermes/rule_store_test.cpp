@@ -34,10 +34,27 @@ TEST(RuleStore, AddAndFind) {
 TEST(RuleStore, PhysicalToLogicalMapping) {
   RuleStore store;
   LogicalRule lr = simple(1);
-  lr.physical_ids = {100, 101, 102};
+  lr.physical_ids = {RuleStore::piece_id(1, 1), RuleStore::piece_id(2, 1),
+                     RuleStore::piece_id(3, 1)};
   store.add(lr);
-  EXPECT_EQ(store.logical_of(101), std::optional<net::RuleId>(1));
+  EXPECT_EQ(store.logical_of(RuleStore::piece_id(2, 1)),
+            std::optional<net::RuleId>(1));
   EXPECT_EQ(store.logical_of(999), std::nullopt);
+}
+
+TEST(RuleStore, LogicalOfRejectsAPieceItsRuleDoesNotList) {
+  RuleStore store;
+  LogicalRule lr = simple(1);
+  lr.physical_ids = {RuleStore::piece_id(1, 1), RuleStore::piece_id(2, 1)};
+  store.add(lr);
+  store.add(simple(2));
+  // Rule 1 is live, but lists neither its own id nor this mint.
+  EXPECT_EQ(RuleStore::owner_of(RuleStore::piece_id(3, 1)), 1u);
+  EXPECT_EQ(store.logical_of(RuleStore::piece_id(3, 1)), std::nullopt);
+  EXPECT_EQ(store.logical_of(1), std::nullopt);
+  // Rule 2 is uncut: its one piece is its own id, and no minted id.
+  EXPECT_EQ(store.logical_of(2), std::optional<net::RuleId>(2));
+  EXPECT_EQ(store.logical_of(RuleStore::piece_id(1, 2)), std::nullopt);
 }
 
 TEST(RuleStore, DependencyEdges) {
@@ -70,17 +87,19 @@ TEST(RuleStore, RebindSwapsPiecesAndEdges) {
   store.add(simple(10, Placement::kMain));
   store.add(simple(11, Placement::kMain));
   LogicalRule cut = simple(2);
-  cut.physical_ids = {200, 201};
+  cut.physical_ids = {RuleStore::piece_id(1, 2), RuleStore::piece_id(2, 2)};
   cut.cut_against = {10};
   store.add(cut);
 
-  store.rebind(2, Placement::kMain, {300}, {11});
+  store.rebind(2, Placement::kMain, {RuleStore::piece_id(3, 2)}, {11});
   const LogicalRule* lr = store.find(2);
   ASSERT_NE(lr, nullptr);
   EXPECT_EQ(lr->placement, Placement::kMain);
-  EXPECT_EQ(lr->physical_ids, std::vector<net::RuleId>{300});
-  EXPECT_EQ(store.logical_of(300), std::optional<net::RuleId>(2));
-  EXPECT_EQ(store.logical_of(200), std::nullopt);
+  EXPECT_EQ(lr->physical_ids,
+            std::vector<net::RuleId>{RuleStore::piece_id(3, 2)});
+  EXPECT_EQ(store.logical_of(RuleStore::piece_id(3, 2)),
+            std::optional<net::RuleId>(2));
+  EXPECT_EQ(store.logical_of(RuleStore::piece_id(1, 2)), std::nullopt);
   EXPECT_TRUE(store.dependents_of(10).empty());
   EXPECT_EQ(store.dependents_of(11), std::vector<net::RuleId>{2});
 }

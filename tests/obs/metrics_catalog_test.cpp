@@ -25,6 +25,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/simulation.h"
+#include "support/switch_faults.h"
 #include "tcam/switch_model.h"
 #include "workloads/facebook.h"
 
@@ -60,16 +61,19 @@ void run_full_pipeline() {
   net::Topology topo = net::fat_tree(4);
   sim::SimConfig config;
   config.congestion_threshold = 0.5;
-  config.backend_factory = [](net::NodeId, const std::string&) {
-    return std::make_unique<baselines::HermesBackend>(tcam::pica8_p3290(),
-                                                      4000);
-  };
-  config.faults_enabled = true;
+  test_support::SwitchFaults faults;
   // High enough that some move installs fail for good (app.moves_aborted).
-  config.fault_slice.write_failure_prob = 0.6;
-  config.fault_slice.stall_min = from_micros(1);
-  config.fault_slice.stall_max = from_micros(20);
-  config.fault_resets = {from_millis(200)};
+  faults.slice.write_failure_prob = 0.6;
+  faults.slice.stall_min = from_micros(1);
+  faults.slice.stall_max = from_micros(20);
+  faults.resets = {from_millis(200)};
+  config.backend_factory = test_support::with_faults(
+      [](net::NodeId, const std::string&)
+          -> std::unique_ptr<baselines::SwitchBackend> {
+        return std::make_unique<baselines::HermesBackend>(
+            tcam::pica8_p3290(), 4000);
+      },
+      faults);
   sim::Simulation simulation(topo, config);
   auto hosts = topo.hosts();
   std::vector<Job> jobs;

@@ -13,6 +13,7 @@
 #include "baselines/plain_switch.h"
 #include "obs/metrics.h"
 #include "sim/simulation.h"
+#include "support/switch_faults.h"
 #include "tcam/switch_model.h"
 #include "workloads/trace.h"
 
@@ -34,13 +35,15 @@ Job one_flow_job(int id, Time arrival, net::NodeId src, net::NodeId dst,
 SimConfig faulty_config(double write_failure_prob) {
   SimConfig config;
   config.congestion_threshold = 0.5;
-  config.backend_factory = [](net::NodeId, const std::string&)
-      -> std::unique_ptr<baselines::SwitchBackend> {
-    return std::make_unique<baselines::PlainSwitch>(tcam::pica8_p3290(),
-                                                    4000);
-  };
-  config.faults_enabled = true;
-  config.fault_slice.write_failure_prob = write_failure_prob;
+  test_support::SwitchFaults faults;
+  faults.slice.write_failure_prob = write_failure_prob;
+  config.backend_factory = test_support::with_faults(
+      [](net::NodeId, const std::string&)
+          -> std::unique_ptr<baselines::SwitchBackend> {
+        return std::make_unique<baselines::PlainSwitch>(tcam::pica8_p3290(),
+                                                        4000);
+      },
+      faults);
   return config;
 }
 

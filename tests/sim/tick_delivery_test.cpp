@@ -15,6 +15,7 @@
 #include "baselines/hermes_backend.h"
 #include "baselines/plain_switch.h"
 #include "sim/simulation.h"
+#include "support/switch_faults.h"
 #include "tcam/switch_model.h"
 #include "workloads/trace.h"
 
@@ -97,8 +98,10 @@ struct Recorded {
   std::uint64_t reconcile_runs = 0;  ///< summed over Hermes backends
 };
 
+/// With `faults`, every switch gets its own plan of that profile.
 Recorded run_recorded(const net::Topology& topo, SimConfig config,
-                      const InnerFactory& make_inner) {
+                      const InnerFactory& make_inner,
+                      const test_support::SwitchFaults* faults = nullptr) {
   Recorded out;
   std::map<net::NodeId, RecordingBackend*> recorders;
   config.congestion_threshold = 0.5;
@@ -109,6 +112,9 @@ Recorded run_recorded(const net::Topology& topo, SimConfig config,
     recorders[id] = sw.get();
     return sw;
   };
+  if (faults != nullptr)
+    config.backend_factory =
+        test_support::with_faults(std::move(config.backend_factory), *faults);
   Simulation sim(topo, config);
   sim.add_jobs(congested_jobs(topo));
   sim.run();
@@ -187,14 +193,16 @@ TEST(TickDelivery, HermesBackendsSeeEveryTickInOrder) {
 
 TEST(TickDelivery, FaultedHermesWithOneResetSeesEveryTickInOrder) {
   net::Topology topo = net::fat_tree(4);
-  SimConfig config;
-  config.faults_enabled = true;
-  config.fault_slice.write_failure_prob = 0.05;
-  config.fault_resets = {from_millis(1005)};
-  Recorded rec = run_recorded(topo, config, [] {
-    return std::make_unique<baselines::HermesBackend>(tcam::pica8_p3290(),
-                                                      4000);
-  });
+  test_support::SwitchFaults faults;
+  faults.slice.write_failure_prob = 0.05;
+  faults.resets = {from_millis(1005)};
+  Recorded rec = run_recorded(
+      topo, SimConfig{},
+      [] {
+        return std::make_unique<baselines::HermesBackend>(tcam::pica8_p3290(),
+                                                          4000);
+      },
+      &faults);
   check_delivery(rec);
   // The reset fired and every switch reconciled after it.
   EXPECT_EQ(rec.reconcile_runs, rec.logs.size());
